@@ -10,7 +10,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -22,17 +22,16 @@ from .harness import (
     emit_plot,
     run_sweep,
     surface_grid,
+    sweep_csv_records,
     ALGORITHMS,
-    SWEEP_CSV_HEADER,
     SWEEPABLE_PARAMETERS,
+    _format_number,
 )
 from .offload import Allocation
 from .pricing import dynamic_utility_objective
 from .scenario import (
     ALLOCATION_KEYS,
-    DEFAULT_CONFIG,
     REQUIRED_KEYS,
-    ScenarioError,
     Scenario,
     ghz_to_hz,
     load_scenario,
@@ -44,17 +43,17 @@ from .verification import run_anchor_suite
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
 
-_SWARM_FIELD_TYPES = {f.name: f.type for f in fields(SwarmConfig) if f.name != "seed"}
+_SWARM_FIELD_TYPES = {f.name: type(f.default) for f in fields(SwarmConfig) if f.name != "seed"}
 
 
 class UsageError(Exception):
-    """Configuration or argument problem; maps to exit code 2."""
+    """Argument problem found by the CLI itself; maps to exit code 2, like ValueError."""
 
 
-def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str, float]]:
+def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str, float | int]]:
     """Split --set key=value pairs into scenario/allocation and swarm overrides."""
     scenario_overrides: dict[str, float | str] = {}
-    swarm_overrides: dict[str, float] = {}
+    swarm_overrides: dict[str, float | int] = {}
     for pair in pairs:
         if "=" not in pair:
             raise UsageError(f"--set expects key=value, got {pair!r}")
@@ -71,9 +70,9 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str
                     raise UsageError(f"--set {key}: non-numeric value {value!r}") from None
         elif key in _SWARM_FIELD_TYPES:
             try:
-                swarm_overrides[key] = float(value)
-            except ValueError:
-                raise UsageError(f"--set {key}: non-numeric value {value!r}") from None
+                swarm_overrides[key] = _SWARM_FIELD_TYPES[key](float(value))
+            except (ValueError, OverflowError):
+                raise UsageError(f"--set {key}: invalid value {value!r}") from None
         else:
             raise UsageError(f"--set {key}: unknown key")
     return scenario_overrides, swarm_overrides
@@ -82,15 +81,11 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str
 def _load_context(args: argparse.Namespace) -> tuple[Scenario, Allocation, SwarmConfig]:
     """Scenario, default allocation, and swarm config for one invocation."""
     path = args.scenario or os.environ.get(SCENARIO_ENV_VAR)
-    text = Path(path).read_text(encoding="utf-8") if path else None
-
+    config = parse_config(Path(path).read_text(encoding="utf-8")) if path else {}
     scenario_overrides, swarm_overrides = _parse_overrides(args.set or [])
-    scenario = load_scenario(text, overrides=scenario_overrides)
-
-    config = dict(DEFAULT_CONFIG)
-    if text is not None:
-        config.update(parse_config(text))
     config.update(scenario_overrides)
+    scenario = load_scenario(overrides=config)
+
     if "f_server_ghz" in config:
         f_server = ghz_to_hz(float(config["f_server_ghz"]))
     else:
@@ -101,18 +96,8 @@ def _load_context(args: argparse.Namespace) -> tuple[Scenario, Allocation, Swarm
         b = scenario.b_range[1]
     allocation = Allocation(f_server=f_server, b=b)
 
-    cfg = SwarmConfig(seed=getattr(args, "seed", 0) or 0)
-    if swarm_overrides:
-        typed = {
-            key: int(value) if key in ("p_n", "n_max") else value
-            for key, value in swarm_overrides.items()
-        }
-        cfg = replace(cfg, **typed)
+    cfg = SwarmConfig(seed=getattr(args, "seed", 0) or 0, **swarm_overrides)
     return scenario, allocation, cfg
-
-
-def _format(x: float) -> str:
-    return f"{x:.9g}"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -122,31 +107,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"--grid expects comma-separated numbers, got {args.grid!r}") from None
     spec = SweepSpec(parameter=args.param, grid=grid, scenario=scenario, allocation=allocation)
-    try:
-        rows = run_sweep(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    rows = run_sweep(spec)
     if args.out:
         emit_csv(rows, args.out)
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.parameter]
-                + [
-                    _format(v)
-                    for v in (
-                        row.value,
-                        row.price,
-                        row.u_user,
-                        row.u_server,
-                        row.t_offload,
-                        row.t_save,
-                        row.e_save,
-                    )
-                ]
-            )
+        csv.writer(sys.stdout, lineterminator="\n").writerows(sweep_csv_records(rows))
     if args.plot:
         emit_plot(rows, "line", args.plot, series=args.series)
     return 0
@@ -154,16 +119,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     scenario, _, _ = _load_context(args)
-    try:
-        grid = surface_grid(scenario, args.steps, args.steps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    grid = surface_grid(scenario, args.steps, args.steps)
     best = grid.argmax_u_user()
     value = grid.u_user.max()
     print(f"grid: {args.steps}x{args.steps} over f_server={scenario.f_range}, b={scenario.b_range}")
     print(
-        f"argmax u_user: f_server={_format(best.f_server)} Hz, b={_format(best.b)} bit/s, "
-        f"u_user={_format(value)}"
+        f"argmax u_user: f_server={_format_number(best.f_server)} Hz, "
+        f"b={_format_number(best.b)} bit/s, u_user={_format_number(value)}"
     )
     if args.plot:
         emit_plot(grid, "heatmap", args.plot, series=args.series)
@@ -177,10 +139,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
     print(f"algorithm: {args.algo}")
     print(f"seed: {result.seed}")
-    print(f"best value: {_format(result.best_value)}")
+    print(f"best value: {_format_number(result.best_value)}")
     print(
-        f"best position: f_server={_format(result.best_position.f_server)} Hz, "
-        f"b={_format(result.best_position.b)} bit/s"
+        f"best position: f_server={_format_number(result.best_position.f_server)} Hz, "
+        f"b={_format_number(result.best_position.b)} bit/s"
     )
     print(f"iterations: {result.iterations_used}")
     print(f"converged: {result.converged}")
@@ -190,7 +152,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario, _, cfg = _load_context(args)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
-    print(f"gap reference u_max: {_format(report.u_max)}  (trials: {args.trials})")
+    print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
     print(f"{'algorithm':<10} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():
         print(
@@ -287,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (UsageError, ScenarioError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, FileNotFoundError) as exc:
+        # ValueError covers ScenarioError and the library's checks of its arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

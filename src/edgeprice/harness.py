@@ -9,23 +9,27 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .offload import Allocation
-from .pricing import dynamic_price, dynamic_utility_objective, server_utility, user_utility
+from .pricing import (
+    UtilitySummary,
+    dynamic_price,
+    dynamic_utility_objective,
+    server_utility,
+    user_utility,
+)
 from .scenario import Scenario, validate
 from .optimizers import (
-    RunResult,
     SwarmConfig,
     TrialStats,
     baseline_de,
     baseline_ga,
     baseline_pso,
     disc_pso,
-    stats_from_runs,
-    trial_seeds,
+    run_trials,
 )
 from . import svgplot
 
@@ -131,34 +135,33 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One row per grid value, dynamic pricing throughout."""
+    """One row per grid value, dynamic pricing throughout.
+
+    An f_server or b grid is evaluated in one broadcast call. A q or
+    f_local grid changes the scenario, and its factors (a log2 and a
+    square) round differently in numpy, so it is evaluated value by value.
+    """
     _check_sweep_spec(spec)
-    rows = []
-    for value in spec.grid:
-        scenario = spec.scenario
-        alloc = spec.allocation
-        if spec.parameter == "f_server":
-            alloc = replace(alloc, f_server=value)
-        elif spec.parameter == "b":
-            alloc = replace(alloc, b=value)
-        elif spec.parameter == "q":
-            scenario = replace(scenario, q=value)
-        else:
-            scenario = replace(scenario, f_local=value)
-        summary = user_utility(scenario, alloc)
-        rows.append(
-            SweepRow(
-                parameter=spec.parameter,
-                value=value,
-                price=summary.price,
-                u_user=summary.u_user,
-                u_server=summary.u_server,
-                t_offload=summary.time.t_offload,
-                t_save=summary.time.t_save,
-                e_save=summary.energy.e_save,
-            )
-        )
-    return rows
+    if spec.parameter in ("f_server", "b"):
+        grid = np.array(spec.grid)
+        summary = user_utility(spec.scenario, replace(spec.allocation, **{spec.parameter: grid}))
+        rows = zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary)))
+    else:
+        scenarios = (replace(spec.scenario, **{spec.parameter: value}) for value in spec.grid)
+        rows = (_sweep_columns(user_utility(s, spec.allocation)) for s in scenarios)
+    return [SweepRow(spec.parameter, value, *row) for value, row in zip(spec.grid, rows)]
+
+
+def _sweep_columns(summary: UtilitySummary) -> tuple:
+    """The SweepRow fields after ``value``, in order."""
+    return (
+        summary.price,
+        summary.u_user,
+        summary.u_server,
+        summary.time.t_offload,
+        summary.time.t_save,
+        summary.energy.e_save,
+    )
 
 
 def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
@@ -167,22 +170,13 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
         raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
-    objective = dynamic_utility_objective(s)
-    u_user = np.empty((f_steps, b_steps))
-    price = np.empty_like(u_user)
-    u_server = np.empty_like(u_user)
-    for i, f in enumerate(f_values):
-        for j, b in enumerate(b_values):
-            alloc = Allocation(f, b)
-            u_user[i, j] = objective(alloc)
-            price[i, j] = dynamic_price(s, alloc)
-            u_server[i, j] = server_utility(s, alloc)
+    cells = Allocation(f_values[:, None], b_values[None, :])
     return SurfaceGrid(
-        f_values=tuple(float(f) for f in f_values),
-        b_values=tuple(float(b) for b in b_values),
-        u_user=u_user,
-        price=price,
-        u_server=u_server,
+        f_values=tuple(f_values.tolist()),
+        b_values=tuple(b_values.tolist()),
+        u_user=dynamic_utility_objective(s)(cells),
+        price=dynamic_price(s, cells),
+        u_server=server_utility(s, cells),
     )
 
 
@@ -206,36 +200,18 @@ def compare_optimizers(
     the randomized mode redraws (q, f_local) per trial, with all four
     algorithms still seeing the same scenario and seed in a given trial.
     """
-    seeds = trial_seeds(cfg.seed, n_trials)
     if randomize:
         scenarios = _draw_trial_scenarios(s, cfg.seed, n_trials)
     else:
         scenarios = [s] * n_trials
-    objectives = [dynamic_utility_objective(sc) for sc in scenarios]
-    u_max_list = tuple(
-        obj(corner_allocation(sc)) for sc, obj in zip(scenarios, objectives)
-    )
-
-    stats: dict[str, TrialStats] = {}
-    for name, algorithm in ALGORITHMS.items():
-        runs: list[RunResult] = []
-        for trial in range(n_trials):
-            runs.append(
-                algorithm(
-                    scenarios[trial],
-                    objectives[trial],
-                    u_max_list[trial],
-                    replace(cfg, seed=seeds[trial]),
-                )
-            )
-        stats[name] = stats_from_runs(runs)
+    settings = [(sc, dynamic_utility_objective(sc), box_maximum_utility(sc)) for sc in scenarios]
     return ComparisonReport(
         scenario=s,
         n_trials=n_trials,
         randomized=randomize,
         u_max=box_maximum_utility(s),
-        u_max_list=u_max_list,
-        stats=stats,
+        u_max_list=tuple(u_max for _, _, u_max in settings),
+        stats={name: run_trials(algo, settings, cfg) for name, algo in ALGORITHMS.items()},
     )
 
 
@@ -243,27 +219,17 @@ def _format_number(x: float) -> str:
     return f"{x:.9g}"
 
 
+def sweep_csv_records(rows: Sequence[SweepRow]) -> Iterator[list[str]]:
+    """The header, then each sweep row with its numbers at 9 significant digits."""
+    yield list(SWEEP_CSV_HEADER)
+    for row in rows:
+        yield [row.parameter] + [_format_number(getattr(row, n)) for n in SWEEP_CSV_HEADER[1:]]
+
+
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep rows as CSV: header always present, numbers at 9 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.parameter]
-                + [
-                    _format_number(v)
-                    for v in (
-                        row.value,
-                        row.price,
-                        row.u_user,
-                        row.u_server,
-                        row.t_offload,
-                        row.t_save,
-                        row.e_save,
-                    )
-                ]
-            )
+        csv.writer(handle).writerows(sweep_csv_records(rows))
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:

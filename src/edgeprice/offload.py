@@ -2,7 +2,10 @@
 
 All operations are pure functions of immutable inputs. The composition
 fields (t_offload, t_save, e_save) are built from the part fields, so the
-additivity identities hold bit-exactly by construction.
+additivity identities hold bit-exactly by construction. The allocation
+enters only through arithmetic operators, so an ``Allocation`` holding
+broadcastable numpy arrays yields breakdowns of arrays, element for
+element equal to the scalar results.
 """
 from __future__ import annotations
 
@@ -71,7 +74,11 @@ def time_breakdown(s: Scenario, alloc: Allocation) -> TimeBreakdown:
 
 
 def energy_breakdown(s: Scenario, alloc: Allocation) -> EnergyBreakdown:
-    times = time_breakdown(s, alloc)
+    return energy_from_times(s, time_breakdown(s, alloc))
+
+
+def energy_from_times(s: Scenario, times: TimeBreakdown) -> EnergyBreakdown:
+    """Energy accounting of an allocation whose time breakdown is already known."""
     e_local = s.k * (s.q * s.c) * s.f_local**2
     e_up = s.p_u * times.t_u
     e_d = s.p_d * times.t_d

@@ -1,21 +1,25 @@
 """Search for near-optimal allocations over the bounded (f_server, b) box.
 
 Four maximizers share the same termination contract: stop once the
-relative gap (u_max - best)/best falls below epsilon, or after n_max
-update rounds. ``iterations_used`` counts completed update rounds, so a
+gap u_max - best falls below epsilon*|best|, or after n_max update
+rounds. For best > 0 this is the relative gap (u_max - best)/best below
+epsilon; unlike that ratio, it keeps its meaning when the utility is
+negative. ``iterations_used`` counts completed update rounds, so a
 run whose initial sampling already satisfies the gap reports 0.
 
 disc_pso is the enhanced swarm (linearly decaying inertia plus a
 per-coordinate minimum velocity magnitude); baseline_pso is the same
 machinery with fixed inertia and no velocity floor, so the two produce
-identical trajectories when configured to coincide. The GA and DE
-baselines use conventional operator settings and the same termination
-predicate, which keeps iteration counts comparable.
+identical trajectories when configured to coincide. The swarm state is
+held as (p_n, 2) arrays of (f_server, b) rows and updated in one step per
+round; the objective still sees one ``Allocation`` of floats per
+particle. The GA and DE baselines use conventional operator settings and
+the same termination predicate, which keeps iteration counts comparable.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,13 +55,17 @@ class SwarmConfig:
     epsilon: float = 1e-3       # relative-gap termination threshold
     seed: int = 0
 
-
-@dataclass
-class ParticleState:
-    position: Allocation
-    velocity: tuple[float, float]
-    personal_best_position: Allocation
-    personal_best_value: float
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not math.isfinite(value):
+                raise ValueError(f"{f.name}={value!r}: must be finite")
+        if self.p_n < 4:
+            raise ValueError(f"p_n={self.p_n!r}: must be >= 4 (DE draws three other individuals)")
+        if self.n_max < 0:
+            raise ValueError(f"n_max={self.n_max!r}: must be >= 0")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon={self.epsilon!r}: must be > 0")
 
 
 @dataclass(frozen=True)
@@ -94,18 +102,12 @@ def _checked_value(objective: Objective, alloc: Allocation, where: str) -> float
 
 
 def _gap_met(u_max: float, best: float, epsilon: float) -> bool:
-    return (u_max - best) / best < epsilon
+    return u_max - best < epsilon * abs(best)
 
 
-def _with_min_magnitude(v: float, floor: float) -> float:
-    """Sign-preserving minimum magnitude; an exactly-zero velocity stays zero."""
-    if v == 0.0:
-        return 0.0
-    return math.copysign(max(abs(v), floor), v)
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return min(max(value, lo), hi)
+def _with_min_magnitude(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """Sign-preserving minimum magnitude per element; an exactly-zero velocity stays zero."""
+    return np.where(v == 0.0, 0.0, np.copysign(np.maximum(np.abs(v), floor), v))
 
 
 def _swarm_search(
@@ -118,21 +120,16 @@ def _swarm_search(
     velocity_floor: bool,
 ) -> RunResult:
     rng = np.random.default_rng(cfg.seed)
-    f_lo, f_hi = s.f_range
-    b_lo, b_hi = s.b_range
+    lo = np.array([s.f_range[0], s.b_range[0]])
+    hi = np.array([s.f_range[1], s.b_range[1]])
+    floor = np.array([cfg.delta_f, cfg.delta_b])
 
-    swarm: list[ParticleState] = []
-    for i in range(cfg.p_n):
-        pos = Allocation(
-            f_server=f_lo + (f_hi - f_lo) * rng.random(),
-            b=b_lo + (b_hi - b_lo) * rng.random(),
-        )
-        value = _checked_value(objective, pos, f"initial sampling (particle {i})")
-        swarm.append(ParticleState(pos, (0.0, 0.0), pos, value))
-
-    best = max(swarm, key=lambda p: p.personal_best_value)
-    s_gb = best.personal_best_value
-    p_gb = best.personal_best_position
+    position = _initial_population(rng, cfg, s.f_range, s.b_range, None)
+    velocity = np.zeros_like(position)
+    best_position = position.copy()
+    best_values = _evaluate_population(objective, position, "initial sampling")
+    i = int(np.argmax(best_values))
+    s_gb, p_gb = float(best_values[i]), best_position[i].copy()
 
     n_f = 0
     converged = _gap_met(u_max, s_gb, cfg.epsilon)
@@ -141,47 +138,27 @@ def _swarm_search(
             w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max
         else:
             w = cfg.w_max
-        for p in swarm:
-            # standard update: independent random factors per coordinate
-            v_f = (
-                w * p.velocity[0]
-                + cfg.c1_learn
-                * rng.random()
-                * (p.personal_best_position.f_server - p.position.f_server)
-                + cfg.c2_learn * rng.random() * (p_gb.f_server - p.position.f_server)
-            )
-            v_b = (
-                w * p.velocity[1]
-                + cfg.c1_learn * rng.random() * (p.personal_best_position.b - p.position.b)
-                + cfg.c2_learn * rng.random() * (p_gb.b - p.position.b)
-            )
-            if velocity_floor:
-                v_f = _with_min_magnitude(v_f, cfg.delta_f)
-                v_b = _with_min_magnitude(v_b, cfg.delta_b)
-            p.velocity = (v_f, v_b)
-            p.position = Allocation(
-                f_server=_clamp(p.position.f_server + v_f, f_lo, f_hi),
-                b=_clamp(p.position.b + v_b, b_lo, b_hi),
-            )
-        for i, p in enumerate(swarm):
-            value = _checked_value(objective, p.position, f"round {n_f} (particle {i})")
-            if value > p.personal_best_value:
-                p.personal_best_value = value
-                p.personal_best_position = p.position
-        best = max(swarm, key=lambda p: p.personal_best_value)
-        if best.personal_best_value > s_gb:
-            s_gb = best.personal_best_value
-            p_gb = best.personal_best_position
+        # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order
+        r = rng.random((cfg.p_n, 4))
+        velocity = (
+            w * velocity
+            + cfg.c1_learn * r[:, 0::2] * (best_position - position)
+            + cfg.c2_learn * r[:, 1::2] * (p_gb - position)
+        )
+        if velocity_floor:
+            velocity = _with_min_magnitude(velocity, floor)
+        position = np.clip(position + velocity, lo, hi)
+        values = _evaluate_population(objective, position, f"round {n_f}")
+        improved = values > best_values
+        best_position[improved] = position[improved]
+        best_values[improved] = values[improved]
+        i = int(np.argmax(best_values))
+        if best_values[i] > s_gb:
+            s_gb, p_gb = float(best_values[i]), best_position[i].copy()
         n_f += 1
         converged = _gap_met(u_max, s_gb, cfg.epsilon)
 
-    return RunResult(
-        best_value=s_gb,
-        best_position=p_gb,
-        iterations_used=n_f,
-        converged=converged,
-        seed=cfg.seed,
-    )
+    return RunResult(s_gb, Allocation(*p_gb.tolist()), n_f, converged, cfg.seed)
 
 
 def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
@@ -212,12 +189,12 @@ def _initial_population(
 
 
 def _evaluate_population(objective: Objective, pop: np.ndarray, where: str) -> np.ndarray:
-    values = np.empty(len(pop))
-    for i, row in enumerate(pop):
-        values[i] = _checked_value(
-            objective, Allocation(float(row[0]), float(row[1])), f"{where} (individual {i})"
-        )
-    return values
+    return np.array(
+        [
+            _checked_value(objective, Allocation(f, b), f"{where} (individual {i})")
+            for i, (f, b) in enumerate(pop.tolist())
+        ]
+    )
 
 
 def baseline_ga(
@@ -369,6 +346,29 @@ def stats_from_runs(runs: Sequence[RunResult]) -> TrialStats:
     )
 
 
+def run_trials(
+    algorithm: Algorithm,
+    settings: Sequence[tuple[Scenario, Objective, float]],
+    cfg: SwarmConfig,
+) -> TrialStats:
+    """Run trial i on ``settings[i]`` (scenario, objective, u_max) and aggregate.
+
+    Trial i uses the i-th of ``trial_seeds(cfg.seed, len(settings))``, so
+    algorithms run on the same settings and cfg see paired seeds.
+    """
+    if not settings:
+        raise ValueError("n_trials must be >= 1")
+    runs: list[RunResult] = []
+    for trial, ((s, objective, u_max), seed) in enumerate(
+        zip(settings, trial_seeds(cfg.seed, len(settings)))
+    ):
+        try:
+            runs.append(algorithm(s, objective, u_max, replace(cfg, seed=seed)))
+        except OptimizerError as exc:
+            raise OptimizerError(f"trial {trial}: {exc}") from exc
+    return stats_from_runs(runs)
+
+
 def replicate(
     algorithm: Algorithm,
     s: Scenario,
@@ -378,12 +378,4 @@ def replicate(
     n_trials: int,
 ) -> TrialStats:
     """Run ``n_trials`` independent seeded trials and aggregate the outcomes."""
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    runs: list[RunResult] = []
-    for trial, seed in enumerate(trial_seeds(cfg.seed, n_trials)):
-        try:
-            runs.append(algorithm(s, objective, u_max, replace(cfg, seed=seed)))
-        except OptimizerError as exc:
-            raise OptimizerError(f"trial {trial}: {exc}") from exc
-    return stats_from_runs(runs)
+    return run_trials(algorithm, [(s, objective, u_max)] * n_trials, cfg)

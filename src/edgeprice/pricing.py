@@ -13,6 +13,12 @@ The per-bit factors:
              energy plus discounted time),
   upsilon -- transfer burden per bit per unit of inverse bandwidth
              (discounted transfer time and energy, both link directions).
+
+In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
+minus the price. The functions of an allocation use only arithmetic
+operators on its fields, so an ``Allocation`` of broadcastable numpy arrays
+evaluates a whole grid in one call, element for element equal to the
+scalar calls; ``harness.surface_grid`` and the f_server/b sweeps work so.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_breakdown, time_breakdown
+from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_times, time_breakdown
 from .scenario import Scenario
 
 
@@ -110,34 +116,31 @@ def data_revenue(s: Scenario) -> float:
     return s.mu * math.log2(1.0 + s.q)
 
 
+def _utility_factors(s: Scenario) -> tuple[float, float, float]:
+    """The scenario factors (q*chi, q*w2*c, q*upsilon) of the user utility."""
+    return s.q * chi(s), s.q * s.w2 * s.c, s.q * upsilon(s)
+
+
 def linear_user_utility_value(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> float:
     """User utility under linear pricing (closed form)."""
-    return (
-        s.q * chi(s)
-        - (s.q / alloc.f_server) * s.w2 * s.c
-        - (s.q / alloc.b) * upsilon(s)
-        - pc.a * alloc.f_server
-        - pc.b_coef * alloc.b
-    )
+    q_chi, q_w2c, q_ups = _utility_factors(s)
+    return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b - linear_price(pc, alloc)
 
 
 def dynamic_user_utility_value(s: Scenario, alloc: Allocation) -> float:
-    """User utility under dynamic pricing (price substituted into the closed form)."""
-    return (
-        s.q * chi(s)
-        - 2.0 * (s.q / alloc.f_server) * s.w2 * s.c
-        - 2.0 * (s.q / alloc.b) * upsilon(s)
-    )
+    """User utility under dynamic pricing; equals ``dynamic_utility_objective(s)(alloc)``."""
+    return dynamic_utility_objective(s)(alloc)
 
 
 def dynamic_utility_objective(s: Scenario) -> Callable[[Allocation], float]:
     """The dynamic-mode user utility as an allocation -> value objective.
 
-    Precomputes the scenario factors so optimizers can evaluate it cheaply.
+    The dynamic price equals the two allocation terms of the utility, so
+    they count twice. The scenario factors are computed once, here, so
+    optimizers can evaluate the objective cheaply.
     """
-    q_chi = s.q * chi(s)
-    q_w2c = 2.0 * s.q * s.w2 * s.c
-    q_ups = 2.0 * s.q * upsilon(s)
+    q_chi, q_w2c, q_ups = _utility_factors(s)
+    q_w2c, q_ups = 2.0 * q_w2c, 2.0 * q_ups
 
     def objective(alloc: Allocation) -> float:
         return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b
@@ -157,7 +160,6 @@ def user_utility(
     always price - t_offload + data revenue.
     """
     times = time_breakdown(s, alloc)
-    energy = energy_breakdown(s, alloc)
     if coefficients is None:
         price = dynamic_price(s, alloc)
         u_user = dynamic_user_utility_value(s, alloc)
@@ -173,7 +175,7 @@ def user_utility(
         chi=chi(s),
         upsilon=upsilon(s),
         time=times,
-        energy=energy,
+        energy=energy_from_times(s, times),
     )
 
 
@@ -214,7 +216,7 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
         h_bf=0.0,
         lambda1=h_ff,
         lambda2=h_bb,
-        negative_definite=h_ff < 0.0 and h_bb < 0.0,
+        negative_definite=(h_ff < 0.0) & (h_bb < 0.0),
         critical_f=crit.f_server,
         critical_b=crit.b,
     )

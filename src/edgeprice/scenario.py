@@ -7,6 +7,7 @@ f_local_ghz, b_min_mbps, ...).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -118,6 +119,8 @@ ALLOCATION_KEYS = ("f_server_ghz", "b_mbps")
 
 _STRING_KEYS = ("snr_mode",)
 
+_NUMBER_FIELDS = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
+
 
 def parse_config(text: str) -> dict[str, float | str]:
     """Parse the flat key=value configuration format.
@@ -224,8 +227,15 @@ def validate(s: Scenario) -> list[str]:
     """Check every Scenario invariant; one report entry per violation.
 
     Returns an empty list iff the scenario is valid. Never raises.
+    Non-finite numbers are reported alone, before the range checks.
     """
-    report: list[str] = []
+    numbers = {name: getattr(s, name) for name in _NUMBER_FIELDS}
+    numbers.update(snr_uplink=s.channel.snr_uplink, snr_downlink=s.channel.snr_downlink)
+    numbers.update(f_min=s.f_range[0], f_max=s.f_range[1], b_min=s.b_range[0], b_max=s.b_range[1])
+    report = [f"{name}={value!r}: must be finite" for name, value in numbers.items()
+              if not math.isfinite(value)]
+    if report:
+        return report
     for name, value in (("q", s.q), ("c", s.c), ("f_local", s.f_local), ("k", s.k)):
         if not value > 0:
             report.append(f"{name}={value!r}: must be strictly positive")

@@ -34,7 +34,7 @@ from .pricing import (
 )
 from .scenario import ChannelSpec, Scenario, default_scenario
 from .harness import SweepSpec, compare_optimizers, run_sweep, surface_grid
-from .optimizers import SwarmConfig
+from .optimizers import SwarmConfig, _gap_met
 
 KB = 8192.0  # bits
 GHZ = 1e9
@@ -68,7 +68,8 @@ def _close(actual: float, expected: float, tol: float) -> bool:
     return abs(actual - expected) <= tol
 
 
-def _random_scenario(rng: np.random.Generator) -> Scenario:
+def random_scenario(rng: np.random.Generator) -> Scenario:
+    """A random scenario satisfying every invariant, drawn over wide parameter ranges."""
     mode = "raw" if rng.random() < 0.5 else "db-to-linear"
     return Scenario(
         q=rng.uniform(100.0, 500.0) * KB,
@@ -235,7 +236,7 @@ def _path_consistency_anchor() -> AnchorCheck:
     worst_user = 0.0
     worst_server = 0.0
     for _ in range(1000):
-        s = _random_scenario(rng)
+        s = random_scenario(rng)
         alloc = Allocation(rng.uniform(*s.f_range), rng.uniform(*s.b_range))
         summary = user_utility(s, alloc)
         direct = (
@@ -270,7 +271,7 @@ def _curvature_anchor() -> AnchorCheck:
     all_definite = True
     worst_grad = 0.0
     for _ in range(1000):
-        s = _random_scenario(rng)
+        s = random_scenario(rng)
         target = Allocation(rng.uniform(*s.f_range), rng.uniform(*s.b_range))
         pc = derive_coefficients(s, target.f_server, target.b)
         report = curvature_report(s, pc, target)
@@ -346,7 +347,7 @@ def _optimizer_anchors(seed: int, n_trials: int) -> list[AnchorCheck]:
     for name, stats in report.stats.items():
         for value, converged in zip(stats.value_list, stats.converged_list):
             if converged:
-                gap_ok &= (report.u_max - value) / value < cfg.epsilon
+                gap_ok &= _gap_met(report.u_max, value, cfg.epsilon)
         detail_parts.append(f"{name}: {sum(stats.converged_list)}/{n_trials} converged")
     checks.append(
         _check(

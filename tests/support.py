@@ -1,34 +1,10 @@
-"""Shared test helpers: random valid inputs and conditioned comparisons."""
+"""Shared test helpers: random valid allocations and conditioned comparisons."""
 from __future__ import annotations
 
 import numpy as np
 
 from edgeprice.offload import Allocation
-from edgeprice.scenario import ChannelSpec, Scenario
-
-KB = 8192.0
-GHZ = 1e9
-MBPS = 1e6
-
-
-def random_scenario(rng: np.random.Generator) -> Scenario:
-    """A random scenario satisfying every type invariant."""
-    mode = "raw" if rng.random() < 0.5 else "db-to-linear"
-    return Scenario(
-        q=rng.uniform(100.0, 500.0) * KB,
-        c=rng.uniform(100.0, 5000.0),
-        f_local=rng.uniform(0.1, 1.0) * GHZ,
-        k=10.0 ** rng.uniform(-28.0, -26.0),
-        p_u=rng.uniform(0.01, 1.0),
-        p_d=rng.uniform(0.1, 2.0),
-        alpha=rng.uniform(0.0, 1.0),
-        w1=rng.uniform(0.05, 0.95),
-        w2=rng.uniform(0.05, 0.95),
-        mu=rng.uniform(0.05, 0.95),
-        channel=ChannelSpec(rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0), mode),
-        f_range=(1.0 * GHZ, 6.0 * GHZ),
-        b_range=(0.1 * MBPS, 1.0 * MBPS),
-    )
+from edgeprice.scenario import Scenario
 
 
 def random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:

@@ -32,8 +32,9 @@ from edgeprice.pricing import (
     user_utility_gradient,
 )
 from edgeprice.scenario import ChannelSpec, default_scenario
+from edgeprice.verification import random_scenario
 
-from support import random_allocation, random_scenario, rel_gap
+from support import random_allocation, rel_gap
 
 GHZ = 1e9
 MBPS = 1e6

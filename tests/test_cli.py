@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from edgeprice.cli import main
 
 SCENARIO_TEXT = """\
@@ -33,6 +35,16 @@ def test_sweep_stdout_when_no_out(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("param,value,price")
     assert len(lines) == 4
+
+
+def test_sweep_stdout_is_the_file_with_newline_line_ends(tmp_path, capsys):
+    argv = ["sweep", "--param", "f_server", "--grid", "1e9,3.5e9,6e9"]
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert "\r" not in stdout
+    assert out.read_bytes() == stdout.replace("\n", "\r\n").encode()
 
 
 def test_sweep_with_scenario_file_and_plot(tmp_path):
@@ -128,3 +140,21 @@ def test_validate_all_anchors_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--trials", "0"], "n_trials"),
+        (["optimize", "--set", "f_max_ghz=inf"], "f_max=inf"),
+        (["optimize", "--set", "n_max=-1"], "n_max"),
+        (["optimize", "--set", "k_coeff=inf"], "k=inf"),
+        (["optimize", "--set", "p_n=0"], "p_n"),
+        (["optimize", "--algo", "de", "--set", "p_n=3"], "p_n"),
+    ],
+)
+def test_bad_input_is_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgeprice.harness import (
+    SweepRow,
     SweepSpec,
     box_maximum_utility,
     compare_optimizers,
@@ -18,7 +19,7 @@ from edgeprice.harness import (
 )
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import SwarmConfig
-from edgeprice.pricing import user_utility
+from edgeprice.pricing import dynamic_price, dynamic_utility_objective, server_utility, user_utility
 from edgeprice.scenario import default_scenario
 
 GHZ = 1e9
@@ -64,6 +65,31 @@ def test_sweep_rows_reproducible_from_model(f_sweep_spec):
         assert row.t_offload == summary.time.t_offload
         assert row.t_save == summary.time.t_save
         assert row.e_save == summary.energy.e_save
+
+
+@pytest.mark.parametrize(
+    "parameter, grid",
+    [
+        ("f_server", (1.3e9, 2.9e9, 4.41e9, 6e9)),
+        ("b", (1e5, 3.3e5, 7.7e5)),
+        ("q", (819_200.0, 2_222_222.0, 4_096_000.0)),
+        ("f_local", (1e8, 3.3e8, 9.9e8)),
+    ],
+)
+def test_every_sweep_row_equals_its_scalar_summary(defaults, parameter, grid):
+    alloc = Allocation(4.4e9, 6.6e5)
+    rows = run_sweep(SweepSpec(parameter, grid, defaults, alloc))
+    for row, value in zip(rows, grid):
+        if parameter in ("f_server", "b"):
+            s, at = defaults, dataclasses.replace(alloc, **{parameter: value})
+        else:
+            s, at = dataclasses.replace(defaults, **{parameter: value}), alloc
+        summary = user_utility(s, at)
+        assert row == SweepRow(
+            parameter, value, summary.price, summary.u_user, summary.u_server,
+            summary.time.t_offload, summary.time.t_save, summary.energy.e_save,
+        )
+        assert all(type(v) is float for v in dataclasses.astuple(row)[1:])
 
 
 def test_single_point_grid_equals_direct_evaluation(defaults):
@@ -135,6 +161,18 @@ def test_surface_two_by_two_equals_direct(defaults):
             assert grid.u_server[i, j] == pytest.approx(summary.u_server, rel=1e-12)
 
 
+def test_surface_cells_equal_scalar_closed_forms(defaults):
+    grid = surface_grid(defaults, 7, 5)
+    objective = dynamic_utility_objective(defaults)
+    assert grid.u_user.shape == grid.price.shape == grid.u_server.shape == (7, 5)
+    for i, f in enumerate(grid.f_values):
+        for j, b in enumerate(grid.b_values):
+            alloc = Allocation(f, b)
+            assert grid.u_user[i, j] == objective(alloc)
+            assert grid.price[i, j] == dynamic_price(defaults, alloc)
+            assert grid.u_server[i, j] == server_utility(defaults, alloc)
+
+
 def test_surface_argmax_at_corner(defaults):
     grid = surface_grid(defaults, 100, 100)
     assert grid.argmax_u_user() == corner_allocation(defaults)
@@ -177,6 +215,11 @@ def test_compare_randomized_mode(defaults):
     assert len(set(report.u_max_list)) > 1  # scenarios differ per trial
     for stats in report.stats.values():
         assert len(stats.value_list) == 3
+
+
+def test_compare_rejects_zero_trials(defaults):
+    with pytest.raises(ValueError, match="n_trials"):
+        compare_optimizers(defaults, SwarmConfig(), 0)
 
 
 # ---------------------------------------------------------------- csv

@@ -5,8 +5,9 @@ import pytest
 
 from edgeprice.offload import Allocation, energy_breakdown, link_rates, local_exec_time, time_breakdown
 from edgeprice.scenario import default_scenario
+from edgeprice.verification import random_scenario
 
-from support import random_allocation, random_scenario
+from support import random_allocation
 
 CORNER = Allocation(6e9, 1e6)
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgeprice.harness import box_maximum_utility
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import (
     OptimizerError,
+    RunResult,
     SwarmConfig,
     _with_min_magnitude,
     baseline_de,
@@ -18,7 +20,7 @@ from edgeprice.optimizers import (
     trial_seeds,
 )
 from edgeprice.pricing import dynamic_utility_objective
-from edgeprice.scenario import default_scenario
+from edgeprice.scenario import default_scenario, validate
 
 ALGORITHMS = (disc_pso, baseline_pso, baseline_ga, baseline_de)
 
@@ -117,11 +119,10 @@ def test_structural_equivalence_of_pso_variants(setting):
 
 
 def test_velocity_floor_helper():
-    assert _with_min_magnitude(0.0, 5.0) == 0.0
-    assert _with_min_magnitude(2.0, 5.0) == 5.0
-    assert _with_min_magnitude(-2.0, 5.0) == -5.0
-    assert _with_min_magnitude(7.0, 5.0) == 7.0
-    assert _with_min_magnitude(-7.0, 5.0) == -7.0
+    v = np.array([[0.0, 0.0], [2.0, 2.0], [-2.0, -2.0], [7.0, 70.0], [-7.0, -70.0], [-0.0, 1.0]])
+    out = _with_min_magnitude(v, np.array([5.0, 50.0]))
+    expected = [[0.0, 0.0], [5.0, 50.0], [-5.0, -50.0], [7.0, 70.0], [-7.0, -70.0], [0.0, 50.0]]
+    assert out.tolist() == expected
 
 
 def test_velocity_floor_applied_every_round(setting, monkeypatch):
@@ -132,16 +133,20 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
 
     def spy(v, floor):
         out = original(v, floor)
-        recorded.append((out, floor))
+        recorded.append((v, out, floor))
         return out
 
     monkeypatch.setattr(opt, "_with_min_magnitude", spy)
     s, objective, u_max = setting
     cfg = SwarmConfig(seed=3, epsilon=1e-12, n_max=4)
     opt.disc_pso(s, objective, u_max * 1.1, cfg)  # unreachable reference, full run
-    assert len(recorded) == cfg.p_n * cfg.n_max * 2  # both coordinates, every round
-    for v, floor in recorded:
-        assert v == 0.0 or abs(v) >= floor
+    assert len(recorded) == cfg.n_max  # every round
+    for v, out, floor in recorded:
+        # both coordinates of every particle
+        assert v.shape == out.shape == (cfg.p_n, 2)
+        assert floor.tolist() == [cfg.delta_f, cfg.delta_b]
+        assert ((v == 0.0) == (out == 0.0)).all()
+        assert ((out == 0.0) | (np.abs(out) >= floor)).all()
 
 
 def test_ga_identical_population_zero_mutation_is_static(setting):
@@ -245,3 +250,130 @@ def test_enhancements_reduce_iterations(setting):
     plain = replicate(baseline_pso, s, objective, u_max, cfg, n_trials=30)
     assert disc.mean_iterations < plain.mean_iterations
     assert all(disc.converged_list)
+
+
+
+def test_negative_utility_is_not_falsely_converged():
+    # u_max < 0 here; a ratio (u_max - best)/best flips sign and stopped every
+    # searcher after the initial sampling, about 1% short of the corner
+    s = default_scenario(f_local=1e9, b_range=(1e4, 2e4))
+    objective = dynamic_utility_objective(s)
+    u_max = box_maximum_utility(s)
+    assert u_max < 0.0
+    for algorithm in ALGORITHMS:
+        cfg = SwarmConfig(seed=0)
+        result = algorithm(s, objective, u_max, cfg)
+        assert result.iterations_used > 0
+        assert result.converged
+        assert u_max - result.best_value < cfg.epsilon * abs(result.best_value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    seed=st.integers(0, 2**32 - 1),
+    q_kb=st.floats(100.0, 500.0),
+    f_local_ghz=st.floats(0.1, 2.0),
+    b_max_mbps=st.floats(0.01, 1.0),
+    b_min_share=st.floats(0.05, 0.9),
+)
+def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbps, b_min_share):
+    # the ranges include scenarios whose whole box has negative utility
+    b_max = b_max_mbps * 1e6
+    s = default_scenario(q=q_kb * 8192.0, f_local=f_local_ghz * 1e9,
+                         b_range=(b_min_share * b_max, b_max))
+    assert validate(s) == []
+    u_max = box_maximum_utility(s)
+    cfg = SwarmConfig(seed=seed, n_max=10)
+    result = algorithm(s, dynamic_utility_objective(s), u_max, cfg)
+    if result.converged:
+        assert u_max - result.best_value < cfg.epsilon * abs(result.best_value)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"p_n": 3},
+        {"p_n": 0},
+        {"n_max": -1},
+        {"epsilon": 0.0},
+        {"epsilon": -1e-3},
+        {"epsilon": math.nan},
+        {"w_max": math.inf},
+        {"delta_f": math.nan},
+        {"c1_learn": -math.inf},
+    ],
+)
+def test_swarm_config_rejects_bad_fields(fields):
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        SwarmConfig(**fields)
+
+
+def test_swarm_config_accepts_edge_values():
+    assert SwarmConfig(p_n=4, n_max=0, epsilon=1e9).n_max == 0
+
+# ---------------------------------------------------------------- pinned trajectories
+# The objectives are written here from Scenario fields, apart from
+# edgeprice.pricing, so that a change to the model code cannot move the
+# pins; the pins are the RunResults of the per-particle swarm loop that the
+# array swarm replaced.
+
+_S = default_scenario()
+_SNR_UP, _SNR_DOWN = _S.channel.effective_snrs()
+_Q_CHI = _S.q * (_S.w1 * _S.k * _S.c * _S.f_local**2 + _S.w2 * _S.c / _S.f_local)
+_Q_W2C = _S.q * _S.w2 * _S.c
+_Q_UPS = _S.q * (
+    (_S.w1 * _S.p_u + _S.w2) / math.log2(1.0 + _SNR_UP)
+    + _S.alpha * (_S.w1 * _S.p_d + _S.w2) / math.log2(1.0 + _SNR_DOWN)
+)
+_TARGET = (3.5e9, 0.55e6)
+_A, _B_COEF = _Q_W2C / _TARGET[0] ** 2, _Q_UPS / _TARGET[1] ** 2
+
+
+def _dynamic(alloc):
+    return _Q_CHI - 2.0 * _Q_W2C / alloc.f_server - 2.0 * _Q_UPS / alloc.b
+
+
+def _linear(alloc):
+    f, b = alloc.f_server, alloc.b
+    return _Q_CHI - _Q_W2C / f - _Q_UPS / b - _A * f - _B_COEF * b
+
+
+_PIN_SETTINGS = {
+    "dynamic": (_dynamic, _dynamic(Allocation(_S.f_range[1], _S.b_range[1])), 1e-3),
+    "linear": (_linear, _linear(Allocation(*_TARGET)), 1e-6),
+}
+
+# (algorithm, setting, seed): (best_value, f_server, b, iterations_used, converged)
+_PINS = {
+    ("disc-pso", "dynamic", 0): (50.934518684826266, 5986049678.946055, 982751.8048986071, 0, True),
+    ("disc-pso", "dynamic", 1): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("disc-pso", "dynamic", 2): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("disc-pso", "dynamic", 3): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("disc-pso", "dynamic", 4): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("pso", "dynamic", 0): (50.934518684826266, 5986049678.946055, 982751.8048986071, 0, True),
+    ("pso", "dynamic", 1): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("pso", "dynamic", 2): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("pso", "dynamic", 3): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("pso", "dynamic", 4): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("disc-pso", "linear", 0): (48.52842056108301, 4000000000.0, 600000.0, 50, False),
+    ("disc-pso", "linear", 1): (48.52842056108301, 4000000000.0, 600000.0, 50, False),
+    ("disc-pso", "linear", 2): (48.53949306941439, 3582890970.624984, 634099.1659803155, 50, False),
+    ("disc-pso", "linear", 3): (48.52842056108301, 4000000000.0, 600000.0, 50, False),
+    ("disc-pso", "linear", 4): (48.5651979446911, 3489337993.9268723, 544257.8505605033, 50, False),
+    ("pso", "linear", 0): (48.5652299542387, 3530646067.6163607, 550442.321642032, 50, False),
+    ("pso", "linear", 1): (48.56533155650954, 3491630990.3703346, 551380.3364558653, 35, True),
+    ("pso", "linear", 2): (48.56528156413727, 3522761578.968467, 549357.9133097914, 50, False),
+    ("pso", "linear", 3): (48.56524514718984, 3526912774.80089, 548260.7621505272, 50, False),
+    ("pso", "linear", 4): (48.565312354150635, 3515889917.5212355, 551004.7192208065, 11, True),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINS))
+def test_swarm_trajectories_pinned(key):
+    algo, setting, seed = key
+    objective, u_max, epsilon = _PIN_SETTINGS[setting]
+    search = {"disc-pso": disc_pso, "pso": baseline_pso}[algo]
+    result = search(_S, objective, u_max, SwarmConfig(seed=seed, epsilon=epsilon))
+    value, f_server, b, iterations, converged = _PINS[key]
+    assert result == RunResult(value, Allocation(f_server, b), iterations, converged, seed)

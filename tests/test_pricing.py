@@ -26,8 +26,9 @@ from edgeprice.pricing import (
     user_utility_gradient,
 )
 from edgeprice.scenario import ChannelSpec, default_scenario
+from edgeprice.verification import random_scenario
 
-from support import random_allocation, random_scenario, rel_gap
+from support import random_allocation, rel_gap
 
 CORNER = Allocation(6e9, 1e6)
 

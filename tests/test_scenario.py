@@ -128,3 +128,19 @@ def test_ghz_round_trip_exact_for_integers(ghz):
 def test_channel_spec_mode_validation():
     report = validate(default_scenario(channel=ChannelSpec(20.0, 30.0, "weird")))
     assert any("snr_mode" in entry for entry in report)
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        ({"k": float("inf")}, "k"),
+        ({"q": float("nan")}, "q"),
+        ({"p_u": float("inf")}, "p_u"),
+        ({"f_range": (1e9, float("inf"))}, "f_max"),
+        ({"b_range": (float("-inf"), 1e6)}, "b_min"),
+        ({"channel": ChannelSpec(float("inf"), 30.0)}, "snr_uplink"),
+    ],
+)
+def test_validation_rejects_non_finite_numbers(fields, name):
+    (entry,) = validate(default_scenario(**fields))
+    assert entry.startswith(f"{name}=") and entry.endswith("must be finite")
