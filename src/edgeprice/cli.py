@@ -38,7 +38,7 @@ from .scenario import (
     mbps_to_bps,
     parse_config,
 )
-from .optimizers import SwarmConfig
+from .optimizers import OptimizerError, SwarmConfig
 from .verification import run_anchor_suite
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
@@ -249,8 +249,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (UsageError, ValueError, FileNotFoundError) as exc:
-        # ValueError covers ScenarioError and the library's checks of its arguments
+    except (UsageError, ValueError, OptimizerError, FileNotFoundError) as exc:
+        # ValueError: ScenarioError and argument checks; OptimizerError: a non-finite objective
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

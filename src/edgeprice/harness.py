@@ -114,8 +114,8 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
     report = validate(spec.scenario)
     if report:
         raise ValueError("invalid scenario: " + "; ".join(report))
-    if spec.allocation.f_server <= 0 or spec.allocation.b <= 0:
-        raise ValueError(f"allocation must be strictly positive, got {spec.allocation}")
+    if not (0 < spec.allocation.f_server < np.inf and 0 < spec.allocation.b < np.inf):
+        raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
     grid = tuple(spec.grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
@@ -145,10 +145,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     if spec.parameter in ("f_server", "b"):
         grid = np.array(spec.grid)
         summary = user_utility(spec.scenario, replace(spec.allocation, **{spec.parameter: grid}))
-        rows = zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary)))
+        rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary))))
     else:
         scenarios = (replace(spec.scenario, **{spec.parameter: value}) for value in spec.grid)
-        rows = (_sweep_columns(user_utility(s, spec.allocation)) for s in scenarios)
+        rows = [_sweep_columns(user_utility(s, spec.allocation)) for s in scenarios]
+    _require_finite("sweep value", rows)
     return [SweepRow(spec.parameter, value, *row) for value, row in zip(spec.grid, rows)]
 
 
@@ -164,6 +165,12 @@ def _sweep_columns(summary: UtilitySummary) -> tuple:
     )
 
 
+def _require_finite(what: str, *arrays: object) -> None:
+    """A scenario can pass validate() and still overflow the model, e.g. with a huge k."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite {what} (inf or NaN): the scenario overflows the model")
+
+
 def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     """Dense (f_server, b) grid over the search box, endpoints included."""
     if f_steps < 2 or b_steps < 2:
@@ -171,13 +178,15 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
     cells = Allocation(f_values[:, None], b_values[None, :])
-    return SurfaceGrid(
+    grid = SurfaceGrid(
         f_values=tuple(f_values.tolist()),
         b_values=tuple(b_values.tolist()),
         u_user=dynamic_utility_objective(s)(cells),
         price=dynamic_price(s, cells),
         u_server=server_utility(s, cells),
     )
+    _require_finite("surface cell", grid.u_user, grid.price, grid.u_server)
+    return grid
 
 
 def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> list[Scenario]:

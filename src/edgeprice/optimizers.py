@@ -1,20 +1,22 @@
 """Search for near-optimal allocations over the bounded (f_server, b) box.
 
-Four maximizers share the same termination contract: stop once the
-gap u_max - best falls below epsilon*|best|, or after n_max update
-rounds. For best > 0 this is the relative gap (u_max - best)/best below
-epsilon; unlike that ratio, it keeps its meaning when the utility is
-negative. ``iterations_used`` counts completed update rounds, so a
-run whose initial sampling already satisfies the gap reports 0.
+Four maximizers share one search loop (``_search``), which seeds the
+generator, samples the initial population, tracks the global best and
+stops once the gap u_max - best falls below epsilon*|best|, or after
+n_max update rounds. For best > 0 this is the relative gap
+(u_max - best)/best below epsilon; unlike that ratio, it keeps its
+meaning when the utility is negative. ``iterations_used`` counts
+completed update rounds, so a run whose initial sampling already
+satisfies the gap reports 0.
 
-disc_pso is the enhanced swarm (linearly decaying inertia plus a
-per-coordinate minimum velocity magnitude); baseline_pso is the same
-machinery with fixed inertia and no velocity floor, so the two produce
-identical trajectories when configured to coincide. The swarm state is
-held as (p_n, 2) arrays of (f_server, b) rows and updated in one step per
-round; the objective still sees one ``Allocation`` of floats per
-particle. The GA and DE baselines use conventional operator settings and
-the same termination predicate, which keeps iteration counts comparable.
+Each searcher is a proposal rule plus an acceptance rule over (p_n, 2)
+arrays of (f_server, b) rows; the objective still sees one ``Allocation``
+of floats per individual. disc_pso is the enhanced swarm (linearly
+decaying inertia plus a per-coordinate minimum velocity magnitude);
+baseline_pso is the same rules with fixed inertia and no velocity floor.
+The GA and DE baselines use conventional operator settings and breed
+whole generations with array draws, so their seeded results differ from
+the per-individual loops of earlier versions; swarm results do not.
 """
 from __future__ import annotations
 
@@ -91,16 +93,6 @@ class TrialStats:
     converged_list: tuple[bool, ...]
 
 
-def _checked_value(objective: Objective, alloc: Allocation, where: str) -> float:
-    value = float(objective(alloc))
-    if not math.isfinite(value):
-        raise OptimizerError(
-            f"non-finite objective value {value!r} at "
-            f"(f_server={alloc.f_server!r}, b={alloc.b!r}) during {where}"
-        )
-    return value
-
-
 def _gap_met(u_max: float, best: float, epsilon: float) -> bool:
     return u_max - best < epsilon * abs(best)
 
@@ -110,72 +102,8 @@ def _with_min_magnitude(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return np.where(v == 0.0, 0.0, np.copysign(np.maximum(np.abs(v), floor), v))
 
 
-def _swarm_search(
-    s: Scenario,
-    objective: Objective,
-    u_max: float,
-    cfg: SwarmConfig,
-    *,
-    dynamic_inertia: bool,
-    velocity_floor: bool,
-) -> RunResult:
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([s.f_range[0], s.b_range[0]])
-    hi = np.array([s.f_range[1], s.b_range[1]])
-    floor = np.array([cfg.delta_f, cfg.delta_b])
-
-    position = _initial_population(rng, cfg, s.f_range, s.b_range, None)
-    velocity = np.zeros_like(position)
-    best_position = position.copy()
-    best_values = _evaluate_population(objective, position, "initial sampling")
-    i = int(np.argmax(best_values))
-    s_gb, p_gb = float(best_values[i]), best_position[i].copy()
-
-    n_f = 0
-    converged = _gap_met(u_max, s_gb, cfg.epsilon)
-    while not converged and n_f < cfg.n_max:
-        if dynamic_inertia:
-            w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max
-        else:
-            w = cfg.w_max
-        # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order
-        r = rng.random((cfg.p_n, 4))
-        velocity = (
-            w * velocity
-            + cfg.c1_learn * r[:, 0::2] * (best_position - position)
-            + cfg.c2_learn * r[:, 1::2] * (p_gb - position)
-        )
-        if velocity_floor:
-            velocity = _with_min_magnitude(velocity, floor)
-        position = np.clip(position + velocity, lo, hi)
-        values = _evaluate_population(objective, position, f"round {n_f}")
-        improved = values > best_values
-        best_position[improved] = position[improved]
-        best_values[improved] = values[improved]
-        i = int(np.argmax(best_values))
-        if best_values[i] > s_gb:
-            s_gb, p_gb = float(best_values[i]), best_position[i].copy()
-        n_f += 1
-        converged = _gap_met(u_max, s_gb, cfg.epsilon)
-
-    return RunResult(s_gb, Allocation(*p_gb.tolist()), n_f, converged, cfg.seed)
-
-
-def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Swarm search with decaying inertia and per-coordinate velocity floors."""
-    return _swarm_search(s, objective, u_max, cfg, dynamic_inertia=True, velocity_floor=True)
-
-
-def baseline_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Plain swarm search: inertia fixed at w_max, no minimum-velocity floor."""
-    return _swarm_search(s, objective, u_max, cfg, dynamic_inertia=False, velocity_floor=False)
-
-
 def _initial_population(
-    rng: np.random.Generator,
-    cfg: SwarmConfig,
-    f_range: tuple[float, float],
-    b_range: tuple[float, float],
+    rng: np.random.Generator, cfg: SwarmConfig, lo: np.ndarray, hi: np.ndarray,
     initial_positions: Sequence[tuple[float, float]] | None,
 ) -> np.ndarray:
     if initial_positions is not None:
@@ -183,18 +111,109 @@ def _initial_population(
         if pop.shape != (cfg.p_n, 2):
             raise ValueError(f"initial positions must have shape ({cfg.p_n}, 2), got {pop.shape}")
         return pop
-    lo = np.array([f_range[0], b_range[0]])
-    hi = np.array([f_range[1], b_range[1]])
     return lo + (hi - lo) * rng.random((cfg.p_n, 2))
 
 
 def _evaluate_population(objective: Objective, pop: np.ndarray, where: str) -> np.ndarray:
-    return np.array(
-        [
-            _checked_value(objective, Allocation(f, b), f"{where} (individual {i})")
-            for i, (f, b) in enumerate(pop.tolist())
-        ]
-    )
+    values = np.array([float(objective(Allocation(f, b))) for f, b in pop.tolist()])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        f, b = pop[i].tolist()
+        raise OptimizerError(
+            f"non-finite objective value {float(values[i])!r} at "
+            f"(f_server={f!r}, b={b!r}) during {where} (individual {i})"
+        )
+    return values
+
+
+def _search(
+    s: Scenario,
+    objective: Objective,
+    u_max: float,
+    cfg: SwarmConfig,
+    start: Callable[..., tuple[Callable, Callable]],
+    initial_positions: Sequence[tuple[float, float]] | None = None,
+) -> RunResult:
+    """The loop every searcher shares; a searcher is the ``start`` that makes its rules.
+
+    ``start(rng, lo, hi, pop)`` gets the seeded generator, the box and the
+    initial population and returns ``propose(round, pop, values, p_gb)``,
+    which gives a (k, 2) array of candidates, and ``accept(pop, values,
+    candidates, candidate_values)``, which gives the next (pop, values). The
+    global best is the best candidate ever evaluated (first argmax, replaced
+    only when strictly greater); the rules see a copy of its position.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    lo = np.array([s.f_range[0], s.b_range[0]])
+    hi = np.array([s.f_range[1], s.b_range[1]])
+    pop = _initial_population(rng, cfg, lo, hi, initial_positions)
+    values = _evaluate_population(objective, pop, "initial sampling")
+    propose, accept = start(rng, lo, hi, pop)
+    i = int(np.argmax(values))
+    s_gb, p_gb = float(values[i]), pop[i].copy()
+
+    n_f = 0
+    converged = _gap_met(u_max, s_gb, cfg.epsilon)
+    while not converged and n_f < cfg.n_max:
+        candidates = propose(n_f, pop, values, p_gb)
+        candidate_values = _evaluate_population(objective, candidates, f"round {n_f}")
+        i = int(np.argmax(candidate_values))
+        if candidate_values[i] > s_gb:
+            s_gb, p_gb = float(candidate_values[i]), candidates[i].copy()
+        pop, values = accept(pop, values, candidates, candidate_values)
+        n_f += 1
+        converged = _gap_met(u_max, s_gb, cfg.epsilon)
+
+    return RunResult(s_gb, Allocation(*p_gb.tolist()), n_f, converged, cfg.seed)
+
+
+def _replace_where(better: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
+    """Acceptance: candidate i replaces member i where ``better(its value, the member's)``."""
+    def accept(pop, values, candidates, candidate_values):
+        keep = better(candidate_values, values)
+        return np.where(keep[:, None], candidates, pop), np.where(keep, candidate_values, values)
+    return accept
+
+
+def _swarm(cfg: SwarmConfig, *, dynamic_inertia: bool, velocity_floor: bool) -> Callable:
+    """Swarm rules: the population is the personal bests; positions and velocities are state."""
+    floor = np.array([cfg.delta_f, cfg.delta_b])
+
+    def start(rng, lo, hi, pop):
+        position, velocity = pop, np.zeros_like(pop)
+
+        def propose(n_f, best_position, best_values, p_gb):
+            nonlocal position, velocity
+            if dynamic_inertia:
+                w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max
+            else:
+                w = cfg.w_max
+            # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order
+            r = rng.random((cfg.p_n, 4))
+            velocity = (
+                w * velocity
+                + cfg.c1_learn * r[:, 0::2] * (best_position - position)
+                + cfg.c2_learn * r[:, 1::2] * (p_gb - position)
+            )
+            if velocity_floor:
+                velocity = _with_min_magnitude(velocity, floor)
+            position = np.clip(position + velocity, lo, hi)
+            return position
+
+        return propose, _replace_where(np.greater)
+
+    return start
+
+
+def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
+    """Swarm search with decaying inertia and per-coordinate velocity floors."""
+    return _search(s, objective, u_max, cfg, _swarm(cfg, dynamic_inertia=True, velocity_floor=True))
+
+
+def baseline_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
+    """Plain swarm search: inertia fixed at w_max, no minimum-velocity floor."""
+    return _search(s, objective, u_max, cfg, _swarm(cfg, dynamic_inertia=False, velocity_floor=False))
 
 
 def baseline_ga(
@@ -210,62 +229,35 @@ def baseline_ga(
 ) -> RunResult:
     """Genetic-algorithm baseline: tournament-2, arithmetic crossover, Gaussian mutation.
 
-    Mutation noise per gene is ``mutation_scale`` times the box width of
-    that coordinate; elitism of one keeps the best individual. The keyword
+    Each generation is the elite (the best member, kept without being
+    evaluated again) plus p_n - 1 children. Mutation noise per gene is
+    ``mutation_scale`` times the box width of that coordinate. The keyword
     hyperparameters exist for experiments and tests; defaults are the
     comparison settings.
     """
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([s.f_range[0], s.b_range[0]])
-    hi = np.array([s.f_range[1], s.b_range[1]])
-    width = hi - lo
+    n = cfg.p_n - 1
 
-    pop = _initial_population(rng, cfg, s.f_range, s.b_range, initial_positions)
-    values = _evaluate_population(objective, pop, "initial sampling")
-    best_idx = int(np.argmax(values))
-    s_gb = float(values[best_idx])
-    p_gb = Allocation(float(pop[best_idx, 0]), float(pop[best_idx, 1]))
+    def start(rng, lo, hi, pop):
+        sigma = mutation_scale * (hi - lo)
 
-    def tournament() -> np.ndarray:
-        i = int(rng.integers(cfg.p_n))
-        j = int(rng.integers(cfg.p_n))
-        return pop[i] if values[i] >= values[j] else pop[j]
+        def propose(n_f, pop, values, p_gb):
+            # [parent, child, contestant]: two tournaments of two per child
+            a, b = np.moveaxis(rng.integers(cfg.p_n, size=(2, n, 2)), -1, 0)
+            parent1, parent2 = pop[np.where(values[a] >= values[b], a, b)]
+            cross = rng.random(n) < crossover_rate
+            lam = rng.random((n, 1))
+            child = np.where(cross[:, None], lam * parent1 + (1.0 - lam) * parent2, parent1)
+            mutate = rng.random((n, 2)) < mutation_rate
+            child = child + np.where(mutate, rng.normal(0.0, sigma, (n, 2)), 0.0)
+            return np.clip(child, lo, hi)
 
-    n_f = 0
-    converged = _gap_met(u_max, s_gb, cfg.epsilon)
-    while not converged and n_f < cfg.n_max:
-        elite_idx = int(np.argmax(values))
-        new_pop = [pop[elite_idx].copy()]
-        new_values = [float(values[elite_idx])]
-        while len(new_pop) < cfg.p_n:
-            parent1 = tournament()
-            parent2 = tournament()
-            if rng.random() < crossover_rate:
-                lam = rng.random()
-                child = lam * parent1 + (1.0 - lam) * parent2
-            else:
-                child = parent1.copy()
-            for gene in (0, 1):
-                if rng.random() < mutation_rate:
-                    child[gene] += rng.normal(0.0, mutation_scale * width[gene])
-            child = np.clip(child, lo, hi)
-            value = _checked_value(
-                objective,
-                Allocation(float(child[0]), float(child[1])),
-                f"generation {n_f} (offspring {len(new_pop)})",
-            )
-            new_pop.append(child)
-            new_values.append(value)
-        pop = np.array(new_pop)
-        values = np.array(new_values)
-        best_idx = int(np.argmax(values))
-        if float(values[best_idx]) > s_gb:
-            s_gb = float(values[best_idx])
-            p_gb = Allocation(float(pop[best_idx, 0]), float(pop[best_idx, 1]))
-        n_f += 1
-        converged = _gap_met(u_max, s_gb, cfg.epsilon)
+        def accept(pop, values, children, child_values):
+            e = int(np.argmax(values))
+            return np.vstack([pop[e], children]), np.concatenate([values[e : e + 1], child_values])
 
-    return RunResult(s_gb, p_gb, n_f, converged, cfg.seed)
+        return propose, accept
+
+    return _search(s, objective, u_max, cfg, start, initial_positions)
 
 
 def baseline_de(
@@ -278,49 +270,28 @@ def baseline_de(
     crossover: float = 0.9,
     initial_positions: Sequence[tuple[float, float]] | None = None,
 ) -> RunResult:
-    """Differential-evolution baseline (rand/1/bin) with box clamping."""
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([s.f_range[0], s.b_range[0]])
-    hi = np.array([s.f_range[1], s.b_range[1]])
+    """Differential-evolution baseline (rand/1/bin, Storn & Price 1997) with box clamping.
 
-    pop = _initial_population(rng, cfg, s.f_range, s.b_range, initial_positions)
-    values = _evaluate_population(objective, pop, "initial sampling")
-    best_idx = int(np.argmax(values))
-    s_gb = float(values[best_idx])
-    p_gb = Allocation(float(pop[best_idx, 0]), float(pop[best_idx, 1]))
+    r1, r2, r3 are distinct and never the target: the first three columns
+    of the argsort of a random-key matrix whose diagonal sorts last.
+    """
+    rows = np.arange(cfg.p_n)
 
-    n_f = 0
-    converged = _gap_met(u_max, s_gb, cfg.epsilon)
-    while not converged and n_f < cfg.n_max:
-        new_pop = pop.copy()
-        new_values = values.copy()
-        for i in range(cfg.p_n):
-            others = np.delete(np.arange(cfg.p_n), i)
-            r1, r2, r3 = rng.choice(others, size=3, replace=False)
+    def start(rng, lo, hi, pop):
+        def propose(n_f, pop, values, p_gb):
+            keys = rng.random((cfg.p_n, cfg.p_n))
+            keys[rows, rows] = 2.0
+            r1, r2, r3 = np.argsort(keys, axis=1)[:, :3].T
             mutant = np.clip(pop[r1] + weight * (pop[r2] - pop[r3]), lo, hi)
-            j_rand = int(rng.integers(2))
-            mask = rng.random(2) < crossover
+            mask = rng.random((cfg.p_n, 2)) < crossover
+            j_rand = rng.integers(2, size=cfg.p_n)
             if crossover > 0.0:
-                mask[j_rand] = True
-            trial = np.where(mask, mutant, pop[i])
-            value = _checked_value(
-                objective,
-                Allocation(float(trial[0]), float(trial[1])),
-                f"generation {n_f} (individual {i})",
-            )
-            if value >= values[i]:
-                new_pop[i] = trial
-                new_values[i] = value
-        pop = new_pop
-        values = new_values
-        best_idx = int(np.argmax(values))
-        if float(values[best_idx]) > s_gb:
-            s_gb = float(values[best_idx])
-            p_gb = Allocation(float(pop[best_idx, 0]), float(pop[best_idx, 1]))
-        n_f += 1
-        converged = _gap_met(u_max, s_gb, cfg.epsilon)
+                mask[rows, j_rand] = True
+            return np.where(mask, mutant, pop)
 
-    return RunResult(s_gb, p_gb, n_f, converged, cfg.seed)
+        return propose, _replace_where(np.greater_equal)
+
+    return _search(s, objective, u_max, cfg, start, initial_positions)
 
 
 Algorithm = Callable[[Scenario, Objective, float, SwarmConfig], RunResult]

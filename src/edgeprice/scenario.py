@@ -255,6 +255,12 @@ def validate(s: Scenario) -> list[str]:
         report.append(f"snr_downlink={s.channel.snr_downlink!r}: must be strictly positive")
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
+    elif s.channel.snr_mode == "db-to-linear":
+        for name in ("snr_uplink", "snr_downlink"):
+            try:
+                10.0 ** (getattr(s.channel, name) / 10.0)
+            except OverflowError:
+                report.append(f"{name}={getattr(s.channel, name)!r} dB: 10^(x/10) is not finite")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if not (0 < lo < hi):
             report.append(f"{name}={lo!r}..{hi!r}: bounds must satisfy 0 < min < max")

@@ -151,6 +151,12 @@ def test_validate_all_anchors_pass(capsys):
         (["optimize", "--set", "k_coeff=inf"], "k=inf"),
         (["optimize", "--set", "p_n=0"], "p_n"),
         (["optimize", "--algo", "de", "--set", "p_n=3"], "p_n"),
+        (["optimize", "--set", "snr_mode=db-to-linear", "--set", "snr_uplink=4000"], "snr_uplink"),
+        (["optimize", "--set", "k_coeff=1e300"], "non-finite objective"),
+        (["compare", "--trials", "2", "--set", "k_coeff=1e300"], "non-finite objective"),
+        (["surface", "--set", "k_coeff=1e300"], "non-finite surface cell"),
+        (["sweep", "--param", "q", "--grid", "819200", "--set", "b_mbps=nan"], "b=nan"),
+        (["sweep", "--param", "q", "--grid", "819200", "--set", "f_server_ghz=inf"], "f_server=inf"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, capsys):

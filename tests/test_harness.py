@@ -141,6 +141,26 @@ def test_sweep_rejects_invalid_scenario(defaults):
         run_sweep(spec)
 
 
+@pytest.mark.parametrize(
+    "allocation",
+    [Allocation(6 * GHZ, float("nan")), Allocation(float("inf"), 1 * MBPS), Allocation(0.0, 1 * MBPS)],
+)
+def test_sweep_rejects_non_finite_or_non_positive_allocation(defaults, allocation):
+    # NaN passed the old "> 0" reading of this check and gave a row of NaNs
+    spec = SweepSpec("q", (819200.0,), defaults, allocation)
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("parameter, grid", [("q", (819200.0,)), ("f_server", (1e9, 2e9))])
+def test_sweep_rejects_overflowing_model_values(defaults, parameter, grid):
+    # k = 1e300 passes validate() but overflows the energy terms to inf
+    huge_k = dataclasses.replace(defaults, k=1e300)
+    spec = SweepSpec(parameter, grid, huge_k, Allocation(6 * GHZ, 1 * MBPS))
+    with pytest.raises(ValueError, match="non-finite"):
+        run_sweep(spec)
+
+
 def test_sweep_rejects_unknown_parameter(defaults):
     spec = SweepSpec("power", (1.0, 2.0), defaults, Allocation(6 * GHZ, 1 * MBPS))
     with pytest.raises(ValueError, match="unknown sweep parameter"):
@@ -182,6 +202,11 @@ def test_surface_price_monotone(defaults):
     grid = surface_grid(defaults, 20, 20)
     assert (np.diff(grid.price, axis=0) < 0).all()
     assert (np.diff(grid.price, axis=1) < 0).all()
+
+
+def test_surface_rejects_overflowing_model_values(defaults):
+    with pytest.raises(ValueError, match="non-finite surface cell"):
+        surface_grid(dataclasses.replace(defaults, k=1e300), 5, 5)
 
 
 def test_surface_rejects_single_step(defaults):

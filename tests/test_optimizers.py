@@ -92,6 +92,18 @@ def test_evaluation_budget(setting, algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_evaluation_count_of_full_run(setting, algorithm):
+    # one initial sampling of p_n, then p_n per round; GA keeps its elite unevaluated
+    s, objective, u_max = setting
+    cfg = SwarmConfig(seed=5, epsilon=1e-12, n_max=9)
+    spy = CountingObjective(objective)
+    result = algorithm(s, spy, u_max * 1.1, cfg)  # unreachable reference
+    assert result.iterations_used == cfg.n_max
+    per_round = cfg.p_n - 1 if algorithm is baseline_ga else cfg.p_n
+    assert spy.calls == cfg.p_n + cfg.n_max * per_round
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_gap_soundness(setting, algorithm):
     s, objective, u_max = setting
     for seed in range(8):
@@ -315,8 +327,10 @@ def test_swarm_config_accepts_edge_values():
 # ---------------------------------------------------------------- pinned trajectories
 # The objectives are written here from Scenario fields, apart from
 # edgeprice.pricing, so that a change to the model code cannot move the
-# pins; the pins are the RunResults of the per-particle swarm loop that the
-# array swarm replaced.
+# pins. The swarm pins are the RunResults of the per-particle swarm loop
+# that the array swarm replaced; the GA and DE pins are those of the first
+# generation-at-once versions, whose random streams differ from the
+# per-individual loops before them.
 
 _S = default_scenario()
 _SNR_UP, _SNR_DOWN = _S.channel.effective_snrs()
@@ -366,6 +380,26 @@ _PINS = {
     ("pso", "linear", 2): (48.56528156413727, 3522761578.968467, 549357.9133097914, 50, False),
     ("pso", "linear", 3): (48.56524514718984, 3526912774.80089, 548260.7621505272, 50, False),
     ("pso", "linear", 4): (48.565312354150635, 3515889917.5212355, 551004.7192208065, 11, True),
+    ("ga", "dynamic", 0): (50.934518684826266, 5986049678.946055, 982751.8048986071, 0, True),
+    ("ga", "dynamic", 1): (50.93214654346689, 6000000000.0, 978094.6973303709, 16, True),
+    ("ga", "dynamic", 2): (50.93978043329137, 5998874831.244545, 983749.383760673, 24, True),
+    ("ga", "dynamic", 3): (50.9197522983315, 6000000000.0, 969431.1063305762, 18, True),
+    ("ga", "dynamic", 4): (50.912019483205285, 6000000000.0, 964103.1813779376, 14, True),
+    ("ga", "linear", 0): (48.565326754452215, 3494995197.3282723, 552119.3381386366, 7, True),
+    ("ga", "linear", 1): (48.56530180335076, 3493768396.2794967, 553197.89578668, 7, True),
+    ("ga", "linear", 2): (48.565308964158575, 3496857563.93331, 553059.4590008379, 16, True),
+    ("ga", "linear", 3): (48.565304803758075, 3518567044.1368337, 550165.0522785813, 5, True),
+    ("ga", "linear", 4): (48.565318231304815, 3514308482.2133436, 551017.6604394676, 7, True),
+    ("de", "dynamic", 0): (50.934518684826266, 5986049678.946055, 982751.8048986071, 0, True),
+    ("de", "dynamic", 1): (50.92509453681394, 5885582235.874523, 998236.896429887, 2, True),
+    ("de", "dynamic", 2): (50.9625265840149, 6000000000.0, 1000000.0, 1, True),
+    ("de", "dynamic", 3): (50.9625265840149, 6000000000.0, 1000000.0, 4, True),
+    ("de", "dynamic", 4): (50.9625265840149, 6000000000.0, 1000000.0, 2, True),
+    ("de", "linear", 0): (48.56534733813873, 3500573658.5365705, 549563.2276347298, 13, True),
+    ("de", "linear", 1): (48.56533844855203, 3500488001.2498746, 551543.0533768344, 12, True),
+    ("de", "linear", 2): (48.56532042947313, 3492158374.137636, 552217.010544659, 13, True),
+    ("de", "linear", 3): (48.565319493792536, 3498337874.4396477, 552641.8156265218, 13, True),
+    ("de", "linear", 4): (48.565340161312534, 3505530059.0662656, 551009.4278311981, 13, True),
 }
 
 
@@ -373,7 +407,7 @@ _PINS = {
 def test_swarm_trajectories_pinned(key):
     algo, setting, seed = key
     objective, u_max, epsilon = _PIN_SETTINGS[setting]
-    search = {"disc-pso": disc_pso, "pso": baseline_pso}[algo]
+    search = {"disc-pso": disc_pso, "pso": baseline_pso, "ga": baseline_ga, "de": baseline_de}[algo]
     result = search(_S, objective, u_max, SwarmConfig(seed=seed, epsilon=epsilon))
     value, f_server, b, iterations, converged = _PINS[key]
     assert result == RunResult(value, Allocation(f_server, b), iterations, converged, seed)

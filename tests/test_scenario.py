@@ -144,3 +144,11 @@ def test_channel_spec_mode_validation():
 def test_validation_rejects_non_finite_numbers(fields, name):
     (entry,) = validate(default_scenario(**fields))
     assert entry.startswith(f"{name}=") and entry.endswith("must be finite")
+
+
+def test_validation_rejects_db_figures_that_overflow():
+    # 10^(4000/10) overflows a float; the figure itself is finite
+    (entry,) = validate(default_scenario(channel=ChannelSpec(20.0, 4000.0, "db-to-linear")))
+    assert entry.startswith("snr_downlink=4000.0") and "not finite" in entry
+    assert validate(default_scenario(channel=ChannelSpec(3000.0, 30.0, "db-to-linear"))) == []
+    assert validate(default_scenario(channel=ChannelSpec(4000.0, 30.0, "raw"))) == []
