@@ -297,11 +297,10 @@ def emit_plot(
     elif kind == "heatmap":
         if not isinstance(data, SurfaceGrid):
             raise ValueError("heatmap plotting expects a SurfaceGrid")
-        cells = getattr(data, series)
         text = svgplot.heatmap(
             data.f_values,
             data.b_values,
-            cells.tolist(),
+            getattr(data, series),
             x_label="f_server [Hz]",
             y_label="b [bit/s]",
             title=f"{series} surface",

@@ -255,12 +255,16 @@ def validate(s: Scenario) -> list[str]:
         report.append(f"snr_downlink={s.channel.snr_downlink!r}: must be strictly positive")
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
-    elif s.channel.snr_mode == "db-to-linear":
+    else:
         for name in ("snr_uplink", "snr_downlink"):
+            value = getattr(s.channel, name)
             try:
-                10.0 ** (getattr(s.channel, name) / 10.0)
+                snr = 10.0 ** (value / 10.0) if s.channel.snr_mode == "db-to-linear" else value
             except OverflowError:
-                report.append(f"{name}={getattr(s.channel, name)!r} dB: 10^(x/10) is not finite")
+                report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
+                continue
+            if snr > 0 and math.log2(1.0 + snr) == 0:  # 1 + snr rounds to 1: a zero rate
+                report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if not (0 < lo < hi):
             report.append(f"{name}={lo!r}..{hi!r}: bounds must satisfy 0 < min < max")

@@ -142,6 +142,26 @@ def test_validate_all_anchors_pass(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("option", [["--set", "k_coeff=1e300"], ["--set", "bogus=1"],
+                                    ["--scenario", "scenario.toml"]])
+def test_validate_refuses_scenario_options(option, capsys):
+    # the anchors are fixed to the paper's setting; a scenario option would be ignored
+    assert main(["validate", *option]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("link", ["uplink", "downlink"])
+@pytest.mark.parametrize("command", [["optimize"], ["surface", "--steps", "3"],
+                                     ["sweep", "--param", "q", "--grid", "819200"],
+                                     ["compare", "--trials", "1"]])
+def test_zero_rate_snr_is_usage_error(command, link, capsys):
+    assert main([*command, "--set", f"snr_{link}=1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert f"snr_{link}=1e-300" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

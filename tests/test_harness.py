@@ -1,10 +1,13 @@
 import csv
 import dataclasses
+import hashlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from edgeprice import svgplot
 from edgeprice.harness import (
     SweepRow,
     SweepSpec,
@@ -334,6 +337,60 @@ def test_heatmap_cell_count(defaults, tmp_path):
     # background + frame are white/none; the colored cells are the data
     colored = [r for r in rects if r.get("fill") != "white"]
     assert len(colored) == 10_000
+
+
+# SHA-256 of the heatmaps a per-cell writer produced; the array writer must keep these bytes
+_HEATMAP_SHA256 = {
+    (150, "u_user"): "c97036d859ce5ff97d4ec486ed0f9f61ba3aae30935260307b36e6fd95b450e0",
+    (150, "price"): "4417c657d3aa41469f710c08edf046a1e6263fd94da270f06f065d390366a8a6",
+    (150, "u_server"): "1998f554b6a57eb052ad6d3322f6a262612f545c09a2cb929dee04086cb22a65",
+    (2, "u_user"): "d48e16c577a9364bde0511ad8fde9e4ac27fcc2a9d5484c9689f6d1be2406612",
+}
+
+
+@pytest.mark.parametrize("steps, series", list(_HEATMAP_SHA256))
+def test_heatmap_bytes_are_pinned(defaults, tmp_path, steps, series):
+    path = tmp_path / "heat.svg"
+    emit_plot(surface_grid(defaults, steps, steps), "heatmap", path, series=series)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _HEATMAP_SHA256[steps, series]
+
+
+def test_flat_heatmap_bytes_are_pinned():
+    text = svgplot.heatmap([1.0, 2.0, 3.0], [1.0, 2.0], [[5.0, 5.0]] * 3,
+                           x_label="x", y_label="y", title="flat")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == "ee95dda5d29e7f584ccdfaec10301af0891485b52b023cc1515e522fc1d1edbc"
+
+
+def test_heatmap_takes_arrays_and_nested_lists_alike(defaults):
+    grid = surface_grid(defaults, 7, 5)
+    labels = dict(x_label="f", y_label="b", title="t")
+    as_array = svgplot.heatmap(grid.f_values, grid.b_values, grid.u_user, **labels)
+    assert as_array == svgplot.heatmap(grid.f_values, grid.b_values, grid.u_user.tolist(), **labels)
+
+
+def test_heatmap_colours_match_a_per_cell_reference():
+    # fractions 0.25 and 0.75 put the green and blue channels on .5 ties
+    ties = [0.0, 0.5, 1.0, 1.5, 2.0]
+    cells = np.vstack([ties, np.random.default_rng(0).uniform(0.0, 2.0, (3, 5))])
+    text = svgplot.heatmap(list(range(4)), list(range(5)), cells, x_label="x", y_label="y", title="t")
+    lo, hi = float(cells.min()), float(cells.max())
+    expected = []
+    for value in cells.ravel().tolist():
+        frac = (value - lo) / (hi - lo)
+        rgb = [round(a + frac * (b - a)) for a, b in zip((44, 123, 182), (215, 25, 28))]
+        expected.append("#{:02x}{:02x}{:02x}".format(*rgb))
+    assert expected[:5] == ["#2c7bb6", "#576290", "#824a69", "#ac3242", "#d7191c"]
+    assert re.findall(r'<rect x="[^"]*" y="[^"]*" width="[^"]*" height="[^"]*" fill="(#[0-9a-f]{6})"/>',
+                      text) == expected
+
+
+def test_heatmap_rejects_misshapen_or_non_finite_cells():
+    labels = dict(x_label="x", y_label="y", title="t")
+    with pytest.raises(ValueError, match="shape"):
+        svgplot.heatmap([1.0, 2.0], [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]], **labels)
+    with pytest.raises(ValueError, match="finite"):
+        svgplot.heatmap([1.0, 2.0], [1.0], [[1.0], [float("nan")]], **labels)
 
 
 def test_plot_rejects_empty_and_unknown(tmp_path):

@@ -152,3 +152,16 @@ def test_validation_rejects_db_figures_that_overflow():
     assert entry.startswith("snr_downlink=4000.0") and "not finite" in entry
     assert validate(default_scenario(channel=ChannelSpec(3000.0, 30.0, "db-to-linear"))) == []
     assert validate(default_scenario(channel=ChannelSpec(4000.0, 30.0, "raw"))) == []
+
+
+@pytest.mark.parametrize("link", ["uplink", "downlink"])
+def test_validation_rejects_snr_with_zero_rate(link):
+    def channel(snr):
+        return ChannelSpec(**{"snr_uplink": 20.0, "snr_downlink": 30.0, f"snr_{link}": snr})
+
+    # 1 + 1e-300 rounds to 1, so log2(1 + snr) is 0 and the rate factor divides by it
+    (entry,) = validate(default_scenario(channel=channel(1e-300)))
+    assert entry.startswith(f"snr_{link}=1e-300") and "log2(1 + snr) is 0" in entry
+    # 1 + 2^-52 is the next float after 1, so that rate is accepted; 1 + 2^-53 ties back to 1
+    assert validate(default_scenario(channel=channel(2.0**-52))) == []
+    assert len(validate(default_scenario(channel=channel(2.0**-53)))) == 1
