@@ -2,7 +2,8 @@
 and the built-in anchor validation suite.
 
 Every subcommand is a thin adapter over the library; no arithmetic happens
-here. Stochastic subcommands are fully determined by --seed.
+here. Stochastic subcommands are fully determined by --seed. Files are
+written before anything is printed, so a command that exits 2 prints nothing.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from pathlib import Path
 
 from .harness import (
     SweepSpec,
+    box_maximum_utility,
     compare_optimizers,
-    corner_allocation,
     emit_comparison_csv,
     emit_csv,
     emit_plot,
@@ -70,9 +71,12 @@ def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str
                     raise UsageError(f"--set {key}: non-numeric value {value!r}") from None
         elif key in _SWARM_FIELD_TYPES:
             try:
-                swarm_overrides[key] = _SWARM_FIELD_TYPES[key](float(value))
-            except (ValueError, OverflowError):
+                number = float(value)
+            except ValueError:
                 raise UsageError(f"--set {key}: invalid value {value!r}") from None
+            # SwarmConfig rejects any other value of an int field
+            integral = _SWARM_FIELD_TYPES[key] is int and number.is_integer()
+            swarm_overrides[key] = int(number) if integral else number
         else:
             raise UsageError(f"--set {key}: unknown key")
     return scenario_overrides, swarm_overrides
@@ -108,18 +112,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise UsageError(f"--grid expects comma-separated numbers, got {args.grid!r}") from None
     spec = SweepSpec(parameter=args.param, grid=grid, scenario=scenario, allocation=allocation)
     rows = run_sweep(spec)
+    if args.plot:
+        emit_plot(rows, "line", args.plot, series=args.series)
     if args.out:
         emit_csv(rows, args.out)
     else:
         csv.writer(sys.stdout, lineterminator="\n").writerows(sweep_csv_records(rows))
-    if args.plot:
-        emit_plot(rows, "line", args.plot, series=args.series)
     return 0
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
     scenario, _, _ = _load_context(args)
     grid = surface_grid(scenario, args.steps, args.steps)
+    if args.plot:
+        emit_plot(grid, "heatmap", args.plot, series=args.series)
     best = grid.argmax_u_user()
     value = grid.u_user.max()
     print(f"grid: {args.steps}x{args.steps} over f_server={scenario.f_range}, b={scenario.b_range}")
@@ -127,15 +133,12 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         f"argmax u_user: f_server={_format_number(best.f_server)} Hz, "
         f"b={_format_number(best.b)} bit/s, u_user={_format_number(value)}"
     )
-    if args.plot:
-        emit_plot(grid, "heatmap", args.plot, series=args.series)
     return 0
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario, _, cfg = _load_context(args)
-    objective = dynamic_utility_objective(scenario)
-    u_max = objective(corner_allocation(scenario))
+    objective, u_max = dynamic_utility_objective(scenario), box_maximum_utility(scenario)
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
     print(f"algorithm: {args.algo}")
     print(f"seed: {result.seed}")
@@ -152,6 +155,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario, _, cfg = _load_context(args)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
+    if args.out:
+        emit_comparison_csv(report, args.out)
+    if args.plot:
+        emit_plot(report.stats[args.plot_algo].position_list, "scatter", args.plot)
     print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
     print(f"{'algorithm':<10} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():
@@ -159,10 +166,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{name:<10} {stats.mean_value:>12.6f} {stats.std_value:>12.6f} "
             f"{stats.mean_iterations:>11.3f} {sum(stats.converged_list):>7}/{args.trials}"
         )
-    if args.out:
-        emit_comparison_csv(report, args.out)
-    if args.plot:
-        emit_plot(report.stats[args.plot_algo].position_list, "scatter", args.plot)
     return 0
 
 
@@ -250,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OptimizerError, FileNotFoundError) as exc:
-        # ValueError: ScenarioError and argument checks; OptimizerError: a non-finite objective
+    except (UsageError, ValueError, OptimizerError, OSError) as exc:
+        # ValueError: bad scenario or argument; OptimizerError: non-finite objective; OSError: bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

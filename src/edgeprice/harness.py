@@ -213,7 +213,8 @@ def compare_optimizers(
         scenarios = _draw_trial_scenarios(s, cfg.seed, n_trials)
     else:
         scenarios = [s] * n_trials
-    settings = [(sc, dynamic_utility_objective(sc), box_maximum_utility(sc)) for sc in scenarios]
+    objectives = [dynamic_utility_objective(sc) for sc in scenarios]
+    settings = [(sc, obj, obj(corner_allocation(sc))) for sc, obj in zip(scenarios, objectives)]
     return ComparisonReport(
         scenario=s,
         n_trials=n_trials,

@@ -10,10 +10,10 @@ completed update rounds, so a run whose initial sampling already
 satisfies the gap reports 0.
 
 Each searcher is a proposal rule plus an acceptance rule over (p_n, 2)
-arrays of (f_server, b) rows; the objective still sees one ``Allocation``
-of floats per individual. disc_pso is the enhanced swarm (linearly
-decaying inertia plus a per-coordinate minimum velocity magnitude);
-baseline_pso is the same rules with fixed inertia and no velocity floor.
+arrays of (f_server, b) rows, and each population is scored in one
+objective call. disc_pso is the enhanced swarm (linearly decaying
+inertia plus a per-coordinate minimum velocity magnitude); baseline_pso
+is the same rules with fixed inertia and no velocity floor.
 The GA and DE baselines use conventional operator settings and breed
 whole generations with array draws, so their seeded results differ from
 the per-individual loops of earlier versions; swarm results do not.
@@ -21,6 +21,7 @@ the per-individual loops of earlier versions; swarm results do not.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
@@ -29,7 +30,8 @@ import numpy as np
 from .offload import Allocation
 from .scenario import Scenario
 
-Objective = Callable[[Allocation], float]
+#: An ``Allocation`` of (k,) arrays in, the (k,) values of its rows out.
+Objective = Callable[[Allocation], np.ndarray]
 
 
 class OptimizerError(RuntimeError):
@@ -60,6 +62,8 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{f.name}={value!r}: must be an integer")
             if f.name != "seed" and not math.isfinite(value):
                 raise ValueError(f"{f.name}={value!r}: must be finite")
         if self.p_n < 4:
@@ -115,7 +119,9 @@ def _initial_population(
 
 
 def _evaluate_population(objective: Objective, pop: np.ndarray, where: str) -> np.ndarray:
-    values = np.array([float(objective(Allocation(f, b))) for f, b in pop.tolist()])
+    values = np.asarray(objective(Allocation(pop[:, 0], pop[:, 1])), dtype=float)
+    if values.shape != (len(pop),):
+        raise OptimizerError(f"objective returned shape {values.shape} for {len(pop)} rows during {where}")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         i = int(bad[0])

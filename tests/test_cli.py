@@ -177,9 +177,23 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
         (["surface", "--set", "k_coeff=1e300"], "non-finite surface cell"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "b_mbps=nan"], "b=nan"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "f_server_ghz=inf"], "f_server=inf"),
+        (["optimize", "--algo", "ga", "--set", "n_max=2.5", "--set", "epsilon=1e-15"], "n_max=2.5"),
+        (["optimize", "--set", "p_n=4.9"], "p_n=4.9"),
+        (["optimize", "--set", "p_n=inf"], "p_n=inf"),
+        (["optimize", "--scenario", "{dir}"], "Is a directory"),
+        (["EDGEPRICE_SCENARIO={dir}", "surface", "--steps", "3"], "Is a directory"),
+        (["surface", "--steps", "3", "--plot", "{dir}"], "Is a directory"),
+        (["sweep", "--param", "q", "--grid", "819200", "--plot", "{dir}"], "Is a directory"),
+        (["sweep", "--param", "q", "--grid", "819200", "--out", "{dir}"], "Is a directory"),
+        (["compare", "--trials", "1", "--out", "{dir}"], "Is a directory"),
+        (["compare", "--trials", "1", "--plot", "{dir}"], "Is a directory"),
     ],
 )
-def test_bad_input_is_usage_error(argv, message, capsys):
+def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
+    # "{dir}" stands for an existing directory; a leading NAME=value sets the environment
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err

@@ -33,16 +33,20 @@ def setting():
 
 
 class CountingObjective:
+    """Counts objective calls and the rows they score, and keeps the best value seen."""
+
     def __init__(self, objective):
         self.objective = objective
         self.calls = 0
+        self.rows = 0
         self.best_seen = -math.inf
 
     def __call__(self, alloc):
         self.calls += 1
-        value = self.objective(alloc)
-        self.best_seen = max(self.best_seen, value)
-        return value
+        self.rows += np.size(alloc.f_server)
+        values = self.objective(alloc)
+        self.best_seen = max(self.best_seen, float(np.max(values)))
+        return values
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -60,7 +64,7 @@ def test_vacuous_gap_converges_at_iteration_zero(setting, algorithm):
     result = algorithm(s, spy, u_max, cfg)
     assert result.converged
     assert result.iterations_used == 0
-    assert spy.calls == cfg.p_n  # only the initial sampling ran
+    assert spy.rows == cfg.p_n  # only the initial sampling ran
     assert result.best_value == spy.best_seen
 
 
@@ -88,7 +92,7 @@ def test_evaluation_budget(setting, algorithm):
     cfg = SwarmConfig(seed=5, epsilon=1e-12, n_max=9)  # force a full run
     spy = CountingObjective(objective)
     algorithm(s, spy, u_max, cfg)
-    assert spy.calls <= cfg.p_n * (cfg.n_max + 1)
+    assert spy.rows <= cfg.p_n * (cfg.n_max + 1)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -100,7 +104,17 @@ def test_evaluation_count_of_full_run(setting, algorithm):
     result = algorithm(s, spy, u_max * 1.1, cfg)  # unreachable reference
     assert result.iterations_used == cfg.n_max
     per_round = cfg.p_n - 1 if algorithm is baseline_ga else cfg.p_n
-    assert spy.calls == cfg.p_n + cfg.n_max * per_round
+    assert spy.rows == cfg.p_n + cfg.n_max * per_round
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_one_objective_call_per_population(setting, algorithm):
+    # the initial sampling and each round are scored in one call each
+    s, objective, u_max = setting
+    spy = CountingObjective(objective)
+    result = algorithm(s, spy, u_max * 1.1, SwarmConfig(seed=5, n_max=9))
+    assert result.iterations_used == 9
+    assert spy.calls == result.iterations_used + 1
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -117,10 +131,18 @@ def test_non_finite_objective_aborts_with_diagnostic(setting):
     s, _, u_max = setting
 
     def broken(alloc):
-        return float("nan")
+        return np.full(np.shape(alloc.f_server), np.nan)
 
     with pytest.raises(OptimizerError, match="non-finite"):
         disc_pso(s, broken, u_max, SwarmConfig(seed=1))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_scalar_objective_is_rejected_with_its_shape(setting, algorithm):
+    # an objective that scores one row at a time cannot score a population
+    s, _, u_max = setting
+    with pytest.raises(OptimizerError, match=r"shape \(\) for 30 rows during initial sampling"):
+        algorithm(s, lambda alloc: 1.0, u_max, SwarmConfig(seed=1))
 
 
 def test_structural_equivalence_of_pso_variants(setting):
@@ -230,7 +252,7 @@ def test_replicate_reports_trial_index_on_abort(setting):
     s, _, u_max = setting
 
     def broken(alloc):
-        return float("inf")
+        return np.full(np.shape(alloc.f_server), np.inf)
 
     with pytest.raises(OptimizerError, match="trial 0"):
         replicate(disc_pso, s, broken, u_max, SwarmConfig(seed=1), n_trials=3)
@@ -314,6 +336,9 @@ def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbp
         {"w_max": math.inf},
         {"delta_f": math.nan},
         {"c1_learn": -math.inf},
+        {"p_n": 30.5},
+        {"n_max": 2.0},
+        {"seed": 1.5},
     ],
 )
 def test_swarm_config_rejects_bad_fields(fields):
@@ -323,6 +348,7 @@ def test_swarm_config_rejects_bad_fields(fields):
 
 def test_swarm_config_accepts_edge_values():
     assert SwarmConfig(p_n=4, n_max=0, epsilon=1e9).n_max == 0
+    assert SwarmConfig(p_n=np.int64(30), seed=np.uint32(7), epsilon=1).p_n == 30
 
 # ---------------------------------------------------------------- pinned trajectories
 # The objectives are written here from Scenario fields, apart from
