@@ -205,16 +205,16 @@ def compare_optimizers(
 ) -> ComparisonReport:
     """Run all four algorithms over paired per-trial seeds.
 
-    In the default deterministic mode every trial sees the same scenario;
-    the randomized mode redraws (q, f_local) per trial, with all four
+    In the default deterministic mode every trial sees the same scenario
+    and one shared objective, so each round of a batch is scored in one
+    call; the randomized mode redraws (q, f_local) per trial, with all four
     algorithms still seeing the same scenario and seed in a given trial.
     """
-    if randomize:
-        scenarios = _draw_trial_scenarios(s, cfg.seed, n_trials)
-    else:
-        scenarios = [s] * n_trials
+    scenarios = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else [s]
     objectives = [dynamic_utility_objective(sc) for sc in scenarios]
     settings = [(sc, obj, obj(corner_allocation(sc))) for sc, obj in zip(scenarios, objectives)]
+    if not randomize:
+        settings *= n_trials
     return ComparisonReport(
         scenario=s,
         n_trials=n_trials,

@@ -68,24 +68,43 @@ def _close(actual: float, expected: float, tol: float) -> bool:
     return abs(actual - expected) <= tol
 
 
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """``u`` in [0, 1) mapped to [lo, hi) the way ``rng.uniform(lo, hi)`` maps its draw."""
+    return lo + (hi - lo) * u
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
-    """A random scenario satisfying every invariant, drawn over wide parameter ranges."""
-    mode = "raw" if rng.random() < 0.5 else "db-to-linear"
+    """A random scenario satisfying every invariant, drawn over wide parameter ranges.
+
+    One block of 13 uniforms: the SNR mode's, then one per field in order,
+    each mapped as ``rng.uniform`` maps its draw. The scenarios and the
+    generator state equal those of 13 scalar draws.
+    """
+    mode, *u = rng.random(13).tolist()
     return Scenario(
-        q=rng.uniform(100.0, 500.0) * KB,
-        c=rng.uniform(100.0, 5000.0),
-        f_local=rng.uniform(0.1, 1.0) * GHZ,
-        k=10.0 ** rng.uniform(-28.0, -26.0),
-        p_u=rng.uniform(0.01, 1.0),
-        p_d=rng.uniform(0.1, 2.0),
-        alpha=rng.uniform(0.0, 1.0),
-        w1=rng.uniform(0.05, 0.95),
-        w2=rng.uniform(0.05, 0.95),
-        mu=rng.uniform(0.05, 0.95),
-        channel=ChannelSpec(rng.uniform(1.0, 40.0), rng.uniform(1.0, 40.0), mode),
+        q=_uniform(100.0, 500.0, u[0]) * KB,
+        c=_uniform(100.0, 5000.0, u[1]),
+        f_local=_uniform(0.1, 1.0, u[2]) * GHZ,
+        k=10.0 ** _uniform(-28.0, -26.0, u[3]),
+        p_u=_uniform(0.01, 1.0, u[4]),
+        p_d=_uniform(0.1, 2.0, u[5]),
+        alpha=_uniform(0.0, 1.0, u[6]),
+        w1=_uniform(0.05, 0.95, u[7]),
+        w2=_uniform(0.05, 0.95, u[8]),
+        mu=_uniform(0.05, 0.95, u[9]),
+        channel=ChannelSpec(
+            _uniform(1.0, 40.0, u[10]), _uniform(1.0, 40.0, u[11]),
+            "raw" if mode < 0.5 else "db-to-linear",
+        ),
         f_range=(1.0 * GHZ, 6.0 * GHZ),
         b_range=(0.1 * MBPS, 1.0 * MBPS),
     )
+
+
+def _random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
+    """A uniform point of the purchase box: one block of two draws, f_server then b."""
+    u_f, u_b = rng.random(2).tolist()
+    return Allocation(_uniform(*s.f_range, u_f), _uniform(*s.b_range, u_b))
 
 
 def _price_anchors() -> list[AnchorCheck]:
@@ -237,7 +256,7 @@ def _path_consistency_anchor() -> AnchorCheck:
     worst_server = 0.0
     for _ in range(1000):
         s = random_scenario(rng)
-        alloc = Allocation(rng.uniform(*s.f_range), rng.uniform(*s.b_range))
+        alloc = _random_allocation(rng, s)
         summary = user_utility(s, alloc)
         direct = (
             s.w1 * summary.energy.e_save + s.w2 * summary.time.t_save - summary.price
@@ -272,7 +291,7 @@ def _curvature_anchor() -> AnchorCheck:
     worst_grad = 0.0
     for _ in range(1000):
         s = random_scenario(rng)
-        target = Allocation(rng.uniform(*s.f_range), rng.uniform(*s.b_range))
+        target = _random_allocation(rng, s)
         pc = derive_coefficients(s, target.f_server, target.b)
         report = curvature_report(s, pc, target)
         all_definite &= report.negative_definite and report.lambda1 < 0 and report.lambda2 < 0

@@ -187,6 +187,9 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
         (["sweep", "--param", "q", "--grid", "819200", "--out", "{dir}"], "Is a directory"),
         (["compare", "--trials", "1", "--out", "{dir}"], "Is a directory"),
         (["compare", "--trials", "1", "--plot", "{dir}"], "Is a directory"),
+        (["optimize", "--seed", "-1"], "seed=-1: must be >= 0"),
+        (["compare", "--trials", "1", "--seed", "-5"], "seed=-5: must be >= 0"),
+        (["validate", "--seed", "-1"], "seed=-1: must be >= 0"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ import pytest
 
 from edgeprice import svgplot
 from edgeprice.harness import (
+    ALGORITHMS,
     SweepRow,
     SweepSpec,
     box_maximum_utility,
@@ -19,6 +20,7 @@ from edgeprice.harness import (
     emit_plot,
     run_sweep,
     surface_grid,
+    _draw_trial_scenarios,
 )
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import SwarmConfig
@@ -243,6 +245,22 @@ def test_compare_randomized_mode(defaults):
     assert len(set(report.u_max_list)) > 1  # scenarios differ per trial
     for stats in report.stats.values():
         assert len(stats.value_list) == 3
+
+
+@pytest.mark.parametrize("randomize", [False, True])
+def test_compare_trials_equal_replayed_single_runs(defaults, randomize):
+    # the trials of each searcher run as one batch; each equals its single run
+    cfg = SwarmConfig(seed=7)
+    report = compare_optimizers(defaults, cfg, 6, randomize=randomize)
+    scenarios = _draw_trial_scenarios(defaults, cfg.seed, 6) if randomize else [defaults] * 6
+    for name, stats in report.stats.items():
+        for i, (scenario, u_max, seed) in enumerate(zip(scenarios, report.u_max_list, stats.seed_list)):
+            objective = dynamic_utility_objective(scenario)
+            assert u_max == objective(corner_allocation(scenario))
+            run = ALGORITHMS[name](scenario, objective, u_max, dataclasses.replace(cfg, seed=seed))
+            recorded = (stats.value_list[i], stats.position_list[i],
+                        stats.iteration_list[i], stats.converged_list[i])
+            assert (run.best_value, run.best_position, run.iterations_used, run.converged) == recorded
 
 
 def test_compare_rejects_zero_trials(defaults):

@@ -17,6 +17,7 @@ from edgeprice.optimizers import (
     baseline_pso,
     disc_pso,
     replicate,
+    run_trials,
     trial_seeds,
 )
 from edgeprice.pricing import dynamic_utility_objective
@@ -176,9 +177,9 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
     opt.disc_pso(s, objective, u_max * 1.1, cfg)  # unreachable reference, full run
     assert len(recorded) == cfg.n_max  # every round
     for v, out, floor in recorded:
-        # both coordinates of every particle
-        assert v.shape == out.shape == (cfg.p_n, 2)
-        assert floor.tolist() == [cfg.delta_f, cfg.delta_b]
+        # both coordinates of every particle: the f_server and b planes of a batch of one trial
+        assert v.shape == out.shape == (2, 1, cfg.p_n)
+        assert floor.ravel().tolist() == [cfg.delta_f, cfg.delta_b]
         assert ((v == 0.0) == (out == 0.0)).all()
         assert ((out == 0.0) | (np.abs(out) >= floor)).all()
 
@@ -339,6 +340,7 @@ def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbp
         {"p_n": 30.5},
         {"n_max": 2.0},
         {"seed": 1.5},
+        {"seed": -1},
     ],
 )
 def test_swarm_config_rejects_bad_fields(fields):
@@ -437,3 +439,101 @@ def test_swarm_trajectories_pinned(key):
     result = search(_S, objective, u_max, SwarmConfig(seed=seed, epsilon=epsilon))
     value, f_server, b, iterations, converged = _PINS[key]
     assert result == RunResult(value, Allocation(f_server, b), iterations, converged, seed)
+
+
+# ---------------------------------------------------------------- lockstep batches
+# run_trials runs its trials as one batch; each trial must still equal the
+# single run replayed from its recorded seed, whichever round it finishes in.
+
+_SEARCHERS = {"disc-pso": disc_pso, "pso": baseline_pso, "ga": baseline_ga, "de": baseline_de}
+_REPLAY_CFG = SwarmConfig(seed=41, n_max=20)
+
+
+def _replayed(search, s, objective, u_max, cfg, seed):
+    run = search(s, objective, u_max, dataclasses.replace(cfg, seed=seed))
+    return run.best_value, run.best_position, run.iterations_used, run.converged
+
+
+def _recorded(stats, i):
+    return stats.value_list[i], stats.position_list[i], stats.iteration_list[i], stats.converged_list[i]
+
+
+@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
+@pytest.mark.parametrize("setting, epsilon", [("dynamic", 1e-3), ("dynamic", 1e-9), ("linear", 1e-6)])
+def test_lockstep_batch_equals_replayed_single_runs(algo, setting, epsilon):
+    objective, u_max, _ = _PIN_SETTINGS[setting]
+    cfg = dataclasses.replace(_REPLAY_CFG, epsilon=epsilon)
+    stats = replicate(_SEARCHERS[algo], _S, objective, u_max, cfg, n_trials=12)
+    for i, seed in enumerate(stats.seed_list):
+        assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], _S, objective, u_max, cfg, seed)
+
+
+@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
+def test_interleaved_objectives_equal_replayed_single_runs(algo):
+    # trials 0, 2 and 4 share one objective and trials 1 and 3 another: two calls per round
+    dynamic, linear = (_PIN_SETTINGS[name][:2] for name in ("dynamic", "linear"))
+    settings = [(_S, *(dynamic if t % 2 == 0 else linear)) for t in range(5)]
+    cfg = dataclasses.replace(_REPLAY_CFG, epsilon=1e-6)
+    stats = run_trials(_SEARCHERS[algo], settings, cfg)
+    for i, ((s, objective, u_max), seed) in enumerate(zip(settings, stats.seed_list)):
+        assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], s, objective, u_max, cfg, seed)
+
+
+@pytest.mark.parametrize("algo, setting", [("ga", "dynamic"), ("pso", "linear")])
+def test_replay_settings_finish_at_different_rounds(algo, setting):
+    # the replay test above covers trials leaving the batch early and at n_max
+    objective, u_max, epsilon = _PIN_SETTINGS[setting]
+    cfg = dataclasses.replace(_REPLAY_CFG, epsilon=epsilon)
+    stats = replicate(_SEARCHERS[algo], _S, objective, u_max, cfg, n_trials=12)
+    early = {n for n, c in zip(stats.iteration_list, stats.converged_list) if c}
+    assert len(early) >= 3 and max(early) < cfg.n_max
+    assert any(n == cfg.n_max and not c for n, c in zip(stats.iteration_list, stats.converged_list))
+
+
+@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
+def test_shared_objective_is_called_once_per_round(algo, setting):
+    s, objective, u_max = setting
+    spy = CountingObjective(objective)
+    cfg = SwarmConfig(seed=43, epsilon=1e-6, n_max=25)
+    stats = replicate(_SEARCHERS[algo], s, spy, u_max, cfg, n_trials=20)
+    assert spy.calls <= max(stats.iteration_list) + 1
+
+
+def _failing_at(round_failing, individual, objective):
+    """An objective that returns NaN for one individual in the given round."""
+    calls = 0
+
+    def broken(alloc):
+        nonlocal calls
+        values = np.array(objective(alloc), dtype=float)
+        if calls == round_failing + 1:  # call 0 scores the initial sampling
+            values[individual] = np.nan
+        calls += 1
+        return values
+
+    return broken
+
+
+def test_batch_error_names_the_failing_trial(setting):
+    s, objective, u_max = setting
+    settings = [(s, objective, u_max * 1.1)] * 5  # unreachable reference: every trial runs n_max rounds
+    settings[2] = (s, _failing_at(3, 7, objective), u_max * 1.1)
+    message = r"^trial 2: non-finite objective value nan .* during round 3 \(individual 7\)$"
+    with pytest.raises(OptimizerError, match=message):
+        run_trials(baseline_ga, settings, SwarmConfig(seed=5, n_max=10))
+
+
+def test_batch_error_reports_earliest_round_then_lowest_trial(setting):
+    # trial 1 fails in round 4, trials 3 and 4 in round 2: trial 3 is reported
+    s, objective, u_max = setting
+    settings = [(s, objective, u_max * 1.1)] * 6
+    for trial, failing_round in ((1, 4), (4, 2), (3, 2)):
+        settings[trial] = (s, _failing_at(failing_round, 0, objective), u_max * 1.1)
+    with pytest.raises(OptimizerError, match=r"^trial 3: .* during round 2 "):
+        run_trials(disc_pso, settings, SwarmConfig(seed=5, n_max=10))
+
+
+def test_run_trials_rejects_an_unknown_searcher(setting):
+    s, objective, u_max = setting
+    with pytest.raises(ValueError, match="run_trials runs one of disc_pso"):
+        run_trials(lambda *args: None, [(s, objective, u_max)], SwarmConfig())
