@@ -19,17 +19,18 @@ depend on the batch it ran in. The proposal arithmetic, clipping and
 acceptance then run once per round over all live trials. A trial that
 meets the gap or reaches n_max is finished: its result is recorded and
 it is dropped from the batch, so it draws and evaluates nothing further.
-The rows of all live trials that share one objective are scored in one
-call. When objectives fail, the ``OptimizerError`` names the
+When every trial shares one objective, each round is scored in one call
+over all live rows; otherwise each trial's objective scores its own rows
+in one call per trial. When objectives fail, the ``OptimizerError`` names the
 lowest-index trial among those that fail in the earliest failing round.
 
 Each searcher is a proposal rule plus an acceptance rule over these
 arrays. disc_pso is the enhanced swarm (linearly decaying inertia plus a
 per-coordinate minimum velocity magnitude); baseline_pso is the same
 rules with fixed inertia and no velocity floor. The GA and DE baselines
-use conventional operator settings and breed whole generations with
-array draws, so their seeded results differ from the per-individual
-loops of earlier versions; swarm results do not.
+run fixed conventional operator settings (GA crossover 0.8, mutation
+0.1 at 0.05 box widths; DE F = 0.5, CR = 0.9) and breed whole
+generations with array draws.
 """
 from __future__ import annotations
 
@@ -61,7 +62,12 @@ class OptimizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Hyperparameters shared by all four search algorithms.
+    """Search hyperparameters.
+
+    All four searchers read p_n, n_max, epsilon and seed. The inertia
+    bounds ``w_*``, learning factors ``c*_learn`` and velocity floors
+    ``delta_*`` are swarm-only: baseline_pso reads w_max, c1_learn and
+    c2_learn, disc_pso all of them; GA and DE read none.
 
     The velocity floors are the accelerating mechanism of disc_pso and
     only bite when they are a substantial fraction of the search box; the
@@ -142,45 +148,27 @@ def _planes(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
-def _initial_population(
-    rngs: Sequence[np.random.Generator], cfg: SwarmConfig, lo: np.ndarray, hi: np.ndarray,
-    initial_positions: Sequence[tuple[float, float]] | None,
-) -> np.ndarray:
-    if initial_positions is not None:
-        pop = np.array(initial_positions, dtype=float)
-        if pop.shape != (cfg.p_n, 2):
-            raise ValueError(f"initial positions must have shape ({cfg.p_n}, 2), got {pop.shape}")
-        return np.repeat(pop.T[:, None], len(rngs), axis=1)
-    return lo + (hi - lo) * _planes(_uniforms(rngs, (cfg.p_n, 2)))
-
-
-def _objective_groups(objectives: Sequence[Objective]) -> list[tuple[Objective, slice | np.ndarray]]:
-    """Each distinct objective with the batch positions of its trials (a slice when all share one)."""
-    if len(set(map(id, objectives))) == 1:
-        return [(objectives[0], slice(None))]
-    members: dict[int, tuple[Objective, list[int]]] = {}
-    for t, objective in enumerate(objectives):
-        members.setdefault(id(objective), (objective, []))[1].append(t)
-    return [(objective, np.array(rows)) for objective, rows in members.values()]
+def _score(objective: Objective, pop: np.ndarray, where: str, trial: int) -> np.ndarray:
+    """The (T, k) values of the (2, T, k) rows ``pop``, scored in one objective call."""
+    f, b = pop
+    out = np.asarray(objective(Allocation(f.ravel(), b.ravel())), dtype=float)
+    if out.shape != (f.size,):
+        raise OptimizerError(
+            f"objective returned shape {out.shape} for {f.size} rows during {where}", trial
+        )
+    return out.reshape(f.shape)
 
 
 def _evaluate_population(
-    groups: list[tuple[Objective, slice | np.ndarray]], trials: list[int], pop: np.ndarray, where: str,
+    objectives: Sequence[Objective], shared: bool, trials: list[int], pop: np.ndarray, where: str,
 ) -> np.ndarray:
-    """The (T, k) values of a (2, T, k) batch, one objective call per group of trials."""
-    values = np.empty(pop.shape[1:]) if len(groups) > 1 else None
-    for objective, rows in groups:
-        f, b = pop[0, rows], pop[1, rows]
-        out = np.asarray(objective(Allocation(f.ravel(), b.ravel())), dtype=float)
-        if out.shape != (f.size,):
-            raise OptimizerError(
-                f"objective returned shape {out.shape} for {f.size} rows during {where}",
-                trials[np.arange(len(trials))[rows][0]],
-            )
-        if values is None:  # one group holds every trial
-            values = out.reshape(f.shape)
-        else:
-            values[rows] = out.reshape(f.shape)
+    """The (T, k) values of a (2, T, k) batch: one call if ``shared``, else one per trial on its rows."""
+    if shared:
+        values = _score(objectives[0], pop, where, trials[0])
+    else:
+        values = np.concatenate(
+            [_score(objectives[trial], pop[:, t : t + 1], where, trial) for t, trial in enumerate(trials)]
+        )
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         t, i = np.argwhere(~finite)[0].tolist()  # lowest trial, then individual
@@ -248,7 +236,6 @@ def _search(
     seeds: Sequence[int],
     cfg: SwarmConfig,
     rules: _Rules,
-    initial_positions: Sequence[tuple[float, float]] | None = None,
 ) -> list[RunResult]:
     """The loop every searcher shares: trial i runs on ``settings[i]`` from ``seeds[i]``.
 
@@ -264,9 +251,9 @@ def _search(
     trials, u_max = list(range(n)), list(map(float, u_max))
     box = np.array([(s.f_range, s.b_range) for s, _, _ in settings]).T[..., None]  # (lo/hi, 2, T, 1)
     lo, hi = box[0], box[1]
-    groups = _objective_groups(objectives)
-    pop = _initial_population(rngs, cfg, lo, hi, initial_positions)
-    values = _evaluate_population(groups, trials, pop, "initial sampling")
+    shared = all(objective is objectives[0] for objective in objectives)
+    pop = lo + (hi - lo) * _planes(_uniforms(rngs, (cfg.p_n, 2)))
+    values = _evaluate_population(objectives, shared, trials, pop, "initial sampling")
     state = rules.init(pop)
     s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, 1)), [False] * n
     for t in _track_best(s_gb, p_gb, pop, values):
@@ -291,10 +278,9 @@ def _search(
                 [x for x, finished in zip(xs, done) if not finished]
                 for xs in (trials, rngs, u_max, s_gb, converged)
             )
-            groups = _objective_groups([objectives[t] for t in trials])
 
         candidates, state = rules.propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state)
-        candidate_values = _evaluate_population(groups, trials, candidates, f"round {n_f}")
+        candidate_values = _evaluate_population(objectives, shared, trials, candidates, f"round {n_f}")
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
         pop, values = rules.accept(pop, values, candidates, candidate_values)
@@ -317,18 +303,18 @@ def _velocity_floor(delta_f: float, delta_b: float) -> np.ndarray:
     return floor
 
 
-def _swarm(*, dynamic_inertia: bool, velocity_floor: bool) -> _Rules:
-    """Swarm rules: the population is the personal bests; positions and velocities are state."""
+def _swarm(enhanced: bool) -> _Rules:
+    """Swarm rules: the population is the personal bests; positions and velocities are state.
+
+    ``enhanced`` adds disc_pso's decaying inertia and velocity floor to the plain swarm.
+    """
 
     def init(pop):
         return pop, np.zeros(pop.shape)
 
     def propose(cfg, n_f, rngs, lo, hi, best_position, best_values, p_gb, state):
         position, velocity = state
-        if dynamic_inertia:
-            w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max
-        else:
-            w = cfg.w_max
+        w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max if enhanced else cfg.w_max
         # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order, as (4, T, p_n)
         r = _uniforms(rngs, (cfg.p_n, 4)).transpose(2, 0, 1)
         velocity = (
@@ -336,7 +322,7 @@ def _swarm(*, dynamic_inertia: bool, velocity_floor: bool) -> _Rules:
             + cfg.c1_learn * r[0::2] * (best_position - position)
             + cfg.c2_learn * r[1::2] * (p_gb - position)
         )
-        if velocity_floor:
+        if enhanced:
             velocity = _with_min_magnitude(velocity, _velocity_floor(cfg.delta_f, cfg.delta_b))
         position = (position + velocity).clip(lo, hi)
         return position, (position, velocity)
@@ -344,8 +330,7 @@ def _swarm(*, dynamic_inertia: bool, velocity_floor: bool) -> _Rules:
     return _Rules(init, propose, _replace_where(np.greater))
 
 
-@functools.lru_cache(maxsize=16)
-def _ga(crossover_rate: float = 0.8, mutation_rate: float = 0.1, mutation_scale: float = 0.05) -> _Rules:
+def _ga() -> _Rules:
     """GA rules: the elite plus p_n - 1 children bred from tournament winners."""
 
     def propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state):
@@ -362,10 +347,10 @@ def _ga(crossover_rate: float = 0.8, mutation_rate: float = 0.1, mutation_scale:
         winners = np.where(values.take(a) >= values.take(b), a, b)
         parent1, parent2 = pop.reshape(2, -1).take(winners, axis=1).transpose(2, 0, 1, 3)
         lam = u[:, n : 2 * n]
-        child = np.where(u[:, :n] < crossover_rate, lam * parent1 + (1.0 - lam) * parent2, parent1)
-        mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < mutation_rate
+        child = np.where(u[:, :n] < 0.8, lam * parent1 + (1.0 - lam) * parent2, parent1)
+        mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # 0.0 + sigma * z is what rng.normal(0.0, sigma) returns, bit for bit
-        child = child + np.where(mutate, 0.0 + mutation_scale * (hi - lo) * _planes(noise), 0.0)
+        child = child + np.where(mutate, 0.0 + 0.05 * (hi - lo) * _planes(noise), 0.0)
         return child.clip(lo, hi), state
 
     def accept(pop, values, children, child_values):
@@ -378,8 +363,7 @@ def _ga(crossover_rate: float = 0.8, mutation_rate: float = 0.1, mutation_scale:
     return _Rules(_stateless, propose, accept)
 
 
-@functools.lru_cache(maxsize=16)
-def _de(weight: float = 0.5, crossover: float = 0.9) -> _Rules:
+def _de() -> _Rules:
     """DE rules: rand/1/bin trial vectors, kept when at least as good as their target."""
     coordinates = np.arange(2)
 
@@ -392,20 +376,15 @@ def _de(weight: float = 0.5, crossover: float = 0.9) -> _Rules:
         r = u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3]
         r += _first_rows(len(rngs), p_n)[:, None, None]  # flat row indices
         x1, x2, x3 = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
-        mutant = (x1 + weight * (x2 - x3)).clip(lo, hi)
-        mask = u[:, p_n * p_n :].reshape(-1, p_n, 2) < crossover
-        if crossover > 0.0:
-            mask |= j_rand[..., None] == coordinates
+        mutant = (x1 + 0.5 * (x2 - x3)).clip(lo, hi)
+        mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
         return np.where(_planes(mask), mutant, pop), state
 
     return _Rules(_stateless, propose, _replace_where(np.greater_equal))
 
 
-def _run_one(
-    s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig, rules: _Rules,
-    initial_positions: Sequence[tuple[float, float]] | None = None,
-) -> RunResult:
-    return _search([(s, objective, u_max)], (cfg.seed,), cfg, rules, initial_positions)[0]
+def _run_one(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig, rules: _Rules) -> RunResult:
+    return _search([(s, objective, u_max)], (cfg.seed,), cfg, rules)[0]
 
 
 def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
@@ -418,53 +397,33 @@ def baseline_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConf
     return _run_one(s, objective, u_max, cfg, _RULES[baseline_pso])
 
 
-def baseline_ga(
-    s: Scenario,
-    objective: Objective,
-    u_max: float,
-    cfg: SwarmConfig,
-    *,
-    crossover_rate: float = 0.8,
-    mutation_rate: float = 0.1,
-    mutation_scale: float = 0.05,
-    initial_positions: Sequence[tuple[float, float]] | None = None,
-) -> RunResult:
+def baseline_ga(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
     """Genetic-algorithm baseline: tournament-2, arithmetic crossover, Gaussian mutation.
 
     Each generation is the elite (the best member, kept without being
-    evaluated again) plus p_n - 1 children. Mutation noise per gene is
-    ``mutation_scale`` times the box width of that coordinate. The keyword
-    hyperparameters exist for experiments and tests; defaults are the
-    comparison settings.
+    evaluated again) plus p_n - 1 children: crossover rate 0.8, per-gene
+    mutation rate 0.1, mutation noise 0.05 times the box width of the gene.
     """
-    rules = _ga(crossover_rate, mutation_rate, mutation_scale)
-    return _run_one(s, objective, u_max, cfg, rules, initial_positions)
+    return _run_one(s, objective, u_max, cfg, _RULES[baseline_ga])
 
 
-def baseline_de(
-    s: Scenario,
-    objective: Objective,
-    u_max: float,
-    cfg: SwarmConfig,
-    *,
-    weight: float = 0.5,
-    crossover: float = 0.9,
-    initial_positions: Sequence[tuple[float, float]] | None = None,
-) -> RunResult:
+def baseline_de(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
     """Differential-evolution baseline (rand/1/bin, Storn & Price 1997) with box clamping.
 
-    r1, r2, r3 are distinct and never the target: the first three columns
-    of the argsort of a random-key matrix whose diagonal sorts last.
+    Weight F = 0.5, crossover CR = 0.9 plus one forced j_rand gene per
+    trial vector. r1, r2, r3 are distinct and never the target: the first
+    three columns of the argsort of a random-key matrix whose diagonal
+    sorts last.
     """
-    return _run_one(s, objective, u_max, cfg, _de(weight, crossover), initial_positions)
+    return _run_one(s, objective, u_max, cfg, _RULES[baseline_de])
 
 
 Algorithm = Callable[[Scenario, Objective, float, SwarmConfig], RunResult]
 
-#: The rules each public searcher runs with its default settings.
+#: The rules each public searcher runs.
 _RULES: dict[Algorithm, _Rules] = {
-    disc_pso: _swarm(dynamic_inertia=True, velocity_floor=True),
-    baseline_pso: _swarm(dynamic_inertia=False, velocity_floor=False),
+    disc_pso: _swarm(enhanced=True),
+    baseline_pso: _swarm(enhanced=False),
     baseline_ga: _ga(),
     baseline_de: _de(),
 }

@@ -33,7 +33,7 @@ from .pricing import (
     user_utility_gradient,
 )
 from .scenario import ChannelSpec, Scenario, default_scenario
-from .harness import SweepSpec, compare_optimizers, run_sweep, surface_grid
+from .harness import SweepRow, SweepSpec, compare_optimizers, run_sweep, surface_grid
 from .optimizers import SwarmConfig, _gap_met
 
 KB = 8192.0  # bits
@@ -124,15 +124,19 @@ def _price_anchors() -> list[AnchorCheck]:
     return checks
 
 
-def _sweep_delta_anchors() -> list[AnchorCheck]:
-    s = default_scenario()
-    spec = SweepSpec(
-        parameter="f_server",
-        grid=tuple(f * GHZ for f in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-        scenario=s,
-        allocation=Allocation(6.0 * GHZ, 0.1 * MBPS),
+def _f_server_sweep() -> list[SweepRow]:
+    """The default scenario swept over f_server = 1..6 GHz at b = 0.1 Mbps."""
+    return run_sweep(
+        SweepSpec(
+            parameter="f_server",
+            grid=tuple(f * GHZ for f in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+            scenario=default_scenario(),
+            allocation=Allocation(6.0 * GHZ, 0.1 * MBPS),
+        )
     )
-    rows = run_sweep(spec)
+
+
+def _sweep_delta_anchors(rows: list[SweepRow]) -> list[AnchorCheck]:
     user_deltas = [b.u_user - a.u_user for a, b in zip(rows, rows[1:])]
     server_deltas = [b.u_server - a.u_server for a, b in zip(rows, rows[1:])]
 
@@ -213,16 +217,8 @@ def _diagnostic_anchors() -> list[AnchorCheck]:
     return checks
 
 
-def _coupling_anchor() -> AnchorCheck:
-    s = default_scenario()
-    ratio = coupling_ratio(s)
-    spec = SweepSpec(
-        parameter="f_server",
-        grid=tuple(f * GHZ for f in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-        scenario=s,
-        allocation=Allocation(6.0 * GHZ, 0.1 * MBPS),
-    )
-    rows = run_sweep(spec)
+def _coupling_anchor(rows: list[SweepRow]) -> AnchorCheck:
+    ratio = coupling_ratio(default_scenario())
     measured = [
         (b.u_user - a.u_user) / (b.u_server - a.u_server) for a, b in zip(rows, rows[1:])
     ]
@@ -326,9 +322,8 @@ def _quadratic_gap_anchor() -> AnchorCheck:
     )
 
 
-def _optimizer_anchors(seed: int, n_trials: int) -> list[AnchorCheck]:
+def _optimizer_anchors(cfg: SwarmConfig, n_trials: int) -> list[AnchorCheck]:
     s = default_scenario()
-    cfg = SwarmConfig(seed=seed)
     report = compare_optimizers(s, cfg, n_trials)
     disc = report.stats["disc-pso"]
     means = {name: st.mean_iterations for name, st in report.stats.items()}
@@ -380,16 +375,23 @@ def _optimizer_anchors(seed: int, n_trials: int) -> list[AnchorCheck]:
 
 
 def run_anchor_suite(*, seed: int = 0, n_trials: int = 50) -> list[AnchorCheck]:
-    """Run every anchor; the optimizer block uses seeded paired trials."""
+    """Run every anchor; the optimizer block uses seeded paired trials.
+
+    A bad ``seed`` or ``n_trials`` raises ``ValueError`` before any anchor runs.
+    """
+    cfg = SwarmConfig(seed=seed)
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    sweep = _f_server_sweep()
     checks: list[AnchorCheck] = []
     checks.extend(_price_anchors())
-    checks.extend(_sweep_delta_anchors())
+    checks.extend(_sweep_delta_anchors(sweep))
     checks.append(_utility_anchor())
     checks.extend(_diagnostic_anchors())
-    checks.append(_coupling_anchor())
+    checks.append(_coupling_anchor(sweep))
     checks.append(_corner_maximality_anchor())
     checks.append(_path_consistency_anchor())
     checks.append(_curvature_anchor())
     checks.append(_quadratic_gap_anchor())
-    checks.extend(_optimizer_anchors(seed, n_trials))
+    checks.extend(_optimizer_anchors(cfg, n_trials))
     return checks

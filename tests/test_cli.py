@@ -190,6 +190,7 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
         (["optimize", "--seed", "-1"], "seed=-1: must be >= 0"),
         (["compare", "--trials", "1", "--seed", "-5"], "seed=-5: must be >= 0"),
         (["validate", "--seed", "-1"], "seed=-1: must be >= 0"),
+        (["validate", "--trials", "0"], "n_trials must be >= 1"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):

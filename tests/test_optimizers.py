@@ -34,17 +34,19 @@ def setting():
 
 
 class CountingObjective:
-    """Counts objective calls and the rows they score, and keeps the best value seen."""
+    """Counts objective calls and the rows they score, records those rows, and keeps the best value seen."""
 
     def __init__(self, objective):
         self.objective = objective
         self.calls = 0
         self.rows = 0
+        self.seen = []
         self.best_seen = -math.inf
 
     def __call__(self, alloc):
         self.calls += 1
         self.rows += np.size(alloc.f_server)
+        self.seen.append((np.copy(alloc.f_server), np.copy(alloc.b)))
         values = self.objective(alloc)
         self.best_seen = max(self.best_seen, float(np.max(values)))
         return values
@@ -182,46 +184,6 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
         assert floor.ravel().tolist() == [cfg.delta_f, cfg.delta_b]
         assert ((v == 0.0) == (out == 0.0)).all()
         assert ((out == 0.0) | (np.abs(out) >= floor)).all()
-
-
-def test_ga_identical_population_zero_mutation_is_static(setting):
-    s, objective, u_max = setting
-    point = (3e9, 5e5)
-    cfg = SwarmConfig(seed=2, p_n=10, n_max=5)
-    result = baseline_ga(
-        s,
-        objective,
-        u_max,
-        cfg,
-        mutation_rate=0.0,
-        initial_positions=[point] * cfg.p_n,
-    )
-    assert result.best_value == objective(Allocation(*point))
-    assert result.best_position == Allocation(*point)
-    assert not result.converged and result.iterations_used == cfg.n_max
-
-
-def test_de_zero_weight_zero_crossover_is_static(setting):
-    s, objective, u_max = setting
-    point = (2e9, 3e5)
-    cfg = SwarmConfig(seed=2, p_n=10, n_max=5)
-    result = baseline_de(
-        s,
-        objective,
-        u_max,
-        cfg,
-        weight=0.0,
-        crossover=0.0,
-        initial_positions=[point] * cfg.p_n,
-    )
-    assert result.best_value == objective(Allocation(*point))
-    assert not result.converged and result.iterations_used == cfg.n_max
-
-
-def test_ga_bad_initial_positions_shape(setting):
-    s, objective, u_max = setting
-    with pytest.raises(ValueError, match="shape"):
-        baseline_ga(s, objective, u_max, SwarmConfig(p_n=10), initial_positions=[(1e9, 2e5)] * 3)
 
 
 def test_trial_seeds_deterministic():
@@ -470,7 +432,8 @@ def test_lockstep_batch_equals_replayed_single_runs(algo, setting, epsilon):
 
 @pytest.mark.parametrize("algo", sorted(_SEARCHERS))
 def test_interleaved_objectives_equal_replayed_single_runs(algo):
-    # trials 0, 2 and 4 share one objective and trials 1 and 3 another: two calls per round
+    # trials 0, 2 and 4 share one objective and trials 1 and 3 another; the trials do not
+    # all share one, so each live trial's objective is called on its own rows every round
     dynamic, linear = (_PIN_SETTINGS[name][:2] for name in ("dynamic", "linear"))
     settings = [(_S, *(dynamic if t % 2 == 0 else linear)) for t in range(5)]
     cfg = dataclasses.replace(_REPLAY_CFG, epsilon=1e-6)
@@ -497,6 +460,23 @@ def test_shared_objective_is_called_once_per_round(algo, setting):
     cfg = SwarmConfig(seed=43, epsilon=1e-6, n_max=25)
     stats = replicate(_SEARCHERS[algo], s, spy, u_max, cfg, n_trials=20)
     assert spy.calls <= max(stats.iteration_list) + 1
+
+
+@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
+def test_own_objectives_are_called_once_per_round_on_their_own_rows(algo, setting):
+    # one spy per trial: every trial has its own objective object, so none is shared
+    s, objective, u_max = setting
+    cfg = SwarmConfig(seed=47, epsilon=1e-6, n_max=12)
+    spies = [CountingObjective(objective) for _ in range(6)]
+    stats = run_trials(_SEARCHERS[algo], [(s, spy, u_max) for spy in spies], cfg)
+    for spy, seed, rounds in zip(spies, stats.seed_list, stats.iteration_list):
+        assert spy.calls == rounds + 1  # the initial sampling, then one call per round
+        # exactly this trial's rows: those its replayed single run scores, call for call
+        alone = CountingObjective(objective)
+        _SEARCHERS[algo](s, alone, u_max, dataclasses.replace(cfg, seed=seed))
+        assert alone.calls == spy.calls
+        for (f, b), (f_alone, b_alone) in zip(spy.seen, alone.seen):
+            assert np.array_equal(f, f_alone) and np.array_equal(b, b_alone)
 
 
 def _failing_at(round_failing, individual, objective):

@@ -3,6 +3,7 @@ import pytest
 
 from edgeprice.offload import Allocation
 from edgeprice.scenario import ChannelSpec, Scenario
+from edgeprice import verification
 from edgeprice.verification import _random_allocation, random_scenario
 
 KB, GHZ, MBPS = 8192.0, 1e9, 1e6
@@ -45,3 +46,14 @@ def test_random_allocation_replays_two_uniform_draws(seed):
         expected = Allocation(scalar.uniform(*s.f_range), scalar.uniform(*s.b_range))
         assert _random_allocation(block, s) == expected
     assert block.random() == scalar.random()
+
+
+@pytest.mark.parametrize("kwargs, message", [({"seed": -1}, "seed=-1"), ({"n_trials": 0}, "n_trials")])
+def test_anchor_suite_refuses_bad_input_before_any_anchor(kwargs, message, monkeypatch):
+    def fail():
+        raise AssertionError("an anchor ran before the input check")
+
+    monkeypatch.setattr(verification, "_price_anchors", fail)
+    monkeypatch.setattr(verification, "_f_server_sweep", fail)
+    with pytest.raises(ValueError, match=message):
+        verification.run_anchor_suite(**kwargs)
