@@ -137,18 +137,22 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid value, dynamic pricing throughout.
 
-    An f_server or b grid is evaluated in one broadcast call. A q or
-    f_local grid changes the scenario, and its factors (a log2 and a
-    square) round differently in numpy, so it is evaluated value by value.
+    The grid becomes one array field, of the allocation (f_server, b) or
+    of the scenario (q, f_local), and is evaluated in one broadcast call;
+    each row equals the scalar ``user_utility`` call at its value, bit for
+    bit. Like float arithmetic, the call overflows to inf silently; any
+    inf or NaN in a row raises ``ValueError``.
     """
     _check_sweep_spec(spec)
+    grid = np.array(spec.grid, dtype=float)
+    s, alloc = spec.scenario, spec.allocation
     if spec.parameter in ("f_server", "b"):
-        grid = np.array(spec.grid)
-        summary = user_utility(spec.scenario, replace(spec.allocation, **{spec.parameter: grid}))
-        rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary))))
+        alloc = replace(alloc, **{spec.parameter: grid})
     else:
-        scenarios = (replace(spec.scenario, **{spec.parameter: value}) for value in spec.grid)
-        rows = [_sweep_columns(user_utility(s, spec.allocation)) for s in scenarios]
+        s = replace(s, **{spec.parameter: grid})
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = user_utility(s, alloc)
+    rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary))))
     _require_finite("sweep value", rows)
     return [SweepRow(spec.parameter, value, *row) for value, row in zip(spec.grid, rows)]
 

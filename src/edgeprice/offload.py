@@ -3,16 +3,16 @@
 All operations are pure functions of immutable inputs. The composition
 fields (t_offload, t_save, e_save) are built from the part fields, so the
 additivity identities hold bit-exactly by construction. The allocation
-enters only through arithmetic operators, so an ``Allocation`` holding
-broadcastable numpy arrays yields breakdowns of arrays, element for
-element equal to the scalar results.
+and the scenario fields enter only through arithmetic operators and
+:func:`~edgeprice.scenario.libm`, so an ``Allocation`` or a ``Scenario``
+holding broadcastable numpy arrays yields breakdowns of arrays, element
+for element equal to the scalar results.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .scenario import Scenario
+from .scenario import Scenario, libm
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,8 @@ class EnergyBreakdown:
 
 def link_rates(s: Scenario, b: float) -> tuple[float, float]:
     """Shannon-style uplink/downlink rates for a purchased bandwidth b (bit/s)."""
-    snr_up, snr_down = s.channel.effective_snrs()
-    return b * math.log2(1.0 + snr_up), b * math.log2(1.0 + snr_down)
+    eff_up, eff_down = s.channel.spectral_efficiencies()
+    return b * eff_up, b * eff_down
 
 
 def local_exec_time(s: Scenario) -> float:
@@ -79,7 +79,7 @@ def energy_breakdown(s: Scenario, alloc: Allocation) -> EnergyBreakdown:
 
 def energy_from_times(s: Scenario, times: TimeBreakdown) -> EnergyBreakdown:
     """Energy accounting of an allocation whose time breakdown is already known."""
-    e_local = s.k * (s.q * s.c) * s.f_local**2
+    e_local = s.k * (s.q * s.c) * libm(pow, s.f_local, 2)
     e_up = s.p_u * times.t_u
     e_d = s.p_d * times.t_d
     return EnergyBreakdown(e_local=e_local, e_up=e_up, e_d=e_d, e_save=e_local - e_up - e_d)

@@ -15,10 +15,15 @@ The per-bit factors:
              (discounted transfer time and energy, both link directions).
 
 In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
-minus the price. The functions of an allocation use only arithmetic
-operators on its fields, so an ``Allocation`` of broadcastable numpy arrays
-evaluates a whole grid in one call, element for element equal to the
-scalar calls; ``harness.surface_grid`` and the f_server/b sweeps work so.
+minus the price. Every closed form here broadcasts: an ``Allocation`` or a
+``Scenario`` whose numeric fields hold broadcastable numpy arrays is
+evaluated in one call, one result per element. Arithmetic operators are
+IEEE-exact in numpy as in Python; every log2, power and square root goes
+through :func:`~edgeprice.scenario.libm`, the C library's function
+applied per element, because numpy's own versions can differ from it in
+the last bit. So array results equal the scalar calls bit for bit;
+``harness.surface_grid``, ``harness.run_sweep`` and the anchor suite's
+random draws work so.
 """
 from __future__ import annotations
 
@@ -26,8 +31,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_times, time_breakdown
-from .scenario import Scenario
+from .scenario import Scenario, libm
 
 
 @dataclass(frozen=True)
@@ -91,14 +98,14 @@ class Diagnostics:
 
 def chi(s: Scenario) -> float:
     """Per-bit value of avoided local execution: w1*k*c*f_local^2 + w2*c/f_local."""
-    return s.w1 * s.k * s.c * s.f_local**2 + s.w2 * s.c / s.f_local
+    return s.w1 * s.k * s.c * libm(pow, s.f_local, 2) + s.w2 * s.c / s.f_local
 
 
 def upsilon(s: Scenario) -> float:
     """Per-bit transfer burden factor (multiplied by q/b in the utility)."""
-    snr_up, snr_down = s.channel.effective_snrs()
-    up = (s.w1 * s.p_u + s.w2) / math.log2(1.0 + snr_up)
-    down = (s.w1 * s.p_d * s.alpha + s.w2 * s.alpha) / math.log2(1.0 + snr_down)
+    eff_up, eff_down = s.channel.spectral_efficiencies()
+    up = (s.w1 * s.p_u + s.w2) / eff_up
+    down = (s.w1 * s.p_d * s.alpha + s.w2 * s.alpha) / eff_down
     return up + down
 
 
@@ -113,7 +120,7 @@ def dynamic_price(s: Scenario, alloc: Allocation) -> float:
 
 def data_revenue(s: Scenario) -> float:
     """Reward the server draws from the offloaded data: mu*log2(1+q), q in bits."""
-    return s.mu * math.log2(1.0 + s.q)
+    return s.mu * libm(math.log2, 1.0 + s.q)
 
 
 def _utility_factors(s: Scenario) -> tuple[float, float, float]:
@@ -183,16 +190,16 @@ def user_utility_gradient(
     s: Scenario, pc: PriceCoefficients, alloc: Allocation
 ) -> tuple[float, float]:
     """First partials of the linear-priced user utility w.r.t. (f_server, b)."""
-    grad_f = s.w2 * s.c * s.q / alloc.f_server**2 - pc.a
-    grad_b = s.q * upsilon(s) / alloc.b**2 - pc.b_coef
+    grad_f = s.w2 * s.c * s.q / libm(pow, alloc.f_server, 2) - pc.a
+    grad_b = s.q * upsilon(s) / libm(pow, alloc.b, 2) - pc.b_coef
     return grad_f, grad_b
 
 
 def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:
     """Stationary point of the linear-priced utility: (sqrt(w2*c*q/a), sqrt(q*upsilon/b_coef))."""
     return Allocation(
-        f_server=math.sqrt(s.w2 * s.c * s.q / pc.a),
-        b=math.sqrt(s.q * upsilon(s) / pc.b_coef),
+        f_server=libm(math.sqrt, s.w2 * s.c * s.q / pc.a),
+        b=libm(math.sqrt, s.q * upsilon(s) / pc.b_coef),
     )
 
 
@@ -204,8 +211,8 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
     negative, which holds for every valid input.
     """
     grad_f, grad_b = user_utility_gradient(s, pc, alloc)
-    h_ff = -2.0 * s.w2 * s.c * s.q / alloc.f_server**3
-    h_bb = -2.0 * s.q * upsilon(s) / alloc.b**3
+    h_ff = -2.0 * s.w2 * s.c * s.q / libm(pow, alloc.f_server, 3)
+    h_bb = -2.0 * s.q * upsilon(s) / libm(pow, alloc.b, 3)
     crit = critical_point(s, pc)
     return CurvatureReport(
         grad_f=grad_f,
@@ -225,8 +232,8 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
 def derive_coefficients(s: Scenario, f_target: float, b_target: float) -> PriceCoefficients:
     """Price coefficients whose critical point lands on the given targets."""
     return PriceCoefficients(
-        a=s.w2 * s.c * s.q / f_target**2,
-        b_coef=s.q * upsilon(s) / b_target**2,
+        a=s.w2 * s.c * s.q / libm(pow, f_target, 2),
+        b_coef=s.q * upsilon(s) / libm(pow, b_target, 2),
     )
 
 
@@ -255,10 +262,10 @@ def quadratic_gap(
 
 def _bandwidth_server_factor(s: Scenario) -> float:
     """Numerator of the bandwidth-dependent server-utility term (small, negative)."""
-    snr_up, snr_down = s.channel.effective_snrs()
-    return (s.w1 * s.p_u + s.w2 - 1.0) / math.log2(1.0 + snr_up) + (
+    eff_up, eff_down = s.channel.spectral_efficiencies()
+    return (s.w1 * s.p_u + s.w2 - 1.0) / eff_up + (
         s.w1 * s.p_d * s.alpha + s.w2 * s.alpha - s.alpha
-    ) / math.log2(1.0 + snr_down)
+    ) / eff_down
 
 
 def server_utility(s: Scenario, alloc: Allocation) -> float:
@@ -282,18 +289,15 @@ def diagnostics(
     b_part is the bandwidth-related numerator of the server utility; p_part
     the per-bit price slope at the given allocation; u_affect the
     q-dependent part of the server utility (-t_offload + data revenue),
-    evaluated on ``q_grid`` (default: the scenario's own q).
+    evaluated on ``q_grid`` (default: the scenario's own q) in one call.
     """
     b_part = _bandwidth_server_factor(s)
     p_part = s.w2 * s.c / alloc.f_server + upsilon(s) / alloc.b
 
     grid = tuple(q_grid) if q_grid is not None else (s.q,)
-    u_affect = []
-    for q in grid:
-        at_q = replace(s, q=q)
-        times = time_breakdown(at_q, alloc)
-        u_affect.append(-times.t_offload + data_revenue(at_q))
-    return Diagnostics(b_part=b_part, p_part=p_part, q_grid=grid, u_affect=tuple(u_affect))
+    at_q = replace(s, q=np.array(grid, dtype=float))
+    u_affect = -time_breakdown(at_q, alloc).t_offload + data_revenue(at_q)
+    return Diagnostics(b_part=b_part, p_part=p_part, q_grid=grid, u_affect=tuple(u_affect.tolist()))
 
 
 def coupling_ratio(s: Scenario) -> float:

@@ -4,12 +4,20 @@ Everything downstream works in one canonical unit system (bits, Hz, bit/s,
 seconds, Joules, Watts). Conversions happen at this boundary and nowhere
 else, which is why the config keys carry explicit unit suffixes (q_kb,
 f_local_ghz, b_min_mbps, ...).
+
+The numeric fields of a Scenario may also hold equal-shape numpy arrays:
+every closed form of the model then evaluates one scenario per element.
+Each transcendental step (log2, a power, a square root) goes through
+:func:`libm`, so an array result equals the scalar calls bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
+
+import numpy as np
 
 BITS_PER_KB = 8 * 1024  # KB = 1024 bytes, byte = 8 bits
 HZ_PER_GHZ = 1e9
@@ -42,6 +50,35 @@ def bps_to_mbps(bps: float) -> float:
     return bps / BPS_PER_MBPS
 
 
+_ndarray = np.ndarray  # bound once: the scalar path of libm is one type test
+
+
+def libm(fn: Callable[..., float], x, y=None):
+    """``fn(x)``, or ``fn(x, y)``: called once for a scalar ``x``, once per element of an array.
+
+    numpy's own log2 and powers can differ from the C library in the last
+    bit, so the model routes every transcendental step through here with a
+    math-module or builtin ``fn``, and array results equal the scalar calls
+    bit for bit. A result too large for a float is ``inf``, as a float
+    product gives it, not Python's ``OverflowError``.
+    """
+    if type(x) is not _ndarray:
+        try:
+            return fn(x) if y is None else fn(x, y)
+        except OverflowError:
+            return math.inf
+    values = x.ravel().tolist()
+    try:
+        out = [fn(v) for v in values] if y is None else [fn(v, y) for v in values]
+    except OverflowError:
+        out = [libm(fn, v, y) for v in values]
+    return np.array(out, dtype=float).reshape(x.shape)
+
+
+#: 10**x through the C library's pow, for :func:`libm`.
+exp10 = partial(pow, 10.0)
+
+
 class ScenarioError(ValueError):
     """Raised when a configuration cannot be parsed or fails validation."""
 
@@ -52,7 +89,7 @@ class ChannelSpec:
 
     In "raw" mode the configured figure is used directly inside
     log2(1 + snr); in "db-to-linear" mode it is first converted via
-    10^(figure/10).
+    10^(figure/10), which is ``inf`` for a figure too large for a float.
     """
 
     snr_uplink: float
@@ -62,8 +99,13 @@ class ChannelSpec:
     def effective_snrs(self) -> tuple[float, float]:
         """Effective (uplink, downlink) SNR values entering the rate formulas."""
         if self.snr_mode == "db-to-linear":
-            return 10.0 ** (self.snr_uplink / 10.0), 10.0 ** (self.snr_downlink / 10.0)
+            return libm(exp10, self.snr_uplink / 10.0), libm(exp10, self.snr_downlink / 10.0)
         return self.snr_uplink, self.snr_downlink
+
+    def spectral_efficiencies(self) -> tuple[float, float]:
+        """(uplink, downlink) log2(1 + snr), in bit/s per Hz of purchased bandwidth."""
+        snr_up, snr_down = self.effective_snrs()
+        return libm(math.log2, 1.0 + snr_up), libm(math.log2, 1.0 + snr_down)
 
 
 @dataclass(frozen=True)
@@ -256,14 +298,11 @@ def validate(s: Scenario) -> list[str]:
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
-        for name in ("snr_uplink", "snr_downlink"):
-            value = getattr(s.channel, name)
-            try:
-                snr = 10.0 ** (value / 10.0) if s.channel.snr_mode == "db-to-linear" else value
-            except OverflowError:
+        figures = (s.channel.snr_uplink, s.channel.snr_downlink)
+        for name, value, snr in zip(("snr_uplink", "snr_downlink"), figures, s.channel.effective_snrs()):
+            if snr == math.inf:
                 report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
-                continue
-            if snr > 0 and math.log2(1.0 + snr) == 0:  # 1 + snr rounds to 1: a zero rate
+            elif snr > 0 and math.log2(1.0 + snr) == 0:  # 1 + snr rounds to 1: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if not (0 < lo < hi):

@@ -32,7 +32,7 @@ from .pricing import (
     user_utility,
     user_utility_gradient,
 )
-from .scenario import ChannelSpec, Scenario, default_scenario
+from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
 from .harness import SweepRow, SweepSpec, compare_optimizers, run_sweep, surface_grid
 from .optimizers import SwarmConfig, _gap_met
 
@@ -73,6 +73,25 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
+def _scenario_from_uniforms(mode: str, u) -> Scenario:
+    """The random scenario of 12 field uniforms ``u``: floats, or columns of arrays."""
+    return Scenario(
+        q=_uniform(100.0, 500.0, u[0]) * KB,
+        c=_uniform(100.0, 5000.0, u[1]),
+        f_local=_uniform(0.1, 1.0, u[2]) * GHZ,
+        k=libm(exp10, _uniform(-28.0, -26.0, u[3])),
+        p_u=_uniform(0.01, 1.0, u[4]),
+        p_d=_uniform(0.1, 2.0, u[5]),
+        alpha=_uniform(0.0, 1.0, u[6]),
+        w1=_uniform(0.05, 0.95, u[7]),
+        w2=_uniform(0.05, 0.95, u[8]),
+        mu=_uniform(0.05, 0.95, u[9]),
+        channel=ChannelSpec(_uniform(1.0, 40.0, u[10]), _uniform(1.0, 40.0, u[11]), mode),
+        f_range=(1.0 * GHZ, 6.0 * GHZ),
+        b_range=(0.1 * MBPS, 1.0 * MBPS),
+    )
+
+
 def random_scenario(rng: np.random.Generator) -> Scenario:
     """A random scenario satisfying every invariant, drawn over wide parameter ranges.
 
@@ -80,25 +99,8 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
     each mapped as ``rng.uniform`` maps its draw. The scenarios and the
     generator state equal those of 13 scalar draws.
     """
-    mode, *u = rng.random(13).tolist()
-    return Scenario(
-        q=_uniform(100.0, 500.0, u[0]) * KB,
-        c=_uniform(100.0, 5000.0, u[1]),
-        f_local=_uniform(0.1, 1.0, u[2]) * GHZ,
-        k=10.0 ** _uniform(-28.0, -26.0, u[3]),
-        p_u=_uniform(0.01, 1.0, u[4]),
-        p_d=_uniform(0.1, 2.0, u[5]),
-        alpha=_uniform(0.0, 1.0, u[6]),
-        w1=_uniform(0.05, 0.95, u[7]),
-        w2=_uniform(0.05, 0.95, u[8]),
-        mu=_uniform(0.05, 0.95, u[9]),
-        channel=ChannelSpec(
-            _uniform(1.0, 40.0, u[10]), _uniform(1.0, 40.0, u[11]),
-            "raw" if mode < 0.5 else "db-to-linear",
-        ),
-        f_range=(1.0 * GHZ, 6.0 * GHZ),
-        b_range=(0.1 * MBPS, 1.0 * MBPS),
-    )
+    u_mode, *u = rng.random(13).tolist()
+    return _scenario_from_uniforms("raw" if u_mode < 0.5 else "db-to-linear", u)
 
 
 def _random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
@@ -107,12 +109,28 @@ def _random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
     return Allocation(_uniform(*s.f_range, u_f), _uniform(*s.b_range, u_b))
 
 
+def _random_draw_groups(rng: np.random.Generator, n: int) -> list[tuple[Scenario, Allocation]]:
+    """``n`` draws of ``random_scenario`` then ``_random_allocation``, from one (n, 15) block.
+
+    The block is the same stream as the ``n`` sequential calls. Its rows
+    are split by SNR mode into one array ``Scenario`` and ``Allocation``
+    per mode, raw first, each keeping the draw order of its rows.
+    """
+    block = rng.random((n, 15))
+    raw = block[:, 0] < 0.5  # the mode rule of random_scenario
+    groups = []
+    for mode, rows in (("raw", block[raw]), ("db-to-linear", block[~raw])):
+        u = rows.T
+        s = _scenario_from_uniforms(mode, u[1:13])
+        groups.append((s, Allocation(_uniform(*s.f_range, u[13]), _uniform(*s.b_range, u[14]))))
+    return groups
+
+
 def _price_anchors() -> list[AnchorCheck]:
-    corner = Allocation(6.0 * GHZ, 1.0 * MBPS)
+    q_kbs = (100.0, 500.0)
+    prices = dynamic_price(default_scenario(q=np.array(q_kbs) * KB), Allocation(6.0 * GHZ, 1.0 * MBPS))
     checks = []
-    for q_kb, expected in ((100.0, PRICE_AT_100KB), (500.0, PRICE_AT_500KB)):
-        s = default_scenario(q=q_kb * KB)
-        actual = dynamic_price(s, corner)
+    for q_kb, expected, actual in zip(q_kbs, (PRICE_AT_100KB, PRICE_AT_500KB), prices.tolist()):
         checks.append(
             _check(
                 f"dynamic price at q={q_kb:g} KB, (6 GHz, 1 Mbps)",
@@ -247,30 +265,27 @@ def _corner_maximality_anchor() -> AnchorCheck:
 def _path_consistency_anchor() -> AnchorCheck:
     # Relative gaps are measured against the scale of the terms being
     # combined; a bare |a-b|/|a| would explode at utility zero crossings.
-    rng = np.random.default_rng(20260809)
     worst_user = 0.0
     worst_server = 0.0
-    for _ in range(1000):
-        s = random_scenario(rng)
-        alloc = _random_allocation(rng, s)
+    for s, alloc in _random_draw_groups(np.random.default_rng(20260809), 1000):
         summary = user_utility(s, alloc)
         direct = (
             s.w1 * summary.energy.e_save + s.w2 * summary.time.t_save - summary.price
         )
-        user_scale = max(
+        user_scale = np.maximum(
             abs(summary.u_user),
             s.w1 * abs(summary.energy.e_save)
             + s.w2 * abs(summary.time.t_save)
             + summary.price,
         )
-        worst_user = max(worst_user, abs(direct - summary.u_user) / user_scale)
+        worst_user = np.max(abs(direct - summary.u_user) / user_scale, initial=worst_user)
         closed = server_utility(s, alloc)
         composed = summary.price - summary.time.t_offload + summary.w_revenue
-        server_scale = max(
+        server_scale = np.maximum(
             abs(closed),
             summary.price + summary.time.t_offload + summary.w_revenue,
         )
-        worst_server = max(worst_server, abs(closed - composed) / server_scale)
+        worst_server = np.max(abs(closed - composed) / server_scale, initial=worst_server)
     ok = worst_user <= 1e-9 and worst_server <= 1e-9
     return _check(
         "utility path consistency on 1000 random inputs "
@@ -282,17 +297,15 @@ def _path_consistency_anchor() -> AnchorCheck:
 
 
 def _curvature_anchor() -> AnchorCheck:
-    rng = np.random.default_rng(20260810)
     all_definite = True
     worst_grad = 0.0
-    for _ in range(1000):
-        s = random_scenario(rng)
-        target = _random_allocation(rng, s)
+    for s, target in _random_draw_groups(np.random.default_rng(20260810), 1000):
         pc = derive_coefficients(s, target.f_server, target.b)
         report = curvature_report(s, pc, target)
-        all_definite &= report.negative_definite and report.lambda1 < 0 and report.lambda2 < 0
+        definite = report.negative_definite & (report.lambda1 < 0) & (report.lambda2 < 0)
+        all_definite &= bool(np.all(definite))
         grad = user_utility_gradient(s, pc, Allocation(report.critical_f, report.critical_b))
-        worst_grad = max(worst_grad, abs(grad[0]), abs(grad[1]))
+        worst_grad = np.max(np.maximum(abs(grad[0]), abs(grad[1])), initial=worst_grad)
     ok = all_definite and worst_grad < 1e-9
     return _check(
         "Hessian negative-definite and critical point stationary on 1000 random draws",

@@ -165,6 +165,23 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["surface", "--steps", "3", "--set", "f_local_ghz=1e295"], "non-finite surface cell"),
+        (["optimize", "--set", "f_local_ghz=1e295"], "non-finite objective"),
+        (["compare", "--trials", "2", "--set", "f_local_ghz=1e295"], "non-finite objective"),
+        (["sweep", "--param", "f_local", "--grid", "1e5,1e300"], "non-finite sweep value"),
+    ],
+)
+def test_overflowing_local_cpu_is_usage_error(argv, message, capsys):
+    # f_local**2 overflows a float; it used to escape as an OverflowError traceback
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         (["compare", "--trials", "0"], "n_trials"),
         (["optimize", "--set", "f_max_ghz=inf"], "f_max=inf"),
         (["optimize", "--set", "n_max=-1"], "n_max"),

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,9 @@ from edgeprice.scenario import (
     default_scenario,
     ghz_to_hz,
     hz_to_ghz,
+    exp10,
     kb_to_bits,
+    libm,
     load_scenario,
     parse_config,
     validate,
@@ -165,3 +169,24 @@ def test_validation_rejects_snr_with_zero_rate(link):
     # 1 + 2^-52 is the next float after 1, so that rate is accepted; 1 + 2^-53 ties back to 1
     assert validate(default_scenario(channel=channel(2.0**-52))) == []
     assert len(validate(default_scenario(channel=channel(2.0**-53)))) == 1
+
+
+def test_libm_calls_the_function_once_on_a_scalar():
+    assert libm(math.log2, 21.0) == math.log2(21.0)
+    assert libm(pow, 3.7e9, 3) == 3.7e9**3
+    assert libm(exp10, 2.5) == 10.0**2.5
+
+
+def test_libm_maps_an_array_element_by_element():
+    x = np.random.default_rng(0).uniform(1.0, 1e10, (40, 50))
+    for fn, args in ((math.log2, ()), (math.sqrt, ()), (pow, (2,)), (pow, (3,)), (exp10, ())):
+        y = libm(fn, x / 1e9, *args)
+        assert y.shape == x.shape and y.dtype == np.float64
+        assert y.ravel().tolist() == [fn(v, *args) for v in (x / 1e9).ravel().tolist()]
+    assert libm(math.log2, np.array([])).shape == (0,)
+
+
+def test_libm_overflow_is_inf_as_in_float_products():
+    assert libm(pow, 1e300, 2) == math.inf
+    assert libm(exp10, 400.0) == math.inf
+    assert libm(pow, np.array([2.0, 1e300, 3.0]), 2).tolist() == [4.0, math.inf, 9.0]

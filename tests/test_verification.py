@@ -1,10 +1,14 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from edgeprice.cli import main
 from edgeprice.offload import Allocation
 from edgeprice.scenario import ChannelSpec, Scenario
 from edgeprice import verification
-from edgeprice.verification import _random_allocation, random_scenario
+from edgeprice.verification import _random_allocation, _random_draw_groups, random_scenario
 
 KB, GHZ, MBPS = 8192.0, 1e9, 1e6
 
@@ -46,6 +50,43 @@ def test_random_allocation_replays_two_uniform_draws(seed):
         expected = Allocation(scalar.uniform(*s.f_range), scalar.uniform(*s.b_range))
         assert _random_allocation(block, s) == expected
     assert block.random() == scalar.random()
+
+
+def _unstack(s: Scenario, alloc: Allocation) -> list[tuple[Scenario, Allocation]]:
+    """The scalar (scenario, allocation) pairs held by an array Scenario and Allocation."""
+    names = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
+    columns = [getattr(s, name).tolist() for name in names]
+    links = (s.channel.snr_uplink.tolist(), s.channel.snr_downlink.tolist())
+    return [
+        (
+            dataclasses.replace(
+                s, **dict(zip(names, values)), channel=ChannelSpec(up, down, s.channel.snr_mode)
+            ),
+            Allocation(f, b),
+        )
+        for *values, up, down, f, b in zip(*columns, *links, alloc.f_server.tolist(), alloc.b.tolist())
+    ]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1000), (1, 37), (2, 1)])
+def test_draw_groups_replay_the_sequential_draws(seed, n):
+    block, sequential = np.random.default_rng(seed), np.random.default_rng(seed)
+    groups = _random_draw_groups(block, n)
+    draws = []
+    for _ in range(n):
+        s = random_scenario(sequential)
+        draws.append((s, _random_allocation(sequential, s)))
+    assert [s.channel.snr_mode for s, _ in groups] == ["raw", "db-to-linear"]
+    replayed = [pair for group in groups for pair in _unstack(*group)]
+    raw_first = sorted(draws, key=lambda d: d[0].channel.snr_mode != "raw")  # a stable sort
+    assert replayed == raw_first
+    assert block.random() == sequential.random()
+
+
+def test_validate_stdout_is_the_golden_file(capsys):
+    assert main(["validate"]) == 0
+    golden = Path(__file__).parent / "golden" / "validate-seed0.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("kwargs, message", [({"seed": -1}, "seed=-1"), ({"n_trials": 0}, "n_trials")])
