@@ -11,13 +11,14 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .harness import (
     SweepSpec,
     box_maximum_utility,
     compare_optimizers,
+    corner_allocation,
     emit_comparison_csv,
     emit_csv,
     emit_plot,
@@ -90,15 +91,11 @@ def _load_context(args: argparse.Namespace) -> tuple[Scenario, Allocation, Swarm
     config.update(scenario_overrides)
     scenario = load_scenario(overrides=config)
 
+    allocation = corner_allocation(scenario)
     if "f_server_ghz" in config:
-        f_server = ghz_to_hz(float(config["f_server_ghz"]))
-    else:
-        f_server = scenario.f_range[1]
+        allocation = replace(allocation, f_server=ghz_to_hz(float(config["f_server_ghz"])))
     if "b_mbps" in config:
-        b = mbps_to_bps(float(config["b_mbps"]))
-    else:
-        b = scenario.b_range[1]
-    allocation = Allocation(f_server=f_server, b=b)
+        allocation = replace(allocation, b=mbps_to_bps(float(config["b_mbps"])))
 
     cfg = SwarmConfig(seed=getattr(args, "seed", 0) or 0, **swarm_overrides)
     return scenario, allocation, cfg

@@ -176,19 +176,24 @@ def _require_finite(what: str, *arrays: object) -> None:
 
 
 def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
-    """Dense (f_server, b) grid over the search box, endpoints included."""
+    """Dense (f_server, b) grid over the search box, endpoints included.
+
+    Like ``run_sweep``, the cells overflow to inf silently, and any inf or
+    NaN cell raises ``ValueError``.
+    """
     if f_steps < 2 or b_steps < 2:
         raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
     cells = Allocation(f_values[:, None], b_values[None, :])
-    grid = SurfaceGrid(
-        f_values=tuple(f_values.tolist()),
-        b_values=tuple(b_values.tolist()),
-        u_user=dynamic_utility_objective(s)(cells),
-        price=dynamic_price(s, cells),
-        u_server=server_utility(s, cells),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = SurfaceGrid(
+            f_values=tuple(f_values.tolist()),
+            b_values=tuple(b_values.tolist()),
+            u_user=dynamic_utility_objective(s)(cells),
+            price=dynamic_price(s, cells),
+            u_server=server_utility(s, cells),
+        )
     _require_finite("surface cell", grid.u_user, grid.price, grid.u_server)
     return grid
 

@@ -45,7 +45,7 @@ class EnergyBreakdown:
 
 def link_rates(s: Scenario, b: float) -> tuple[float, float]:
     """Shannon-style uplink/downlink rates for a purchased bandwidth b (bit/s)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies()
+    eff_up, eff_down = s.channel.spectral_efficiencies
     return b * eff_up, b * eff_down
 
 

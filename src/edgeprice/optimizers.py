@@ -231,6 +231,7 @@ def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
     return ()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _search(
     settings: Sequence[tuple[Scenario, Objective, float]],
     seeds: Sequence[int],
@@ -243,7 +244,8 @@ def _search(
     (first argmax, replaced only when strictly greater). All live trials
     have completed the same number of rounds; the finished ones are
     recorded and dropped from every per-trial array, whose trial axis is
-    the second to last, before the next round.
+    the second to last, before the next round. Like float arithmetic, the
+    objectives overflow to inf silently; a non-finite value raises.
     """
     n = len(settings)
     rngs = list(map(np.random.default_rng, seeds))

@@ -15,13 +15,16 @@ The per-bit factors:
              (discounted transfer time and energy, both link directions).
 
 In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
-minus the price. Every closed form here broadcasts: an ``Allocation`` or a
-``Scenario`` whose numeric fields hold broadcastable numpy arrays is
-evaluated in one call, one result per element. Arithmetic operators are
-IEEE-exact in numpy as in Python; every log2, power and square root goes
-through :func:`~edgeprice.scenario.libm`, the C library's function
-applied per element, because numpy's own versions can differ from it in
-the last bit. So array results equal the scalar calls bit for bit;
+minus the price; the dynamic price is q*w2*c/f_server + q*upsilon/b. The
+factors q*w2*c and q*upsilon are said once, in ``_purchase_factors``, and
+the channel's log2(1 + snr) pair is evaluated once per ``ChannelSpec``.
+Every closed form here broadcasts: an ``Allocation`` or a ``Scenario``
+whose numeric fields hold broadcastable numpy arrays is evaluated in one
+call, one result per element. Arithmetic operators are IEEE-exact in
+numpy as in Python; every log2, power and square root goes through
+:func:`~edgeprice.scenario.libm`, the C library's function applied per
+element, because numpy's own versions can differ from it in the last
+bit. So array results equal the scalar calls bit for bit;
 ``harness.surface_grid``, ``harness.run_sweep`` and the anchor suite's
 random draws work so.
 """
@@ -53,8 +56,6 @@ class UtilitySummary:
     u_user: float
     u_server: float
     w_revenue: float
-    chi: float
-    upsilon: float
     time: TimeBreakdown
     energy: EnergyBreakdown
 
@@ -103,7 +104,7 @@ def chi(s: Scenario) -> float:
 
 def upsilon(s: Scenario) -> float:
     """Per-bit transfer burden factor (multiplied by q/b in the utility)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies()
+    eff_up, eff_down = s.channel.spectral_efficiencies
     up = (s.w1 * s.p_u + s.w2) / eff_up
     down = (s.w1 * s.p_d * s.alpha + s.w2 * s.alpha) / eff_down
     return up + down
@@ -114,8 +115,9 @@ def linear_price(pc: PriceCoefficients, alloc: Allocation) -> float:
 
 
 def dynamic_price(s: Scenario, alloc: Allocation) -> float:
-    """Price under dynamic pricing: w2*c*q/f_server + q*upsilon/b."""
-    return s.w2 * s.c * s.q / alloc.f_server + s.q * upsilon(s) / alloc.b
+    """Price under dynamic pricing: q*w2*c/f_server + q*upsilon/b."""
+    q_w2c, q_ups = _purchase_factors(s)
+    return q_w2c / alloc.f_server + q_ups / alloc.b
 
 
 def data_revenue(s: Scenario) -> float:
@@ -123,15 +125,15 @@ def data_revenue(s: Scenario) -> float:
     return s.mu * libm(math.log2, 1.0 + s.q)
 
 
-def _utility_factors(s: Scenario) -> tuple[float, float, float]:
-    """The scenario factors (q*chi, q*w2*c, q*upsilon) of the user utility."""
-    return s.q * chi(s), s.q * s.w2 * s.c, s.q * upsilon(s)
+def _purchase_factors(s: Scenario) -> tuple[float, float]:
+    """(q*w2*c, q*upsilon): the scenario factors of the f_server and b terms of the user utility."""
+    return s.q * s.w2 * s.c, s.q * upsilon(s)
 
 
 def linear_user_utility_value(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> float:
     """User utility under linear pricing (closed form)."""
-    q_chi, q_w2c, q_ups = _utility_factors(s)
-    return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b - linear_price(pc, alloc)
+    q_w2c, q_ups = _purchase_factors(s)
+    return s.q * chi(s) - q_w2c / alloc.f_server - q_ups / alloc.b - linear_price(pc, alloc)
 
 
 def dynamic_user_utility_value(s: Scenario, alloc: Allocation) -> float:
@@ -146,8 +148,8 @@ def dynamic_utility_objective(s: Scenario) -> Callable[[Allocation], float]:
     they count twice. The scenario factors are computed once, here, so
     optimizers can evaluate the objective cheaply.
     """
-    q_chi, q_w2c, q_ups = _utility_factors(s)
-    q_w2c, q_ups = 2.0 * q_w2c, 2.0 * q_ups
+    q_chi = s.q * chi(s)
+    q_w2c, q_ups = (2.0 * factor for factor in _purchase_factors(s))
 
     def objective(alloc: Allocation) -> float:
         return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b
@@ -156,9 +158,7 @@ def dynamic_utility_objective(s: Scenario) -> Callable[[Allocation], float]:
 
 
 def user_utility(
-    s: Scenario,
-    alloc: Allocation,
-    coefficients: PriceCoefficients | None = None,
+    s: Scenario, alloc: Allocation, coefficients: PriceCoefficients | None = None
 ) -> UtilitySummary:
     """Full priced outcome of an allocation.
 
@@ -179,8 +179,6 @@ def user_utility(
         u_user=u_user,
         u_server=price - times.t_offload + revenue,
         w_revenue=revenue,
-        chi=chi(s),
-        upsilon=upsilon(s),
         time=times,
         energy=energy_from_times(s, times),
     )
@@ -190,17 +188,16 @@ def user_utility_gradient(
     s: Scenario, pc: PriceCoefficients, alloc: Allocation
 ) -> tuple[float, float]:
     """First partials of the linear-priced user utility w.r.t. (f_server, b)."""
-    grad_f = s.w2 * s.c * s.q / libm(pow, alloc.f_server, 2) - pc.a
-    grad_b = s.q * upsilon(s) / libm(pow, alloc.b, 2) - pc.b_coef
+    q_w2c, q_ups = _purchase_factors(s)
+    grad_f = q_w2c / libm(pow, alloc.f_server, 2) - pc.a
+    grad_b = q_ups / libm(pow, alloc.b, 2) - pc.b_coef
     return grad_f, grad_b
 
 
 def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:
-    """Stationary point of the linear-priced utility: (sqrt(w2*c*q/a), sqrt(q*upsilon/b_coef))."""
-    return Allocation(
-        f_server=libm(math.sqrt, s.w2 * s.c * s.q / pc.a),
-        b=libm(math.sqrt, s.q * upsilon(s) / pc.b_coef),
-    )
+    """Stationary point of the linear-priced utility: (sqrt(q*w2*c/a), sqrt(q*upsilon/b_coef))."""
+    q_w2c, q_ups = _purchase_factors(s)
+    return Allocation(f_server=libm(math.sqrt, q_w2c / pc.a), b=libm(math.sqrt, q_ups / pc.b_coef))
 
 
 def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> CurvatureReport:
@@ -211,8 +208,9 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
     negative, which holds for every valid input.
     """
     grad_f, grad_b = user_utility_gradient(s, pc, alloc)
-    h_ff = -2.0 * s.w2 * s.c * s.q / libm(pow, alloc.f_server, 3)
-    h_bb = -2.0 * s.q * upsilon(s) / libm(pow, alloc.b, 3)
+    q_w2c, q_ups = _purchase_factors(s)
+    h_ff = -2.0 * q_w2c / libm(pow, alloc.f_server, 3)
+    h_bb = -2.0 * q_ups / libm(pow, alloc.b, 3)
     crit = critical_point(s, pc)
     return CurvatureReport(
         grad_f=grad_f,
@@ -231,10 +229,8 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
 
 def derive_coefficients(s: Scenario, f_target: float, b_target: float) -> PriceCoefficients:
     """Price coefficients whose critical point lands on the given targets."""
-    return PriceCoefficients(
-        a=s.w2 * s.c * s.q / libm(pow, f_target, 2),
-        b_coef=s.q * upsilon(s) / libm(pow, b_target, 2),
-    )
+    q_w2c, q_ups = _purchase_factors(s)
+    return PriceCoefficients(a=q_w2c / libm(pow, f_target, 2), b_coef=q_ups / libm(pow, b_target, 2))
 
 
 def quadratic_gap(
@@ -262,7 +258,7 @@ def quadratic_gap(
 
 def _bandwidth_server_factor(s: Scenario) -> float:
     """Numerator of the bandwidth-dependent server-utility term (small, negative)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies()
+    eff_up, eff_down = s.channel.spectral_efficiencies
     return (s.w1 * s.p_u + s.w2 - 1.0) / eff_up + (
         s.w1 * s.p_d * s.alpha + s.w2 * s.alpha - s.alpha
     ) / eff_down

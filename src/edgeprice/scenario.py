@@ -8,13 +8,14 @@ f_local_ghz, b_min_mbps, ...).
 The numeric fields of a Scenario may also hold equal-shape numpy arrays:
 every closed form of the model then evaluates one scenario per element.
 Each transcendental step (log2, a power, a square root) goes through
-:func:`libm`, so an array result equals the scalar calls bit for bit.
+:func:`libm`, so an array result equals the scalar calls bit for bit;
+the channel's log2(1 + snr) pair is evaluated once per ChannelSpec.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -102,8 +103,9 @@ class ChannelSpec:
             return libm(exp10, self.snr_uplink / 10.0), libm(exp10, self.snr_downlink / 10.0)
         return self.snr_uplink, self.snr_downlink
 
+    @cached_property
     def spectral_efficiencies(self) -> tuple[float, float]:
-        """(uplink, downlink) log2(1 + snr), in bit/s per Hz of purchased bandwidth."""
+        """(uplink, downlink) log2(1 + snr), bit/s per Hz; evaluated once, a domain error for snr <= -1."""
         snr_up, snr_down = self.effective_snrs()
         return libm(math.log2, 1.0 + snr_up), libm(math.log2, 1.0 + snr_down)
 
@@ -299,10 +301,12 @@ def validate(s: Scenario) -> list[str]:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
         figures = (s.channel.snr_uplink, s.channel.snr_downlink)
-        for name, value, snr in zip(("snr_uplink", "snr_downlink"), figures, s.channel.effective_snrs()):
+        snrs = s.channel.effective_snrs()  # the log2(1 + snr) pair is a domain error for snr <= -1
+        efficiencies = s.channel.spectral_efficiencies if min(snrs) > 0 else (None, None)
+        for name, value, snr, eff in zip(("snr_uplink", "snr_downlink"), figures, snrs, efficiencies):
             if snr == math.inf:
                 report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
-            elif snr > 0 and math.log2(1.0 + snr) == 0:  # 1 + snr rounds to 1: a zero rate
+            elif eff == 0:  # 1 + snr rounds to 1: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if not (0 < lo < hi):

@@ -33,7 +33,7 @@ from .pricing import (
     user_utility_gradient,
 )
 from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
-from .harness import SweepRow, SweepSpec, compare_optimizers, run_sweep, surface_grid
+from .harness import SweepRow, SweepSpec, compare_optimizers, corner_allocation, run_sweep, surface_grid
 from .optimizers import SwarmConfig, _gap_met
 
 KB = 8192.0  # bits
@@ -253,7 +253,7 @@ def _corner_maximality_anchor() -> AnchorCheck:
     s = default_scenario()
     grid = surface_grid(s, 100, 100)
     argmax = grid.argmax_u_user()
-    corner = Allocation(s.f_range[1], s.b_range[1])
+    corner = corner_allocation(s)
     return _check(
         "100x100 grid argmax of the user utility at the box corner",
         "reference",

@@ -179,6 +179,17 @@ def test_overflowing_local_cpu_is_usage_error(argv, message, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["surface", "--steps", "3"], ["compare", "--trials", "1"]])
+def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
+    # q/b overflows numpy's divide; that used to print RuntimeWarnings ahead of the error line
+    assert main([*command, "--set", "b_min_mbps=1e-300", "--set", "q_kb=1e300"]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "non-finite" in line
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -25,7 +25,8 @@ from edgeprice.pricing import (
     user_utility,
     user_utility_gradient,
 )
-from edgeprice.scenario import ChannelSpec, default_scenario
+from edgeprice import offload, pricing, scenario
+from edgeprice.scenario import ChannelSpec, default_scenario, libm
 from edgeprice.verification import random_scenario
 
 from support import random_allocation, rel_gap
@@ -118,6 +119,40 @@ def test_user_utility_zero_q(defaults):
     assert linear_user_utility_value(s, pc, CORNER) == pytest.approx(
         -linear_price(pc, CORNER), rel=1e-12
     )
+
+
+@pytest.fixture
+def libm_passes(monkeypatch):
+    """Every libm pass the model makes, as (function, argument) pairs."""
+    passes = []
+
+    def spy(fn, x, y=None):
+        passes.append((fn, x))
+        return libm(fn, x, y)
+
+    for module in (scenario, offload, pricing):
+        monkeypatch.setattr(module, "libm", spy)
+    return passes
+
+
+@pytest.mark.parametrize("mode", ["raw", "db-to-linear"])
+def test_user_utility_evaluates_each_factor_once(mode, libm_passes):
+    s = default_scenario(channel=ChannelSpec(20.0, 30.0, mode))
+    exp10_passes = 2 if mode == "db-to-linear" else 0
+    user_utility(s, CORNER)
+    # log2(1 + snr) twice, f_local^2 for chi and for e_local, log2(1 + q) for the revenue
+    assert len(libm_passes) <= 5 + exp10_passes
+    del libm_passes[:]
+    user_utility(s, CORNER)  # the same ChannelSpec: its efficiencies are kept
+    assert len(libm_passes) <= 3
+    assert [x for fn, x in libm_passes if fn is math.log2] == [1.0 + s.q]
+
+
+def test_linear_utility_makes_one_pass(defaults, libm_passes):
+    assert upsilon(defaults) > 0  # evaluates the channel's efficiencies, which are then kept
+    del libm_passes[:]
+    linear_user_utility_value(defaults, PriceCoefficients(1.5e-10, 6.8e-7), CORNER)
+    assert [fn for fn, _ in libm_passes] == [pow]  # f_local^2 in chi
 
 
 def test_eu_path_equivalence_random():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgeprice.scenario import (
+    SNR_MODES,
     ChannelSpec,
     ScenarioError,
     bits_to_kb,
@@ -156,6 +157,20 @@ def test_validation_rejects_db_figures_that_overflow():
     assert entry.startswith("snr_downlink=4000.0") and "not finite" in entry
     assert validate(default_scenario(channel=ChannelSpec(3000.0, 30.0, "db-to-linear"))) == []
     assert validate(default_scenario(channel=ChannelSpec(4000.0, 30.0, "raw"))) == []
+
+
+_SNR_FIGURES = st.sampled_from([-5.0, -1.0, 0.0, 1e-300, 4000.0, math.nan, math.inf]) | st.floats()
+
+
+@given(_SNR_FIGURES, _SNR_FIGURES, st.sampled_from(SNR_MODES))
+def test_validate_never_raises_on_snr_figures(up, down, mode):
+    # log2(1 + snr) is a domain error for snr <= -1: validate must not evaluate it there
+    report = validate(default_scenario(channel=ChannelSpec(up, down, mode)))
+    assert isinstance(report, list)
+    # a non-finite figure is reported alone, before the range checks
+    for name, figure in (("snr_uplink", up), ("snr_downlink", down)):
+        if figure == -1.0 and math.isfinite(up) and math.isfinite(down):
+            assert f"{name}=-1.0: must be strictly positive" in report
 
 
 @pytest.mark.parametrize("link", ["uplink", "downlink"])
