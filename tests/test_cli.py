@@ -1,5 +1,7 @@
 import csv
+import hashlib
 
+import numpy as np
 import pytest
 
 from edgeprice.cli import main
@@ -230,3 +232,55 @@ def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# 301-point grids over each sweepable parameter (canonical units), with the plotted series
+_PINNED_SWEEPS = {
+    "f_server": ((1e9, 6e9), "u_user"),
+    "b": ((1e5, 1e6), "price"),
+    "q": ((100 * 8192.0, 500 * 8192.0), "u_server"),
+    "f_local": ((1e8, 1e9), "u_user"),
+}
+# SHA-256 of the --out CSV, the stdout CSV and the --plot line SVG
+_SWEEP_SHA256 = {
+    "f_server": ("494c4288cd3104d37f52e49fce5457835885f0ca73a5773c298c128ba07beae7",
+                 "f0f457b7579039d627f91cb0a5b2e76deb6df9a29cc492729095906f37ac23e4",
+                 "f5bfd0db2424407832bdd57b5b6aa5d5ba57bb41dbede5f6e112e5f4ddb5bd12"),
+    "b": ("76f47dc0138ced08810ba2c5e9f9be30d90cd8380189550b4bf0c6cc49895a86",
+          "b80aa86dd4e49073f0f3ba3f10752537e0d0228dfcfd11740372c5a6e6f17e9b",
+          "bdd7ffb9dc2df2e3ec543a3380ea72a9e2201aa6a336f6039ecd6e0745a6baca"),
+    "q": ("a4b9da973f70fa95b1dd5c3ec4fb101c0eef8783b577879bb787accd5a82c436",
+          "bd6245e44e81ea5e57898baede037ea0be745ba7c50d131e1c8da8337530147b",
+          "4f38142d266021ba19f64c422a47ff8845fc4bf53928957a747c00cf0791cd18"),
+    "f_local": ("16a1033182a11e383e6b79cc7ac2a234b26e114871ecab57c2c78bcece18ffc1",
+                "0b7355ea85ffab6e899647d27d5c0379afeb0b0186fadaf9bbd202c2494373d6",
+                "bfb7453bf85fbce0c22a4bd15bff70bf12bd1e294096e6d7ee4cdc7d737fc67d"),
+}
+
+
+@pytest.mark.parametrize("param", list(_PINNED_SWEEPS))
+def test_sweep_output_bytes_are_pinned(param, tmp_path, capsys):
+    (lo, hi), series = _PINNED_SWEEPS[param]
+    grid = ",".join(repr(v) for v in np.linspace(lo, hi, 301).tolist())
+    argv = ["sweep", "--param", param, "--grid", grid, "--series", series]
+    out, plot = tmp_path / "sweep.csv", tmp_path / "sweep.svg"
+    assert main(argv + ["--out", str(out), "--plot", str(plot)]) == 0
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    digests = (_sha256(out.read_bytes()), _sha256(stdout), _sha256(plot.read_bytes()))
+    assert digests == _SWEEP_SHA256[param]
+
+
+def test_compare_output_bytes_are_pinned(tmp_path, capsys):
+    out, plot = tmp_path / "cmp.csv", tmp_path / "cmp.svg"
+    argv = ["compare", "--trials", "20", "--randomize", "--seed", "3", "--out", str(out),
+            "--plot", str(plot)]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert _sha256(out.read_bytes()) == "205e8024e96a26b1181b2dc100dbff08aeb5bd4f6fcebab55dab532b7b96e04d"
+    assert _sha256(stdout) == "af57f7eff5bbf4753371e65be698bd1bdf83b415027469e0a4623f5c8fedb5a7"
+    assert _sha256(plot.read_bytes()) == "06a16cc3a748700b375c6b48020f150a370c3bd63418c74501adb7722b354a11"

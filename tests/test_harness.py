@@ -411,6 +411,14 @@ def test_heatmap_rejects_misshapen_or_non_finite_cells():
         svgplot.heatmap([1.0, 2.0], [1.0], [[1.0], [float("nan")]], **labels)
 
 
+def test_plot_labels_are_xml_escaped():
+    text = svgplot.line_plot([(1.0, 2.0), (3.0, 4.0)], x_label="x<&>", y_label="a & b",
+                             title="<t>&amp;")
+    assert ">x&lt;&amp;&gt;</text>" in text and ">a &amp; b</text>" in text
+    assert ">&lt;t&gt;&amp;amp;</text>" in text
+    ET.fromstring(text)  # well-formed
+
+
 def test_plot_rejects_empty_and_unknown(tmp_path):
     with pytest.raises(ValueError, match="at least one"):
         emit_plot([], "line", tmp_path / "x.svg")
