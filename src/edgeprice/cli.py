@@ -8,7 +8,7 @@ written before anything is printed, so a command that exits 2 prints nothing.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import os
 import sys
 from dataclasses import fields, replace
@@ -24,7 +24,7 @@ from .harness import (
     emit_plot,
     run_sweep,
     surface_grid,
-    sweep_csv_records,
+    sweep_csv_lines,
     ALGORITHMS,
     SWEEPABLE_PARAMETERS,
     _format_number,
@@ -41,7 +41,6 @@ from .scenario import (
     parse_config,
 )
 from .optimizers import OptimizerError, SwarmConfig
-from .verification import run_anchor_suite
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
 
@@ -114,7 +113,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.out:
         emit_csv(rows, args.out)
     else:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(sweep_csv_records(rows))
+        sys.stdout.write("\n".join(sweep_csv_lines(rows)) + "\n")
     return 0
 
 
@@ -167,6 +166,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .verification import run_anchor_suite  # only this command pays for its import
+
     checks = run_anchor_suite(seed=args.seed, n_trials=args.trials)
     failures = 0
     for check in checks:
@@ -191,7 +192,9 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="seed for stochastic subcommands")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="edgeprice",
         description="Dynamic-pricing edge-offloading model and allocation search.",

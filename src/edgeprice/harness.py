@@ -6,10 +6,11 @@ the scenario and allocation that produced them.
 """
 from __future__ import annotations
 
-import csv
+import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -119,6 +120,8 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
     grid = tuple(spec.grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
+    if not all(map(math.isfinite, grid)):  # before the order checks: NaN compares false
+        raise ValueError(f"sweep grid values must be finite, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError(f"sweep grid must be strictly increasing, got {grid}")
     if spec.parameter == "f_server":
@@ -152,8 +155,9 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         s = replace(s, **{spec.parameter: grid})
     with np.errstate(over="ignore", invalid="ignore"):
         summary = user_utility(s, alloc)
-    rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in _sweep_columns(summary))))
-    _require_finite("sweep value", rows)
+    columns = _sweep_columns(summary)
+    _require_finite("sweep value", *columns)
+    rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in columns)))
     return [SweepRow(spec.parameter, value, *row) for value, row in zip(spec.grid, rows)]
 
 
@@ -238,38 +242,36 @@ def _format_number(x: float) -> str:
     return f"{x:.9g}"
 
 
-def sweep_csv_records(rows: Sequence[SweepRow]) -> Iterator[list[str]]:
-    """The header, then each sweep row with its numbers at 9 significant digits."""
-    yield list(SWEEP_CSV_HEADER)
-    for row in rows:
-        yield [row.parameter] + [_format_number(getattr(row, n)) for n in SWEEP_CSV_HEADER[1:]]
+_SWEEP_CSV_ROW = "%s" + ",%.9g" * (len(SWEEP_CSV_HEADER) - 1)  # "%.9g" % x == _format_number(x)
+_sweep_csv_fields = attrgetter("parameter", *SWEEP_CSV_HEADER[1:])
+
+
+def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
+    """The header, then each sweep row with its numbers at 9 significant digits.
+
+    The one renderer of sweep rows: ``emit_csv`` ends its lines with CR LF,
+    as ``csv.writer`` does, and the CLI's stdout with LF. No field needs quoting.
+    """
+    return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, map(_sweep_csv_fields, rows))]
+
+
+def _write_csv(lines: list[str], path: str | Path) -> None:
+    Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep rows as CSV: header always present, numbers at 9 significant digits."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        csv.writer(handle).writerows(sweep_csv_records(rows))
+    _write_csv(sweep_csv_lines(rows), path)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
     """Per-trial comparison records, one row per (algorithm, trial)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(COMPARISON_CSV_HEADER)
-        for name, stats in report.stats.items():
-            for trial in range(len(stats.value_list)):
-                position = stats.position_list[trial]
-                writer.writerow(
-                    [
-                        name,
-                        trial,
-                        stats.seed_list[trial],
-                        _format_number(stats.value_list[trial]),
-                        stats.iteration_list[trial],
-                        _format_number(position.f_server),
-                        _format_number(position.b),
-                    ]
-                )
+    lines = [",".join(COMPARISON_CSV_HEADER)]
+    for name, stats in report.stats.items():
+        records = zip(stats.seed_list, stats.value_list, stats.iteration_list, stats.position_list)
+        for trial, (seed, value, iterations, at) in enumerate(records):
+            lines.append(f"{name},{trial},{seed},{value:.9g},{iterations},{at.f_server:.9g},{at.b:.9g}")
+    _write_csv(lines, path)
 
 
 def emit_plot(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scenario import Scenario, libm
+from .scenario import Scenario
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def energy_breakdown(s: Scenario, alloc: Allocation) -> EnergyBreakdown:
 
 def energy_from_times(s: Scenario, times: TimeBreakdown) -> EnergyBreakdown:
     """Energy accounting of an allocation whose time breakdown is already known."""
-    e_local = s.k * (s.q * s.c) * libm(pow, s.f_local, 2)
+    e_local = s.k * (s.q * s.c) * s.f_local_squared
     e_up = s.p_u * times.t_u
     e_d = s.p_d * times.t_d
     return EnergyBreakdown(e_local=e_local, e_up=e_up, e_d=e_d, e_save=e_local - e_up - e_d)

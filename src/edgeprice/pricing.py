@@ -99,7 +99,7 @@ class Diagnostics:
 
 def chi(s: Scenario) -> float:
     """Per-bit value of avoided local execution: w1*k*c*f_local^2 + w2*c/f_local."""
-    return s.w1 * s.k * s.c * libm(pow, s.f_local, 2) + s.w2 * s.c / s.f_local
+    return s.w1 * s.k * s.c * s.f_local_squared + s.w2 * s.c / s.f_local
 
 
 def upsilon(s: Scenario) -> float:

@@ -9,7 +9,8 @@ The numeric fields of a Scenario may also hold equal-shape numpy arrays:
 every closed form of the model then evaluates one scenario per element.
 Each transcendental step (log2, a power, a square root) goes through
 :func:`libm`, so an array result equals the scalar calls bit for bit;
-the channel's log2(1 + snr) pair is evaluated once per ChannelSpec.
+the channel's log2(1 + snr) pair is evaluated once per ChannelSpec, and
+f_local^2 once per Scenario.
 """
 from __future__ import annotations
 
@@ -45,10 +46,6 @@ def hz_to_ghz(hz: float) -> float:
 
 def mbps_to_bps(mbps: float) -> float:
     return mbps * BPS_PER_MBPS
-
-
-def bps_to_mbps(bps: float) -> float:
-    return bps / BPS_PER_MBPS
 
 
 _ndarray = np.ndarray  # bound once: the scalar path of libm is one type test
@@ -132,6 +129,11 @@ class Scenario:
     channel: ChannelSpec
     f_range: tuple[float, float]  # purchasable CPU frequency box, Hz
     b_range: tuple[float, float]  # purchasable bandwidth box, bit/s
+
+    @cached_property
+    def f_local_squared(self) -> float:
+        """f_local^2, evaluated once: ``pricing.chi`` and the local energy both read it."""
+        return libm(pow, self.f_local, 2)
 
 
 #: Default configuration (key=value form, pre-conversion units).

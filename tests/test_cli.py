@@ -1,5 +1,9 @@
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,31 @@ def test_overflowing_local_cpu_is_usage_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "f_server", "--grid", "1e9,nan"],
+    ["sweep", "--param", "q", "--grid", "1e6,inf"],
+])
+def test_non_finite_grid_value_is_usage_error(argv, capsys):
+    # used to read "non-finite sweep value ...: the scenario overflows the model"
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: sweep grid values must be finite")
+    assert captured.out == ""
+
+
+def test_cli_import_loads_no_network_xml_or_anchor_modules():
+    # a fresh interpreter: xml.sax.saxutils used to pull in urllib.request, http, email, ssl and socket
+    unwanted = ["xml.sax", "urllib.request", "http", "email", "ssl", "socket", "edgeprice.verification"]
+    import edgeprice
+
+    env = dict(os.environ, PYTHONPATH=str(Path(edgeprice.__file__).parents[1]))
+    code = f"import sys, edgeprice.cli; print([m for m in {unwanted!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("error")

@@ -131,6 +131,9 @@ def test_q_and_f_local_sweeps_vary_scenario(defaults):
         ((3e9, 2e9), "strictly increasing"),
         ((1e8, 2e9), "outside"),
         ((1e9, 9e9), "outside"),
+        ((1e9, float("nan")), "values must be finite"),  # NaN passed the order and range checks
+        ((float("nan"), 2e9), "values must be finite"),
+        ((1e9, float("inf")), "values must be finite"),
     ],
 )
 def test_sweep_grid_validation(defaults, grid, message):

@@ -25,7 +25,7 @@ from edgeprice.pricing import (
     user_utility,
     user_utility_gradient,
 )
-from edgeprice import offload, pricing, scenario
+from edgeprice import pricing, scenario
 from edgeprice.scenario import ChannelSpec, default_scenario, libm
 from edgeprice.verification import random_scenario
 
@@ -130,7 +130,7 @@ def libm_passes(monkeypatch):
         passes.append((fn, x))
         return libm(fn, x, y)
 
-    for module in (scenario, offload, pricing):
+    for module in (scenario, pricing):  # offload reads only the scenario's cached factors
         monkeypatch.setattr(module, "libm", spy)
     return passes
 
@@ -140,12 +140,12 @@ def test_user_utility_evaluates_each_factor_once(mode, libm_passes):
     s = default_scenario(channel=ChannelSpec(20.0, 30.0, mode))
     exp10_passes = 2 if mode == "db-to-linear" else 0
     user_utility(s, CORNER)
-    # log2(1 + snr) twice, f_local^2 for chi and for e_local, log2(1 + q) for the revenue
-    assert len(libm_passes) <= 5 + exp10_passes
+    # log2(1 + snr) twice, f_local^2 once for chi and e_local, log2(1 + q) for the revenue
+    assert len(libm_passes) <= 4 + exp10_passes
+    assert [x for fn, x in libm_passes if fn is pow] == [s.f_local]
     del libm_passes[:]
-    user_utility(s, CORNER)  # the same ChannelSpec: its efficiencies are kept
-    assert len(libm_passes) <= 3
-    assert [x for fn, x in libm_passes if fn is math.log2] == [1.0 + s.q]
+    user_utility(s, CORNER)  # the same Scenario and ChannelSpec: their factors are kept
+    assert libm_passes == [(math.log2, 1.0 + s.q)]
 
 
 def test_linear_utility_makes_one_pass(defaults, libm_passes):
