@@ -30,7 +30,7 @@ from .optimizers import (
     baseline_ga,
     baseline_pso,
     disc_pso,
-    run_trials,
+    replicate,
 )
 from . import svgplot
 
@@ -120,10 +120,14 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
     grid = tuple(spec.grid)
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    if not all(map(math.isfinite, grid)):  # before the order checks: NaN compares false
-        raise ValueError(f"sweep grid values must be finite, got {grid}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(f"sweep grid must be strictly increasing, got {grid}")
+    i = next((i for i, x in enumerate(grid) if not math.isfinite(x)), -1)
+    if i >= 0:  # before the order checks: NaN compares false
+        raise ValueError(f"sweep grid values must be finite, got {grid[i]!r} at index {i}")
+    i = next((i for i in range(1, len(grid)) if grid[i] <= grid[i - 1]), 0)
+    if i:
+        raise ValueError(
+            f"sweep grid must be strictly increasing, got {grid[i]!r} at index {i} after {grid[i - 1]!r}"
+        )
     if spec.parameter == "f_server":
         lo, hi = spec.scenario.f_range
     elif spec.parameter == "b":
@@ -202,15 +206,12 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     return grid
 
 
-def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> list[Scenario]:
-    """Qualitative randomized mode: q uniform in [100, 500] KB, f_local from 0.1..1 GHz."""
+def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
+    """Randomized mode: q uniform in [100, 500] KB, f_local from 0.1..1 GHz, as (T, 1) columns."""
     rng = np.random.default_rng([seed, 0x5CE1])
-    scenarios = []
-    for _ in range(n_trials):
-        q_kb = rng.uniform(100.0, 500.0)
-        f_local_ghz = 0.1 * rng.integers(1, 11)
-        scenarios.append(replace(s, q=q_kb * 8192.0, f_local=f_local_ghz * 1e9))
-    return scenarios
+    draws = [(rng.uniform(100.0, 500.0), rng.integers(1, 11)) for _ in range(n_trials)]
+    q_kb, f_local_tenths = np.array(draws).T[..., None]
+    return replace(s, q=q_kb * 8192.0, f_local=0.1 * f_local_tenths * 1e9)
 
 
 def compare_optimizers(
@@ -218,23 +219,25 @@ def compare_optimizers(
 ) -> ComparisonReport:
     """Run all four algorithms over paired per-trial seeds.
 
-    In the default deterministic mode every trial sees the same scenario
-    and one shared objective, so each round of a batch is scored in one
-    call; the randomized mode redraws (q, f_local) per trial, with all four
+    Each algorithm runs one ``replicate`` batch on one objective, so every
+    round of a batch is scored in one call. In the default deterministic
+    mode every trial sees the scenario ``s``; the randomized mode redraws
+    (q, f_local) per trial as (T, 1) scenario columns, with all four
     algorithms still seeing the same scenario and seed in a given trial.
     """
-    scenarios = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else [s]
-    objectives = [dynamic_utility_objective(sc) for sc in scenarios]
-    settings = [(sc, obj, obj(corner_allocation(sc))) for sc, obj in zip(scenarios, objectives)]
-    if not randomize:
-        settings *= n_trials
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    trial_s = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else s
+    objective = dynamic_utility_objective(trial_s)
+    u_max = np.broadcast_to(np.ravel(objective(corner_allocation(trial_s))), n_trials)
+    batch = (trial_s, objective, u_max, cfg, n_trials)
     return ComparisonReport(
         scenario=s,
         n_trials=n_trials,
         randomized=randomize,
         u_max=box_maximum_utility(s),
-        u_max_list=tuple(u_max for _, _, u_max in settings),
-        stats={name: run_trials(algo, settings, cfg) for name, algo in ALGORITHMS.items()},
+        u_max_list=tuple(u_max.tolist()),
+        stats={name: replicate(algo, *batch) for name, algo in ALGORITHMS.items()},
     )
 
 

@@ -9,20 +9,20 @@ meaning when the utility is negative. ``iterations_used`` counts
 completed update rounds, so a run whose initial sampling already
 satisfies the gap reports 0.
 
-The loop runs a batch of trials in lockstep: ``run_trials`` and
-``replicate`` pass all their trials at once, and a single run is a batch
-of one. Positions are (2, T, k) arrays, the f_server and b planes of k
-rows for each of T trials, and values are (T, k); every per-trial array
-has the trial axis second to last. Each trial draws from its own
+The loop runs a batch of trials in lockstep: ``replicate`` passes all
+its trials at once, and a single run is a batch of one. A batch has one
+box, one objective and T seeds. Positions are (2, T, k) arrays, the
+f_server and b planes of k rows for each of T trials, and values are
+(T, k), the trial axis second to last. Each trial draws from its own
 generator, in the order it would alone, so a trial's result does not
-depend on the batch it ran in. The proposal arithmetic, clipping and
-acceptance then run once per round over all live trials. A trial that
-meets the gap or reaches n_max is finished: its result is recorded and
-it is dropped from the batch, so it draws and evaluates nothing further.
-When every trial shares one objective, each round is scored in one call
-over all live rows; otherwise each trial's objective scores its own rows
-in one call per trial. When objectives fail, the ``OptimizerError`` names the
-lowest-index trial among those that fail in the earliest failing round.
+depend on the batch it ran in. A trial that meets the gap or reaches
+n_max is finished: its result is recorded and it leaves the batch. Each
+round is one objective call on the (T, k) rows of the batch, row t for
+trial t, so an objective whose scenario holds (T, 1) columns gives each
+trial its own workload; a finished trial's rows are the box corner, and
+their values are not read. When the objective fails, the
+``OptimizerError`` names the lowest-index trial among those that fail in
+the earliest failing round.
 
 Each searcher is a proposal rule plus an acceptance rule over these
 arrays. disc_pso is the enhanced swarm (linearly decaying inertia plus a
@@ -45,7 +45,7 @@ import numpy as np
 from .offload import Allocation
 from .scenario import Scenario
 
-#: An ``Allocation`` of (k,) arrays in, the (k,) values of its rows out.
+#: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
 
 
@@ -148,27 +148,26 @@ def _planes(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
-def _score(objective: Objective, pop: np.ndarray, where: str, trial: int) -> np.ndarray:
-    """The (T, k) values of the (2, T, k) rows ``pop``, scored in one objective call."""
-    f, b = pop
-    out = np.asarray(objective(Allocation(f.ravel(), b.ravel())), dtype=float)
-    if out.shape != (f.size,):
-        raise OptimizerError(
-            f"objective returned shape {out.shape} for {f.size} rows during {where}", trial
-        )
-    return out.reshape(f.shape)
-
-
 def _evaluate_population(
-    objectives: Sequence[Objective], shared: bool, trials: list[int], pop: np.ndarray, where: str,
+    objective: Objective, n_trials: int, trials: list[int], hi: np.ndarray, pop: np.ndarray, where: str,
 ) -> np.ndarray:
-    """The (T, k) values of a (2, T, k) batch: one call if ``shared``, else one per trial on its rows."""
-    if shared:
-        values = _score(objectives[0], pop, where, trials[0])
-    else:
-        values = np.concatenate(
-            [_score(objectives[trial], pop[:, t : t + 1], where, trial) for t, trial in enumerate(trials)]
+    """The (L, k) values of the live trials' (2, L, k) rows ``pop``, scored in one objective call.
+
+    The call scores the (T, k) rows of the whole batch, row t for trial t;
+    a finished trial's rows are the box corner ``hi`` and are not read.
+    """
+    rows = pop
+    if len(trials) < n_trials:
+        rows = np.broadcast_to(hi, (2, n_trials, pop.shape[2])).copy()
+        rows[:, trials] = pop
+    f, b = rows
+    values = np.asarray(objective(Allocation(f, b)), dtype=float)
+    if values.shape != f.shape:
+        raise OptimizerError(
+            f"objective returned shape {values.shape} for {f.size} rows during {where}", trials[0]
         )
+    if rows is not pop:
+        values = values[trials]
     finite = np.isfinite(values)
     if np.count_nonzero(finite) < finite.size:
         t, i = np.argwhere(~finite)[0].tolist()  # lowest trial, then individual
@@ -214,7 +213,7 @@ class _Rules(NamedTuple):
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
     per trial; values are (T, k). ``init(pop)`` gives the rule state, a
     tuple of (2, T, k) arrays. ``propose(cfg, round, rngs, lo, hi, pop,
-    values, p_gb, state)`` gives the candidates inside the (2, T, 1) box
+    values, p_gb, state)`` gives the candidates inside the (2, 1, 1) box
     bounds ``lo``/``hi`` and the next state, drawing from each trial's
     generator in ``rngs``; ``p_gb`` holds the (2, T, 1) global bests.
     ``accept(pop, values, candidates, candidate_values)`` gives the next
@@ -233,29 +232,25 @@ def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _search(
-    settings: Sequence[tuple[Scenario, Objective, float]],
-    seeds: Sequence[int],
-    cfg: SwarmConfig,
+    s: Scenario, objective: Objective, u_max: float | np.ndarray, seeds: Sequence[int], cfg: SwarmConfig,
     rules: _Rules,
 ) -> list[RunResult]:
-    """The loop every searcher shares: trial i runs on ``settings[i]`` from ``seeds[i]``.
+    """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
-    The global best of a trial is the best candidate it ever evaluated
-    (first argmax, replaced only when strictly greater). All live trials
-    have completed the same number of rounds; the finished ones are
-    recorded and dropped from every per-trial array, whose trial axis is
-    the second to last, before the next round. Like float arithmetic, the
-    objectives overflow to inf silently; a non-finite value raises.
+    ``u_max`` is a float or a (T,) array of per-trial gap references. The
+    global best of a trial is the best candidate it ever evaluated (first
+    argmax, replaced only when strictly greater). All live trials have
+    completed the same number of rounds; the finished ones are recorded
+    and dropped from every per-trial array, whose trial axis is the second
+    to last, before the next round. Like float arithmetic, the objective
+    overflows to inf silently; a non-finite value raises.
     """
-    n = len(settings)
+    n = len(seeds)
     rngs = list(map(np.random.default_rng, seeds))
-    _, objectives, u_max = zip(*settings)
-    trials, u_max = list(range(n)), list(map(float, u_max))
-    box = np.array([(s.f_range, s.b_range) for s, _, _ in settings]).T[..., None]  # (lo/hi, 2, T, 1)
-    lo, hi = box[0], box[1]
-    shared = all(objective is objectives[0] for objective in objectives)
+    trials, u_max = list(range(n)), np.full(n, u_max).tolist()
+    lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None]  # (2, 1, 1) planes each
     pop = lo + (hi - lo) * _planes(_uniforms(rngs, (cfg.p_n, 2)))
-    values = _evaluate_population(objectives, shared, trials, pop, "initial sampling")
+    values = _evaluate_population(objective, n, trials, hi, pop, "initial sampling")
     state = rules.init(pop)
     s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, 1)), [False] * n
     for t in _track_best(s_gb, p_gb, pop, values):
@@ -274,7 +269,7 @@ def _search(
             if all(done):
                 return results
             live = np.logical_not(done)
-            lo, hi, pop, values, p_gb = (a[..., live, :] for a in (lo, hi, pop, values, p_gb))
+            pop, values, p_gb = (a[..., live, :] for a in (pop, values, p_gb))
             state = tuple(a[..., live, :] for a in state)
             trials, rngs, u_max, s_gb, converged = (
                 [x for x, finished in zip(xs, done) if not finished]
@@ -282,7 +277,7 @@ def _search(
             )
 
         candidates, state = rules.propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state)
-        candidate_values = _evaluate_population(objectives, shared, trials, candidates, f"round {n_f}")
+        candidate_values = _evaluate_population(objective, n, trials, hi, candidates, f"round {n_f}")
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
         pop, values = rules.accept(pop, values, candidates, candidate_values)
@@ -386,7 +381,7 @@ def _de() -> _Rules:
 
 
 def _run_one(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig, rules: _Rules) -> RunResult:
-    return _search([(s, objective, u_max)], (cfg.seed,), cfg, rules)[0]
+    return _search(s, objective, u_max, (cfg.seed,), cfg, rules)[0]
 
 
 def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
@@ -451,42 +446,33 @@ def stats_from_runs(runs: Sequence[RunResult]) -> TrialStats:
     )
 
 
-def run_trials(
-    algorithm: Algorithm,
-    settings: Sequence[tuple[Scenario, Objective, float]],
-    cfg: SwarmConfig,
-) -> TrialStats:
-    """Run trial i on ``settings[i]`` (scenario, objective, u_max) and aggregate.
-
-    Trial i uses the i-th of ``trial_seeds(cfg.seed, len(settings))``, so
-    algorithms run on the same settings and cfg see paired seeds. The
-    trials run as one lockstep batch, and each result equals the single
-    run ``algorithm(*settings[i], replace(cfg, seed=seed_i))``. An
-    ``OptimizerError`` starts with ``trial i:``, where i is the lowest
-    index among the trials that fail in the earliest failing round.
-    ``algorithm`` is one of disc_pso, baseline_pso, baseline_ga and
-    baseline_de.
-    """
-    if not settings:
-        raise ValueError("n_trials must be >= 1")
-    if algorithm not in _RULES:
-        names = ", ".join(f.__name__ for f in _RULES)
-        raise ValueError(f"run_trials runs one of {names}; got {algorithm!r}")
-    seeds = trial_seeds(cfg.seed, len(settings))
-    try:
-        runs = _search(settings, seeds, cfg, _RULES[algorithm])
-    except OptimizerError as exc:
-        raise OptimizerError(f"trial {exc.trial}: {exc}", exc.trial) from exc
-    return stats_from_runs(runs)
-
-
 def replicate(
     algorithm: Algorithm,
     s: Scenario,
     objective: Objective,
-    u_max: float,
+    u_max: float | np.ndarray,
     cfg: SwarmConfig,
     n_trials: int,
 ) -> TrialStats:
-    """Run ``n_trials`` independent seeded trials and aggregate the outcomes."""
-    return run_trials(algorithm, [(s, objective, u_max)] * n_trials, cfg)
+    """Run ``n_trials`` seeded trials as one lockstep batch and aggregate.
+
+    Trial i uses the i-th of ``trial_seeds(cfg.seed, n_trials)``, so
+    algorithms run on the same arguments see paired seeds, and its result
+    equals the single run replayed from that seed. ``u_max`` is a float or
+    a (T,) array; a scenario with (T, 1) columns gives each trial its own
+    workload. An ``OptimizerError`` starts with ``trial i:``, where i is the
+    lowest index among the trials that fail in the earliest failing round.
+    ``algorithm`` is one of disc_pso, baseline_pso, baseline_ga and
+    baseline_de.
+    """
+    if n_trials < 1:
+        raise ValueError("n_trials must be >= 1")
+    if algorithm not in _RULES:
+        names = ", ".join(f.__name__ for f in _RULES)
+        raise ValueError(f"replicate runs one of {names}; got {algorithm!r}")
+    seeds = trial_seeds(cfg.seed, n_trials)
+    try:
+        runs = _search(s, objective, u_max, seeds, cfg, _RULES[algorithm])
+    except OptimizerError as exc:
+        raise OptimizerError(f"trial {exc.trial}: {exc}", exc.trial) from exc
+    return stats_from_runs(runs)

@@ -250,6 +250,8 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
         (["compare", "--trials", "1", "--seed", "-5"], "seed=-5: must be >= 0"),
         (["validate", "--seed", "-1"], "seed=-1: must be >= 0"),
         (["validate", "--trials", "0"], "n_trials must be >= 1"),
+        (["compare", "--trials", "-1"], "error: n_trials must be >= 1"),
+        (["compare", "--trials", "-1", "--randomize"], "error: n_trials must be >= 1"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
@@ -261,6 +263,18 @@ def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("last, message", [
+    ("5e9", "must be strictly increasing, got 5000000000.0 at index 300 after 6000000000.0"),
+    ("nan", "values must be finite, got nan at index 300"),
+])
+def test_sweep_grid_error_names_the_bad_value_not_the_grid(last, message, capsys):
+    # a 301-value grid whose last value is bad used to print one line of about 5355 characters
+    grid = ",".join([*map(repr, np.linspace(1e9, 6e9, 300).tolist()), last])
+    assert main(["sweep", "--param", "f_server", "--grid", grid]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: sweep grid {message}" and len(line) < 200
 
 
 def _sha256(data: bytes) -> str:

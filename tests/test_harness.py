@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from edgeprice import svgplot
+from edgeprice import harness, svgplot
 from edgeprice.harness import (
     ALGORITHMS,
     SweepRow,
@@ -255,7 +255,11 @@ def test_compare_trials_equal_replayed_single_runs(defaults, randomize):
     # the trials of each searcher run as one batch; each equals its single run
     cfg = SwarmConfig(seed=7)
     report = compare_optimizers(defaults, cfg, 6, randomize=randomize)
-    scenarios = _draw_trial_scenarios(defaults, cfg.seed, 6) if randomize else [defaults] * 6
+    scenarios = [defaults] * 6
+    if randomize:  # the (6, 1) columns of the drawn scenario, one scalar scenario per row
+        drawn = _draw_trial_scenarios(defaults, cfg.seed, 6)
+        scenarios = [dataclasses.replace(defaults, q=q, f_local=f_local)
+                     for q, f_local in zip(drawn.q.ravel().tolist(), drawn.f_local.ravel().tolist())]
     for name, stats in report.stats.items():
         for i, (scenario, u_max, seed) in enumerate(zip(scenarios, report.u_max_list, stats.seed_list)):
             objective = dynamic_utility_objective(scenario)
@@ -266,9 +270,35 @@ def test_compare_trials_equal_replayed_single_runs(defaults, randomize):
             assert (run.best_value, run.best_position, run.iterations_used, run.converged) == recorded
 
 
-def test_compare_rejects_zero_trials(defaults):
-    with pytest.raises(ValueError, match="n_trials"):
-        compare_optimizers(defaults, SwarmConfig(), 0)
+@pytest.mark.parametrize("randomize", [False, True])
+def test_compare_scores_each_round_in_one_call(defaults, randomize, monkeypatch):
+    # one objective serves every batch: its corner value, then per algorithm the
+    # initial sampling and one call per round on the (20, k) rows of the batch
+    shapes = []
+
+    def counted(s):
+        objective = dynamic_utility_objective(s)
+
+        def spy(alloc):
+            shapes.append(np.shape(alloc.f_server))
+            return objective(alloc)
+
+        return spy
+
+    monkeypatch.setattr(harness, "dynamic_utility_objective", counted)
+    report = compare_optimizers(defaults, SwarmConfig(seed=3), 20, randomize=randomize)
+    # the corner call, box_maximum_utility's call, then the searches
+    searches = shapes[2:]
+    assert len(searches) == sum(max(stats.iteration_list) + 1 for stats in report.stats.values())
+    assert {shape[0] for shape in searches} == {20}
+
+
+@pytest.mark.parametrize("randomize", [False, True])
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_compare_rejects_zero_trials(defaults, n_trials, randomize):
+    # checked before any draw or broadcast, so the message is ours, not numpy's
+    with pytest.raises(ValueError, match=r"^n_trials must be >= 1$"):
+        compare_optimizers(defaults, SwarmConfig(), n_trials, randomize=randomize)
 
 
 # ---------------------------------------------------------------- csv

@@ -17,7 +17,6 @@ from edgeprice.optimizers import (
     baseline_pso,
     disc_pso,
     replicate,
-    run_trials,
     trial_seeds,
 )
 from edgeprice.pricing import dynamic_utility_objective
@@ -34,19 +33,17 @@ def setting():
 
 
 class CountingObjective:
-    """Counts objective calls and the rows they score, records those rows, and keeps the best value seen."""
+    """Counts objective calls and the rows they score, and keeps the best value seen."""
 
     def __init__(self, objective):
         self.objective = objective
         self.calls = 0
         self.rows = 0
-        self.seen = []
         self.best_seen = -math.inf
 
     def __call__(self, alloc):
         self.calls += 1
         self.rows += np.size(alloc.f_server)
-        self.seen.append((np.copy(alloc.f_server), np.copy(alloc.b)))
         values = self.objective(alloc)
         self.best_seen = max(self.best_seen, float(np.max(values)))
         return values
@@ -404,7 +401,7 @@ def test_swarm_trajectories_pinned(key):
 
 
 # ---------------------------------------------------------------- lockstep batches
-# run_trials runs its trials as one batch; each trial must still equal the
+# replicate runs its trials as one batch; each trial must still equal the
 # single run replayed from its recorded seed, whichever round it finishes in.
 
 _SEARCHERS = {"disc-pso": disc_pso, "pso": baseline_pso, "ga": baseline_ga, "de": baseline_de}
@@ -430,18 +427,6 @@ def test_lockstep_batch_equals_replayed_single_runs(algo, setting, epsilon):
         assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], _S, objective, u_max, cfg, seed)
 
 
-@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
-def test_interleaved_objectives_equal_replayed_single_runs(algo):
-    # trials 0, 2 and 4 share one objective and trials 1 and 3 another; the trials do not
-    # all share one, so each live trial's objective is called on its own rows every round
-    dynamic, linear = (_PIN_SETTINGS[name][:2] for name in ("dynamic", "linear"))
-    settings = [(_S, *(dynamic if t % 2 == 0 else linear)) for t in range(5)]
-    cfg = dataclasses.replace(_REPLAY_CFG, epsilon=1e-6)
-    stats = run_trials(_SEARCHERS[algo], settings, cfg)
-    for i, ((s, objective, u_max), seed) in enumerate(zip(settings, stats.seed_list)):
-        assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], s, objective, u_max, cfg, seed)
-
-
 @pytest.mark.parametrize("algo, setting", [("ga", "dynamic"), ("pso", "linear")])
 def test_replay_settings_finish_at_different_rounds(algo, setting):
     # the replay test above covers trials leaving the batch early and at n_max
@@ -462,32 +447,37 @@ def test_shared_objective_is_called_once_per_round(algo, setting):
     assert spy.calls <= max(stats.iteration_list) + 1
 
 
+# (T, 1) q and f_local columns, all different: each trial searches its own workload
+_WORKLOADS = dataclasses.replace(
+    _S, q=np.linspace(100.0, 500.0, 6)[:, None] * 8192.0, f_local=np.linspace(0.2, 1.0, 6)[:, None] * 1e9
+)
+
+
 @pytest.mark.parametrize("algo", sorted(_SEARCHERS))
-def test_own_objectives_are_called_once_per_round_on_their_own_rows(algo, setting):
-    # one spy per trial: every trial has its own objective object, so none is shared
-    s, objective, u_max = setting
-    cfg = SwarmConfig(seed=47, epsilon=1e-6, n_max=12)
-    spies = [CountingObjective(objective) for _ in range(6)]
-    stats = run_trials(_SEARCHERS[algo], [(s, spy, u_max) for spy in spies], cfg)
-    for spy, seed, rounds in zip(spies, stats.seed_list, stats.iteration_list):
-        assert spy.calls == rounds + 1  # the initial sampling, then one call per round
-        # exactly this trial's rows: those its replayed single run scores, call for call
-        alone = CountingObjective(objective)
-        _SEARCHERS[algo](s, alone, u_max, dataclasses.replace(cfg, seed=seed))
-        assert alone.calls == spy.calls
-        for (f, b), (f_alone, b_alone) in zip(spy.seen, alone.seen):
-            assert np.array_equal(f, f_alone) and np.array_equal(b, b_alone)
+def test_workload_columns_equal_replayed_single_runs(algo):
+    spy = CountingObjective(dynamic_utility_objective(_WORKLOADS))
+    u_max = box_maximum_utility(_WORKLOADS).ravel()
+    cfg = dataclasses.replace(_REPLAY_CFG, epsilon=3e-2)  # loose enough that trials finish at different rounds
+    stats = replicate(_SEARCHERS[algo], _WORKLOADS, spy, u_max, cfg, n_trials=6)
+    assert len(set(stats.iteration_list)) > 1
+    assert spy.calls <= max(stats.iteration_list) + 1  # the initial sampling, then one call per round
+    for i, seed in enumerate(stats.seed_list):
+        s = dataclasses.replace(_S, q=float(_WORKLOADS.q[i, 0]), f_local=float(_WORKLOADS.f_local[i, 0]))
+        objective = dynamic_utility_objective(s)
+        assert box_maximum_utility(s) == u_max[i]
+        assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], s, objective, u_max[i], cfg, seed)
 
 
-def _failing_at(round_failing, individual, objective):
-    """An objective that returns NaN for one individual in the given round."""
+def _failing_at(objective, *failures):
+    """An objective that returns NaN at each (round, trial, individual) of its (T, k) rows."""
     calls = 0
 
     def broken(alloc):
         nonlocal calls
         values = np.array(objective(alloc), dtype=float)
-        if calls == round_failing + 1:  # call 0 scores the initial sampling
-            values[individual] = np.nan
+        for failing_round, trial, individual in failures:
+            if calls == failing_round + 1:  # call 0 scores the initial sampling
+                values[trial, individual] = np.nan
         calls += 1
         return values
 
@@ -496,24 +486,22 @@ def _failing_at(round_failing, individual, objective):
 
 def test_batch_error_names_the_failing_trial(setting):
     s, objective, u_max = setting
-    settings = [(s, objective, u_max * 1.1)] * 5  # unreachable reference: every trial runs n_max rounds
-    settings[2] = (s, _failing_at(3, 7, objective), u_max * 1.1)
+    broken = _failing_at(objective, (3, 2, 7))
     message = r"^trial 2: non-finite objective value nan .* during round 3 \(individual 7\)$"
     with pytest.raises(OptimizerError, match=message):
-        run_trials(baseline_ga, settings, SwarmConfig(seed=5, n_max=10))
+        # unreachable reference: every trial runs n_max rounds
+        replicate(baseline_ga, s, broken, u_max * 1.1, SwarmConfig(seed=5, n_max=10), n_trials=5)
 
 
 def test_batch_error_reports_earliest_round_then_lowest_trial(setting):
     # trial 1 fails in round 4, trials 3 and 4 in round 2: trial 3 is reported
     s, objective, u_max = setting
-    settings = [(s, objective, u_max * 1.1)] * 6
-    for trial, failing_round in ((1, 4), (4, 2), (3, 2)):
-        settings[trial] = (s, _failing_at(failing_round, 0, objective), u_max * 1.1)
+    broken = _failing_at(objective, (4, 1, 0), (2, 4, 0), (2, 3, 0))
     with pytest.raises(OptimizerError, match=r"^trial 3: .* during round 2 "):
-        run_trials(disc_pso, settings, SwarmConfig(seed=5, n_max=10))
+        replicate(disc_pso, s, broken, u_max * 1.1, SwarmConfig(seed=5, n_max=10), n_trials=6)
 
 
-def test_run_trials_rejects_an_unknown_searcher(setting):
+def test_replicate_rejects_an_unknown_searcher(setting):
     s, objective, u_max = setting
-    with pytest.raises(ValueError, match="run_trials runs one of disc_pso"):
-        run_trials(lambda *args: None, [(s, objective, u_max)], SwarmConfig())
+    with pytest.raises(ValueError, match="replicate runs one of disc_pso"):
+        replicate(lambda *args: None, s, objective, u_max, SwarmConfig(), n_trials=1)
