@@ -1,11 +1,13 @@
 import dataclasses
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeprice.harness import box_maximum_utility
+from edgeprice.harness import box_maximum_utility, compare_optimizers
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import (
     OptimizerError,
@@ -19,8 +21,14 @@ from edgeprice.optimizers import (
     replicate,
     trial_seeds,
 )
-from edgeprice.pricing import dynamic_utility_objective
+from edgeprice.pricing import (
+    critical_point,
+    derive_coefficients,
+    dynamic_utility_objective,
+    linear_user_utility_value,
+)
 from edgeprice.scenario import default_scenario, validate
+from edgeprice.verification import random_scenario
 
 ALGORITHMS = (disc_pso, baseline_pso, baseline_ga, baseline_de)
 
@@ -505,3 +513,35 @@ def test_replicate_rejects_an_unknown_searcher(setting):
     s, objective, u_max = setting
     with pytest.raises(ValueError, match="replicate runs one of disc_pso"):
         replicate(lambda *args: None, s, objective, u_max, SwarmConfig(), n_trials=1)
+
+
+# ---------------------------------------------------------------- seeded-result digest
+# One SHA-256 over the repr of 822 seeded results, recorded before the
+# search rounds and the pricing factors were made cheaper: a speed-up must
+# leave every one of them unchanged, bit for bit.
+
+_RESULTS_DIGEST = "ea91ba3823399a9046e68c107cd59958800ba927a436ab7f77a36a75a2a19552"
+
+
+def _seeded_results():
+    rng = np.random.default_rng(5)
+    for s in [default_scenario()] + [random_scenario(rng) for _ in range(5)]:
+        pc = derive_coefficients(s, 0.6 * s.f_range[1], 0.6 * s.b_range[1])
+        linear = functools.partial(linear_user_utility_value, s, pc)
+        objectives = [(dynamic_utility_objective(s), box_maximum_utility(s)),
+                      (linear, linear(critical_point(s, pc)))]
+        for search in ALGORITHMS:
+            for objective, u_max in objectives:
+                for seed in range(8):
+                    for epsilon in (1e-3, 1e-6):
+                        yield search(s, objective, u_max, SwarmConfig(seed=seed, epsilon=epsilon))
+                cfg = SwarmConfig(seed=3, epsilon=1e-6, n_max=30)
+                yield replicate(search, s, objective, u_max, cfg, n_trials=20)
+    for seed in range(3):
+        for randomize in (False, True):
+            yield compare_optimizers(default_scenario(), SwarmConfig(seed=seed), 20, randomize=randomize)
+
+
+def test_seeded_results_digest_is_pinned():
+    text = "\n".join(map(repr, _seeded_results()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _RESULTS_DIGEST
