@@ -155,7 +155,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         emit_comparison_csv(report, args.out)
     if args.plot:
         emit_plot(report.stats[args.plot_algo].position_list, "scatter", args.plot)
-    print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
+    if report.randomized:  # each trial's own corner value, not the base scenario's
+        low, high = map(_format_number, (min(report.u_max_list), max(report.u_max_list)))
+        print(f"gap reference u_max: {low} to {high} per trial  (trials: {args.trials})")
+    else:
+        print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
     print(f"{'algorithm':<10} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():
         print(

@@ -37,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Sequence
 
@@ -91,8 +92,8 @@ class SwarmConfig:
             value = getattr(self, f.name)
             if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{f.name}={value!r}: must be an integer")
-            if f.name != "seed" and not math.isfinite(value):
-                raise ValueError(f"{f.name}={value!r}: must be finite")
+            if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:  # NaN too
+                raise ValueError(f"{f.name}={value!r}: must be a finite float")
         if self.p_n < 4:
             raise ValueError(f"p_n={self.p_n!r}: must be >= 4 (DE draws three other individuals)")
         if self.n_max < 0:
@@ -132,11 +133,15 @@ def _gap_met(u_max: float, best: float, epsilon: float) -> bool:
 
 def _with_min_magnitude(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
     """Sign-preserving minimum magnitude per element; an exactly-zero velocity stays zero."""
-    return np.where(v == 0.0, 0.0, np.copysign(np.maximum(np.abs(v), floor), v))
+    out = np.abs(v)
+    np.maximum(out, floor, out=out, where=out != 0.0)
+    return np.copysign(out, v, out=out)
 
 
 def _uniforms(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
     """Each trial's next ``rng.random(shape)``, stacked on a leading trial axis."""
+    if len(rngs) == 1:  # the same draws, one numpy call
+        return rngs[0].random((1, *shape))
     out = np.empty((len(rngs), *shape))
     for rng, block in zip(rngs, out):
         rng.random(out=block)
@@ -148,23 +153,28 @@ def _planes(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
+def _stage(n_f: int | None) -> str:
+    return "initial sampling" if n_f is None else f"round {n_f}"
+
+
 def _evaluate_population(
-    objective: Objective, n_trials: int, trials: list[int], hi: np.ndarray, pop: np.ndarray, where: str,
+    objective: Objective, n_trials: int, trials: list[int], hi: np.ndarray, pop: np.ndarray, n_f: int | None
 ) -> np.ndarray:
     """The (L, k) values of the live trials' (2, L, k) rows ``pop``, scored in one objective call.
 
     The call scores the (T, k) rows of the whole batch, row t for trial t;
     a finished trial's rows are the box corner ``hi`` and are not read.
+    ``n_f`` is the round, None for the initial sampling; an error names it.
     """
     rows = pop
     if len(trials) < n_trials:
         rows = np.broadcast_to(hi, (2, n_trials, pop.shape[2])).copy()
         rows[:, trials] = pop
-    f, b = rows
+    f, b = rows[0], rows[1]  # indexing: unpacking goes through the array's iterator, a slower path
     values = np.asarray(objective(Allocation(f, b)), dtype=float)
     if values.shape != f.shape:
         raise OptimizerError(
-            f"objective returned shape {values.shape} for {f.size} rows during {where}", trials[0]
+            f"objective returned shape {values.shape} for {f.size} rows during {_stage(n_f)}", trials[0]
         )
     if rows is not pop:
         values = values[trials]
@@ -174,7 +184,7 @@ def _evaluate_population(
         f, b = pop[:, t, i].tolist()
         raise OptimizerError(
             f"non-finite objective value {float(values[t, i])!r} at "
-            f"(f_server={f!r}, b={b!r}) during {where} (individual {i})",
+            f"(f_server={f!r}, b={b!r}) during {_stage(n_f)} (individual {i})",
             trials[t],
         )
     return values
@@ -194,7 +204,7 @@ def _track_best(
         value = float(candidate_values[t, i])
         if value > s_gb[t]:
             s_gb[t] = value
-            p_gb[:, t, 0] = candidates[:, t, i]
+            p_gb[:, t] = candidates[:, t, i, None]
             improved.append(t)
     return improved
 
@@ -212,13 +222,16 @@ class _Rules(NamedTuple):
 
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
     per trial; values are (T, k). ``init(pop)`` gives the rule state, a
-    tuple of (2, T, k) arrays. ``propose(cfg, round, rngs, lo, hi, pop,
-    values, p_gb, state)`` gives the candidates inside the (2, 1, 1) box
-    bounds ``lo``/``hi`` and the next state, drawing from each trial's
-    generator in ``rngs``; ``p_gb`` holds the (2, T, 1) global bests.
-    ``accept(pop, values, candidates, candidate_values)`` gives the next
-    (pop, values). Rules keep no state of their own, so one set serves
-    every run.
+    tuple of (2, T, k) arrays sharing no memory with ``pop``.
+    ``propose(cfg, round, rngs, box, pop, values, p_gb, state)`` gives new
+    candidate and state arrays inside ``box``, the (2, 1, 1) planes (lo,
+    hi, GA mutation scale 0.05 * (hi - lo)) made once per search, drawing
+    from each trial's generator in ``rngs``; ``p_gb`` holds the (2, T, p_n)
+    global bests, each trial's repeated along its row. ``accept(pop,
+    values, candidates, candidate_values)`` gives the next (pop, values),
+    updating the search's own ``pop`` and ``values`` in place; it only
+    reads the candidates and the objective's values. Rules keep no state
+    of their own, so one set serves every run.
     """
 
     init: Callable[[np.ndarray], tuple[np.ndarray, ...]]
@@ -249,10 +262,13 @@ def _search(
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
     lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None]  # (2, 1, 1) planes each
+    box = lo, hi, 0.05 * (hi - lo)
     pop = lo + (hi - lo) * _planes(_uniforms(rngs, (cfg.p_n, 2)))
-    values = _evaluate_population(objective, n, trials, hi, pop, "initial sampling")
+    # a copy: acceptance updates the values in place, and the objective's array is not the search's
+    values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
     state = rules.init(pop)
-    s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, 1)), [False] * n
+    # each trial's global best repeated along its row: the swarm's p_gb - x then needs no broadcast
+    s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, cfg.p_n)), [False] * n
     for t in _track_best(s_gb, p_gb, pop, values):
         converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
 
@@ -276,8 +292,8 @@ def _search(
                 for xs in (trials, rngs, u_max, s_gb, converged)
             )
 
-        candidates, state = rules.propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state)
-        candidate_values = _evaluate_population(objective, n, trials, hi, candidates, f"round {n_f}")
+        candidates, state = rules.propose(cfg, n_f, rngs, box, pop, values, p_gb, state)
+        candidate_values = _evaluate_population(objective, n, trials, hi, candidates, n_f)
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
         pop, values = rules.accept(pop, values, candidates, candidate_values)
@@ -285,10 +301,12 @@ def _search(
 
 
 def _replace_where(better: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
-    """Acceptance: candidate i replaces member i where ``better(its value, the member's)``."""
+    """Acceptance: candidate i replaces member i, in place, where ``better(its value, the member's)``."""
     def accept(pop, values, candidates, candidate_values):
         keep = better(candidate_values, values)
-        return np.where(keep, candidates, pop), np.where(keep, candidate_values, values)
+        np.copyto(pop, candidates, where=keep)
+        np.copyto(values, candidate_values, where=keep)
+        return pop, values
     return accept
 
 
@@ -307,21 +325,25 @@ def _swarm(enhanced: bool) -> _Rules:
     """
 
     def init(pop):
-        return pop, np.zeros(pop.shape)
+        return pop.copy(), np.zeros(pop.shape)
 
-    def propose(cfg, n_f, rngs, lo, hi, best_position, best_values, p_gb, state):
+    def propose(cfg, n_f, rngs, box, best_position, best_values, p_gb, state):
         position, velocity = state
         w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max if enhanced else cfg.w_max
-        # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order, as (4, T, p_n)
-        r = _uniforms(rngs, (cfg.p_n, 4)).transpose(2, 0, 1)
-        velocity = (
-            w * velocity
-            + cfg.c1_learn * r[0::2] * (best_position - position)
-            + cfg.c2_learn * r[1::2] * (p_gb - position)
-        )
+        # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order, as contiguous
+        # (2, T, p_n) planes: r[0] those of c1, r[1] those of c2
+        r = np.ascontiguousarray(_uniforms(rngs, (cfg.p_n, 2, 2)).transpose(3, 2, 0, 1))
+        # w v + c1 r (best - x) + c2 r (p_gb - x), in that order, into this round's new array
+        velocity = w * velocity
+        pull = best_position - position
+        pull *= cfg.c1_learn * r[0]
+        velocity += pull
+        np.subtract(p_gb, position, out=pull)
+        pull *= cfg.c2_learn * r[1]
+        velocity += pull
         if enhanced:
             velocity = _with_min_magnitude(velocity, _velocity_floor(cfg.delta_f, cfg.delta_b))
-        position = (position + velocity).clip(lo, hi)
+        position = (position + velocity).clip(*box[:2])
         return position, (position, velocity)
 
     return _Rules(init, propose, _replace_where(np.greater))
@@ -330,7 +352,7 @@ def _swarm(enhanced: bool) -> _Rules:
 def _ga() -> _Rules:
     """GA rules: the elite plus p_n - 1 children bred from tournament winners."""
 
-    def propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state):
+    def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         n = cfg.p_n - 1
         # per trial: [parent, child, contestant], two tournaments of two per child;
         # then uniforms for crossover (n), lambda (n) and mutation (n, 2); then noise
@@ -346,8 +368,10 @@ def _ga() -> _Rules:
         lam = u[:, n : 2 * n]
         child = np.where(u[:, :n] < 0.8, lam * parent1 + (1.0 - lam) * parent2, parent1)
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
-        # 0.0 + sigma * z is what rng.normal(0.0, sigma) returns, bit for bit
-        child = child + np.where(mutate, 0.0 + 0.05 * (hi - lo) * _planes(noise), 0.0)
+        # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
+        # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
+        lo, hi, sigma = box
+        np.add(child, sigma * _planes(noise), out=child, where=mutate)
         return child.clip(lo, hi), state
 
     def accept(pop, values, children, child_values):
@@ -364,7 +388,7 @@ def _de() -> _Rules:
     """DE rules: rand/1/bin trial vectors, kept when at least as good as their target."""
     coordinates = np.arange(2)
 
-    def propose(cfg, n_f, rngs, lo, hi, pop, values, p_gb, state):
+    def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         p_n = cfg.p_n
         # per trial: (p_n, p_n) random keys and a (p_n, 2) crossover draw, then j_rand
         u = _uniforms(rngs, (p_n * p_n + 2 * p_n,))
@@ -373,7 +397,7 @@ def _de() -> _Rules:
         r = u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3]
         r += _first_rows(len(rngs), p_n)[:, None, None]  # flat row indices
         x1, x2, x3 = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
-        mutant = (x1 + 0.5 * (x2 - x3)).clip(lo, hi)
+        mutant = (x1 + 0.5 * (x2 - x3)).clip(*box[:2])
         mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
         return np.where(_planes(mask), mutant, pop), state
 

@@ -16,8 +16,10 @@ The per-bit factors:
 
 In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
 minus the price; the dynamic price is q*w2*c/f_server + q*upsilon/b. The
-factors q*w2*c and q*upsilon are said once, in ``_purchase_factors``, and
-the channel's log2(1 + snr) pair is evaluated once per ``ChannelSpec``.
+scenario factors q*chi, q*w2*c and q*upsilon are said once, in
+``_scenario_factors``, and evaluated once per ``Scenario`` instance, as
+the channel's log2(1 + snr) pair is once per ``ChannelSpec``; the
+closed forms below then do only the allocation arithmetic.
 Every closed form here broadcasts: an ``Allocation`` or a ``Scenario``
 whose numeric fields hold broadcastable numpy arrays is evaluated in one
 call, one result per element. Arithmetic operators are IEEE-exact in
@@ -116,7 +118,7 @@ def linear_price(pc: PriceCoefficients, alloc: Allocation) -> float:
 
 def dynamic_price(s: Scenario, alloc: Allocation) -> float:
     """Price under dynamic pricing: q*w2*c/f_server + q*upsilon/b."""
-    q_w2c, q_ups = _purchase_factors(s)
+    _, q_w2c, q_ups = _scenario_factors(s)
     return q_w2c / alloc.f_server + q_ups / alloc.b
 
 
@@ -125,15 +127,21 @@ def data_revenue(s: Scenario) -> float:
     return s.mu * libm(math.log2, 1.0 + s.q)
 
 
-def _purchase_factors(s: Scenario) -> tuple[float, float]:
-    """(q*w2*c, q*upsilon): the scenario factors of the f_server and b terms of the user utility."""
-    return s.q * s.w2 * s.c, s.q * upsilon(s)
+def _scenario_factors(s: Scenario) -> tuple[float, float, float]:
+    """(q*chi, q*w2*c, q*upsilon), kept in the instance's ``__dict__`` as a ``cached_property`` is.
+
+    ``dataclasses.replace`` makes a new instance, which gets its own factors.
+    """
+    factors = s.__dict__.get("_scenario_factors")
+    if factors is None:
+        factors = s.__dict__["_scenario_factors"] = (s.q * chi(s), s.q * s.w2 * s.c, s.q * upsilon(s))
+    return factors
 
 
 def linear_user_utility_value(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> float:
     """User utility under linear pricing (closed form)."""
-    q_w2c, q_ups = _purchase_factors(s)
-    return s.q * chi(s) - q_w2c / alloc.f_server - q_ups / alloc.b - linear_price(pc, alloc)
+    q_chi, q_w2c, q_ups = _scenario_factors(s)
+    return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b - linear_price(pc, alloc)
 
 
 def dynamic_user_utility_value(s: Scenario, alloc: Allocation) -> float:
@@ -145,11 +153,10 @@ def dynamic_utility_objective(s: Scenario) -> Callable[[Allocation], float]:
     """The dynamic-mode user utility as an allocation -> value objective.
 
     The dynamic price equals the two allocation terms of the utility, so
-    they count twice. The scenario factors are computed once, here, so
-    optimizers can evaluate the objective cheaply.
+    they count twice: the objective keeps 2*q*w2*c and 2*q*upsilon.
     """
-    q_chi = s.q * chi(s)
-    q_w2c, q_ups = (2.0 * factor for factor in _purchase_factors(s))
+    q_chi, q_w2c, q_ups = _scenario_factors(s)
+    q_w2c, q_ups = 2.0 * q_w2c, 2.0 * q_ups
 
     def objective(alloc: Allocation) -> float:
         return q_chi - q_w2c / alloc.f_server - q_ups / alloc.b
@@ -188,7 +195,7 @@ def user_utility_gradient(
     s: Scenario, pc: PriceCoefficients, alloc: Allocation
 ) -> tuple[float, float]:
     """First partials of the linear-priced user utility w.r.t. (f_server, b)."""
-    q_w2c, q_ups = _purchase_factors(s)
+    _, q_w2c, q_ups = _scenario_factors(s)
     grad_f = q_w2c / libm(pow, alloc.f_server, 2) - pc.a
     grad_b = q_ups / libm(pow, alloc.b, 2) - pc.b_coef
     return grad_f, grad_b
@@ -196,7 +203,7 @@ def user_utility_gradient(
 
 def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:
     """Stationary point of the linear-priced utility: (sqrt(q*w2*c/a), sqrt(q*upsilon/b_coef))."""
-    q_w2c, q_ups = _purchase_factors(s)
+    _, q_w2c, q_ups = _scenario_factors(s)
     return Allocation(f_server=libm(math.sqrt, q_w2c / pc.a), b=libm(math.sqrt, q_ups / pc.b_coef))
 
 
@@ -208,7 +215,7 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
     negative, which holds for every valid input.
     """
     grad_f, grad_b = user_utility_gradient(s, pc, alloc)
-    q_w2c, q_ups = _purchase_factors(s)
+    _, q_w2c, q_ups = _scenario_factors(s)
     h_ff = -2.0 * q_w2c / libm(pow, alloc.f_server, 3)
     h_bb = -2.0 * q_ups / libm(pow, alloc.b, 3)
     crit = critical_point(s, pc)
@@ -229,7 +236,7 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
 
 def derive_coefficients(s: Scenario, f_target: float, b_target: float) -> PriceCoefficients:
     """Price coefficients whose critical point lands on the given targets."""
-    q_w2c, q_ups = _purchase_factors(s)
+    _, q_w2c, q_ups = _scenario_factors(s)
     return PriceCoefficients(a=q_w2c / libm(pow, f_target, 2), b_coef=q_ups / libm(pow, b_target, 2))
 
 

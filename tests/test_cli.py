@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeprice.cli import main
+from edgeprice.cli import _format_number, main
+from edgeprice.harness import compare_optimizers
+from edgeprice.optimizers import SwarmConfig
+from edgeprice.scenario import default_scenario
 
 SCENARIO_TEXT = """\
 # comparison defaults
@@ -100,6 +103,15 @@ def test_compare_emits_csv(tmp_path, capsys):
     assert len(parsed) == 1 + 4 * 2
     stdout = capsys.readouterr().out
     assert "disc-pso" in stdout
+
+
+def test_randomized_compare_header_is_the_range_of_trial_references(capsys):
+    assert main(["compare", "--trials", "6", "--randomize", "--seed", "4"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    references = compare_optimizers(default_scenario(), SwarmConfig(seed=4), 6, randomize=True).u_max_list
+    assert min(references) < max(references)
+    low, high = _format_number(min(references)), _format_number(max(references))
+    assert header == f"gap reference u_max: {low} to {high} per trial  (trials: 6)"
 
 
 def test_surface_prints_argmax(capsys):
@@ -325,5 +337,5 @@ def test_compare_output_bytes_are_pinned(tmp_path, capsys):
     assert main(argv) == 0
     stdout = capsys.readouterr().out.encode()
     assert _sha256(out.read_bytes()) == "205e8024e96a26b1181b2dc100dbff08aeb5bd4f6fcebab55dab532b7b96e04d"
-    assert _sha256(stdout) == "af57f7eff5bbf4753371e65be698bd1bdf83b415027469e0a4623f5c8fedb5a7"
+    assert _sha256(stdout) == "3729b494badc53374b0bdd1247d2fcc92bfaec3326a210747887dd58e41dd465"
     assert _sha256(plot.read_bytes()) == "06a16cc3a748700b375c6b48020f150a370c3bd63418c74501adb7722b354a11"

@@ -319,6 +319,17 @@ def test_swarm_config_accepts_edge_values():
     assert SwarmConfig(p_n=4, n_max=0, epsilon=1e9).n_max == 0
     assert SwarmConfig(p_n=np.int64(30), seed=np.uint32(7), epsilon=1).p_n == 30
 
+
+def test_swarm_config_checks_do_not_depend_on_magnitude():
+    # integer fields are finite by type, however large; a float field must fit a float
+    assert SwarmConfig(p_n=10**300).p_n == 10**300
+    assert SwarmConfig(p_n=10**400, n_max=10**400, seed=10**400).n_max == 10**400
+    assert SwarmConfig(epsilon=10**300).epsilon == 10**300
+    for fields in ({"epsilon": 10**400}, {"w_min": -(10**400)}):
+        with pytest.raises(ValueError, match=rf"{next(iter(fields))}=-?10+: must be a finite float"):
+            SwarmConfig(**fields)
+
+
 # ---------------------------------------------------------------- pinned trajectories
 # The objectives are written here from Scenario fields, apart from
 # edgeprice.pricing, so that a change to the model code cannot move the
@@ -474,6 +485,39 @@ def test_workload_columns_equal_replayed_single_runs(algo):
         objective = dynamic_utility_objective(s)
         assert box_maximum_utility(s) == u_max[i]
         assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], s, objective, u_max[i], cfg, seed)
+
+
+def _read_only(objective):
+    def wrapped(alloc):
+        values = np.array(objective(alloc))
+        values.flags.writeable = False
+        return values
+    return wrapped
+
+
+def _one_buffer(objective):
+    """Writes every call's values into the same memory and returns a view of it."""
+    buffer = np.empty(1024)
+
+    def wrapped(alloc):
+        values = objective(alloc)
+        out = buffer[: values.size].reshape(values.shape)
+        out[...] = values
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("algo", sorted(_SEARCHERS))
+@pytest.mark.parametrize("wrap", [_read_only, _one_buffer])
+def test_search_never_writes_the_objectives_arrays(algo, wrap, setting):
+    # acceptance updates the search's own arrays in place, never the objective's
+    s, objective, u_max = setting
+    search = _SEARCHERS[algo]
+    for seed in range(5):
+        cfg = SwarmConfig(seed=seed, epsilon=1e-9, n_max=10)
+        assert search(s, wrap(objective), u_max, cfg) == search(s, objective, u_max, cfg)
+        plain = replicate(search, s, objective, u_max, cfg, n_trials=6)
+        assert replicate(search, s, wrap(objective), u_max, cfg, n_trials=6) == plain
 
 
 def _failing_at(objective, *failures):

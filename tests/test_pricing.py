@@ -155,6 +155,44 @@ def test_linear_utility_makes_one_pass(defaults, libm_passes):
     assert [fn for fn, _ in libm_passes] == [pow]  # f_local^2 in chi
 
 
+@pytest.fixture
+def factor_passes(monkeypatch):
+    """The name of every chi and upsilon evaluation the model makes."""
+    passes = []
+    for name in ("chi", "upsilon"):
+        factor = getattr(pricing, name)
+        monkeypatch.setattr(pricing, name, lambda s, f=factor, n=name: passes.append(n) or f(s))
+    return passes
+
+
+def test_scenario_factors_are_evaluated_once_per_scenario(defaults, factor_passes):
+    pc = PriceCoefficients(1.5e-10, 6.8e-7)
+    values = {linear_user_utility_value(defaults, pc, CORNER) for _ in range(100)}
+    assert factor_passes == ["chi", "upsilon"]
+    assert len(values) == 1
+    for closed_form in (dynamic_price, server_utility, dynamic_user_utility_value):
+        closed_form(defaults, CORNER)
+    critical_point(defaults, pc)
+    assert factor_passes == ["chi", "upsilon"]
+
+
+def test_changed_and_array_scenarios_get_their_own_factors(defaults, factor_passes):
+    pc = PriceCoefficients(1.5e-10, 6.8e-7)
+
+    def written_out(s):  # the linear utility from chi and upsilon, without the kept factors
+        return (s.q * chi(s) - s.q * s.w2 * s.c / CORNER.f_server - s.q * upsilon(s) / CORNER.b
+                - linear_price(pc, CORNER))
+
+    value = linear_user_utility_value(defaults, pc, CORNER)
+    doubled = dataclasses.replace(defaults, q=2 * defaults.q)
+    assert linear_user_utility_value(doubled, pc, CORNER) == written_out(doubled) != value
+    q = np.array([1e5, 2e6, 4e6])
+    columns = dataclasses.replace(defaults, q=q)
+    expected = [written_out(dataclasses.replace(defaults, q=x)) for x in q.tolist()]
+    assert linear_user_utility_value(columns, pc, CORNER).tolist() == expected
+    assert factor_passes == ["chi", "upsilon"] * 3  # defaults, doubled, columns: one pass each
+
+
 def test_eu_path_equivalence_random():
     # closed dynamic form against saved-energy/saved-time minus price
     rng = np.random.default_rng(3)
