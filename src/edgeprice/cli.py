@@ -11,14 +11,13 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
     SweepSpec,
     box_maximum_utility,
     compare_optimizers,
-    corner_allocation,
     emit_comparison_csv,
     emit_csv,
     emit_plot,
@@ -31,15 +30,7 @@ from .harness import (
 )
 from .offload import Allocation
 from .pricing import dynamic_utility_objective
-from .scenario import (
-    ALLOCATION_KEYS,
-    REQUIRED_KEYS,
-    Scenario,
-    ghz_to_hz,
-    load_scenario,
-    mbps_to_bps,
-    parse_config,
-)
+from .scenario import Scenario, default_purchase, load_scenario, parse_config, parse_setting
 from .optimizers import OptimizerError, SwarmConfig
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
@@ -47,57 +38,40 @@ SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
 _SWARM_FIELD_TYPES = {f.name: type(f.default) for f in fields(SwarmConfig) if f.name != "seed"}
 
 
-class UsageError(Exception):
-    """Argument problem found by the CLI itself; maps to exit code 2, like ValueError."""
-
-
 def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str, float | int]]:
-    """Split --set key=value pairs into scenario/allocation and swarm overrides."""
+    """Split --set key=value pairs into scenario/allocation and swarm overrides.
+
+    A scenario or allocation pair is read as one scenario-file line is.
+    """
     scenario_overrides: dict[str, float | str] = {}
     swarm_overrides: dict[str, float | int] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         key = key.strip()
         value = value.strip()
-        if key in REQUIRED_KEYS or key in ALLOCATION_KEYS:
-            if key == "snr_mode":
-                scenario_overrides[key] = value
-            else:
-                try:
-                    scenario_overrides[key] = float(value)
-                except ValueError:
-                    raise UsageError(f"--set {key}: non-numeric value {value!r}") from None
-        elif key in _SWARM_FIELD_TYPES:
+        if key in _SWARM_FIELD_TYPES:
             try:
                 number = float(value)
             except ValueError:
-                raise UsageError(f"--set {key}: invalid value {value!r}") from None
+                raise ValueError(f"--set {key}: invalid value {value!r}") from None
             # SwarmConfig rejects any other value of an int field
             integral = _SWARM_FIELD_TYPES[key] is int and number.is_integer()
             swarm_overrides[key] = int(number) if integral else number
         else:
-            raise UsageError(f"--set {key}: unknown key")
+            scenario_overrides.update([parse_setting(pair)])
     return scenario_overrides, swarm_overrides
 
 
 def _load_context(args: argparse.Namespace) -> tuple[Scenario, Allocation, SwarmConfig]:
     """Scenario, default allocation, and swarm config for one invocation."""
     path = args.scenario or os.environ.get(SCENARIO_ENV_VAR)
-    config = parse_config(Path(path).read_text(encoding="utf-8")) if path else {}
+    # utf-8-sig: a byte-order mark, as some editors write, is not part of the first key
+    config = parse_config(Path(path).read_text(encoding="utf-8-sig")) if path else {}
     scenario_overrides, swarm_overrides = _parse_overrides(args.set or [])
     config.update(scenario_overrides)
     scenario = load_scenario(overrides=config)
-
-    allocation = corner_allocation(scenario)
-    if "f_server_ghz" in config:
-        allocation = replace(allocation, f_server=ghz_to_hz(float(config["f_server_ghz"])))
-    if "b_mbps" in config:
-        allocation = replace(allocation, b=mbps_to_bps(float(config["b_mbps"])))
-
-    cfg = SwarmConfig(seed=getattr(args, "seed", 0) or 0, **swarm_overrides)
-    return scenario, allocation, cfg
+    allocation = Allocation(*default_purchase(scenario, config))
+    return scenario, allocation, SwarmConfig(seed=args.seed, **swarm_overrides)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -105,7 +79,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         grid = tuple(float(v) for v in args.grid.split(","))
     except ValueError:
-        raise UsageError(f"--grid expects comma-separated numbers, got {args.grid!r}") from None
+        raise ValueError(f"--grid expects comma-separated numbers, got {args.grid!r}") from None
     spec = SweepSpec(parameter=args.param, grid=grid, scenario=scenario, allocation=allocation)
     rows = run_sweep(spec)
     if args.plot:
@@ -257,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (UsageError, ValueError, OptimizerError, OSError) as exc:
+    except (ValueError, OptimizerError, OSError) as exc:
         # ValueError: bad scenario or argument; OptimizerError: non-finite objective; OSError: bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2

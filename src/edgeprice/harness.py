@@ -22,7 +22,7 @@ from .pricing import (
     server_utility,
     user_utility,
 )
-from .scenario import Scenario, validate
+from .scenario import Scenario, ghz_to_hz, kb_to_bits, validate
 from .optimizers import (
     SwarmConfig,
     TrialStats,
@@ -211,7 +211,7 @@ def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
     rng = np.random.default_rng([seed, 0x5CE1])
     draws = [(rng.uniform(100.0, 500.0), rng.integers(1, 11)) for _ in range(n_trials)]
     q_kb, f_local_tenths = np.array(draws).T[..., None]
-    return replace(s, q=q_kb * 8192.0, f_local=0.1 * f_local_tenths * 1e9)
+    return replace(s, q=kb_to_bits(q_kb), f_local=ghz_to_hz(0.1 * f_local_tenths))
 
 
 def compare_optimizers(
@@ -301,11 +301,7 @@ def emit_plot(
         positions = list(data)  # type: ignore[arg-type]
         if not positions:
             raise ValueError("scatter plot needs at least one position")
-        pairs = [
-            (p.f_server, p.b) if isinstance(p, Allocation) else (float(p[0]), float(p[1]))
-            for p in positions
-        ]
-        unique = list(dict.fromkeys(pairs))
+        unique = list(dict.fromkeys((p.f_server, p.b) for p in positions))
         text = svgplot.scatter_plot(
             unique, x_label="f_server [Hz]", y_label="b [bit/s]", title="best positions"
         )

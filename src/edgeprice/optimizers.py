@@ -364,9 +364,9 @@ def _ga() -> _Rules:
         contest += _first_rows(len(rngs), cfg.p_n)[:, None, None, None]  # flat row indices
         a, b = contest[..., 0], contest[..., 1]
         winners = np.where(values.take(a) >= values.take(b), a, b)
-        parent1, parent2 = pop.reshape(2, -1).take(winners, axis=1).transpose(2, 0, 1, 3)
+        parents = pop.reshape(2, -1).take(winners, axis=1).transpose(2, 0, 1, 3)
         lam = u[:, n : 2 * n]
-        child = np.where(u[:, :n] < 0.8, lam * parent1 + (1.0 - lam) * parent2, parent1)
+        child = np.where(u[:, :n] < 0.8, lam * parents[0] + (1.0 - lam) * parents[1], parents[0])
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
         # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
@@ -396,8 +396,8 @@ def _de() -> _Rules:
         u[:, : p_n * p_n : p_n + 1] = 2.0  # the diagonal of each key matrix
         r = u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3]
         r += _first_rows(len(rngs), p_n)[:, None, None]  # flat row indices
-        x1, x2, x3 = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
-        mutant = (x1 + 0.5 * (x2 - x3)).clip(*box[:2])
+        x = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
+        mutant = (x[0] + 0.5 * (x[1] - x[2])).clip(*box[:2])
         mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
         return np.where(_planes(mask), mutant, pop), state
 

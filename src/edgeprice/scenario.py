@@ -3,7 +3,10 @@
 Everything downstream works in one canonical unit system (bits, Hz, bit/s,
 seconds, Joules, Watts). Conversions happen at this boundary and nowhere
 else, which is why the config keys carry explicit unit suffixes (q_kb,
-f_local_ghz, b_min_mbps, ...).
+f_local_ghz, b_min_mbps, ...). :func:`parse_setting` is the one reader of
+a ``key=value`` setting, whether it is a scenario-file line or a CLI
+``--set`` pair, and :func:`default_purchase` converts the optional
+``f_server_ghz``/``b_mbps`` purchase.
 
 The numeric fields of a Scenario may also hold equal-shape numpy arrays:
 every closed form of the model then evaluates one scenario per element.
@@ -32,16 +35,8 @@ def kb_to_bits(kb: float) -> float:
     return kb * BITS_PER_KB
 
 
-def bits_to_kb(bits: float) -> float:
-    return bits / BITS_PER_KB
-
-
 def ghz_to_hz(ghz: float) -> float:
     return ghz * HZ_PER_GHZ
-
-
-def hz_to_ghz(hz: float) -> float:
-    return hz / HZ_PER_GHZ
 
 
 def mbps_to_bps(mbps: float) -> float:
@@ -159,8 +154,7 @@ DEFAULT_CONFIG: dict[str, float | str] = {
 
 REQUIRED_KEYS = tuple(DEFAULT_CONFIG)
 
-#: Recognized but optional keys: a default purchase used by the CLI when the
-#: caller does not pin one on the command line.
+#: Recognized but optional keys: a pinned purchase, see :func:`default_purchase`.
 ALLOCATION_KEYS = ("f_server_ghz", "b_mbps")
 
 _STRING_KEYS = ("snr_mode",)
@@ -168,36 +162,46 @@ _STRING_KEYS = ("snr_mode",)
 _NUMBER_FIELDS = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
 
 
+def parse_setting(text: str) -> tuple[str, float | str]:
+    """Split and type one ``key=value`` setting.
+
+    ``snr_mode`` stays a string, bare or quoted; every other value becomes
+    a float. A missing ``=``, an unknown key or a non-numeric value raises
+    :class:`ScenarioError` naming the key.
+    """
+    key, sep, value = text.partition("=")
+    key, value = key.strip(), value.strip().strip("'\"")
+    if not sep:
+        raise ScenarioError(f"expected key=value, got {text!r}")
+    if key not in REQUIRED_KEYS and key not in ALLOCATION_KEYS:
+        raise ScenarioError(f"unknown key {key!r}")
+    if key in _STRING_KEYS:
+        return key, value
+    try:
+        return key, float(value)
+    except ValueError:
+        raise ScenarioError(f"non-numeric value {value!r} for key {key!r}") from None
+
+
 def parse_config(text: str) -> dict[str, float | str]:
     """Parse the flat key=value configuration format.
 
-    One key per line, ``#`` starts a comment, blank lines are ignored.
-    String values may be bare or quoted (a TOML-compatible subset).
-    Unknown and duplicate keys are errors.
+    One :func:`parse_setting` per line, ``#`` starts a comment, blank lines
+    are ignored (a TOML-compatible subset). Duplicate keys are errors, and
+    every error names its line.
     """
     parsed: dict[str, float | str] = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ScenarioError(f"line {lineno}: expected key=value, got {raw_line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip().strip("'\"")
-        if key not in REQUIRED_KEYS and key not in ALLOCATION_KEYS:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r}")
+        try:
+            key, value = parse_setting(line)
+        except ScenarioError as exc:
+            raise ScenarioError(f"line {lineno}: {exc}") from None
         if key in parsed:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        if key in _STRING_KEYS:
-            parsed[key] = value
-        else:
-            try:
-                parsed[key] = float(value)
-            except ValueError:
-                raise ScenarioError(
-                    f"line {lineno}: non-numeric value {value!r} for key {key!r}"
-                ) from None
+        parsed[key] = value
     return parsed
 
 
@@ -232,20 +236,14 @@ def load_scenario(
     config_text: str | None = None,
     *,
     overrides: Mapping[str, float | str] | None = None,
-    strict: bool = False,
 ) -> Scenario:
     """Load, merge with defaults, convert to canonical units, and validate.
 
-    Keys absent from the document take the built-in defaults; with
-    ``strict=True`` every required key must appear in the document itself.
-    ``overrides`` (already in config units) are applied last. Raises
+    Keys absent from the document take the built-in defaults. ``overrides``
+    (already in config units) are applied last. Raises
     :class:`ScenarioError` if the result violates any Scenario invariant.
     """
     parsed = parse_config(config_text) if config_text is not None else {}
-    if strict:
-        missing = [key for key in REQUIRED_KEYS if key not in parsed]
-        if missing:
-            raise ScenarioError("missing required key(s): " + ", ".join(missing))
     merged = dict(DEFAULT_CONFIG)
     merged.update(parsed)
     if overrides:
@@ -259,6 +257,17 @@ def load_scenario(
     if report:
         raise ScenarioError("invalid scenario: " + "; ".join(report))
     return scenario
+
+
+def default_purchase(s: Scenario, config: Mapping[str, float | str]) -> tuple[float, float]:
+    """The (f_server, b) purchase in Hz and bit/s: ``f_server_ghz`` and
+    ``b_mbps`` of ``config`` where pinned, otherwise the (f_max, b_max) box corner.
+
+    No check here: a sweep checks its allocation before using it.
+    """
+    f_server = ghz_to_hz(float(config["f_server_ghz"])) if "f_server_ghz" in config else s.f_range[1]
+    b = mbps_to_bps(float(config["b_mbps"])) if "b_mbps" in config else s.b_range[1]
+    return f_server, b
 
 
 def default_scenario(**field_overrides: object) -> Scenario:

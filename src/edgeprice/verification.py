@@ -32,13 +32,10 @@ from .pricing import (
     user_utility,
     user_utility_gradient,
 )
+from .scenario import BITS_PER_KB as KB, BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ
 from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
 from .harness import SweepRow, SweepSpec, compare_optimizers, corner_allocation, run_sweep, surface_grid
 from .optimizers import SwarmConfig, _gap_met
-
-KB = 8192.0  # bits
-GHZ = 1e9
-MBPS = 1e6
 
 # Reference anchors for the default configuration (raw SNR mode unless noted).
 PRICE_AT_100KB = 0.315874        # at (6 GHz, 1 Mbps)
@@ -66,6 +63,14 @@ def _check(name: str, basis: str, passed: bool, detail: str) -> AnchorCheck:
 
 def _close(actual: float, expected: float, tol: float) -> bool:
     return abs(actual - expected) <= tol
+
+
+def _near(name: str, basis: str, actual: float, expected: float, tol_text: str) -> AnchorCheck:
+    """``actual`` within ``float(tol_text)`` of ``expected``; the tolerance is printed as given."""
+    return _check(
+        name, basis, _close(actual, expected, float(tol_text)),
+        f"expected {expected} +/- {tol_text}, got {actual:.9g}",
+    )
 
 
 def _uniform(lo: float, hi: float, u: float) -> float:
@@ -129,17 +134,10 @@ def _random_draw_groups(rng: np.random.Generator, n: int) -> list[tuple[Scenario
 def _price_anchors() -> list[AnchorCheck]:
     q_kbs = (100.0, 500.0)
     prices = dynamic_price(default_scenario(q=np.array(q_kbs) * KB), Allocation(6.0 * GHZ, 1.0 * MBPS))
-    checks = []
-    for q_kb, expected, actual in zip(q_kbs, (PRICE_AT_100KB, PRICE_AT_500KB), prices.tolist()):
-        checks.append(
-            _check(
-                f"dynamic price at q={q_kb:g} KB, (6 GHz, 1 Mbps)",
-                "reference",
-                _close(actual, expected, 1e-5),
-                f"expected {expected} +/- 1e-5, got {actual:.9g}",
-            )
-        )
-    return checks
+    return [
+        _near(f"dynamic price at q={q_kb:g} KB, (6 GHz, 1 Mbps)", "reference", actual, expected, "1e-5")
+        for q_kb, expected, actual in zip(q_kbs, (PRICE_AT_100KB, PRICE_AT_500KB), prices.tolist())
+    ]
 
 
 def _f_server_sweep() -> list[SweepRow]:
@@ -173,12 +171,8 @@ def _sweep_delta_anchors(rows: list[SweepRow]) -> list[AnchorCheck]:
         )
     )
     checks.append(
-        _check(
-            "user-utility 2->3 GHz delta, closed form",
-            "derived",
-            _close(user_deltas[1], USER_DELTA_2_3_CLOSED_FORM, 1e-4),
-            f"expected {USER_DELTA_2_3_CLOSED_FORM} +/- 1e-4, got {user_deltas[1]:.9g}",
-        )
+        _near("user-utility 2->3 GHz delta, closed form", "derived",
+              user_deltas[1], USER_DELTA_2_3_CLOSED_FORM, "1e-4")
     )
     server_ok = all(
         _close(actual, expected, 1e-4)
@@ -198,12 +192,7 @@ def _sweep_delta_anchors(rows: list[SweepRow]) -> list[AnchorCheck]:
 def _utility_anchor() -> AnchorCheck:
     s = default_scenario()
     actual = dynamic_user_utility_value(s, Allocation(6.0 * GHZ, 1.0 * MBPS))
-    return _check(
-        "user utility at the corner, q=500 KB",
-        "derived",
-        _close(actual, USER_UTILITY_AT_CORNER, 1e-3),
-        f"expected {USER_UTILITY_AT_CORNER} +/- 1e-3, got {actual:.9g}",
-    )
+    return _near("user utility at the corner, q=500 KB", "derived", actual, USER_UTILITY_AT_CORNER, "1e-3")
 
 
 def _diagnostic_anchors() -> list[AnchorCheck]:
@@ -213,18 +202,8 @@ def _diagnostic_anchors() -> list[AnchorCheck]:
         default_scenario(channel=ChannelSpec(20.0, 30.0, "db-to-linear")), corner
     )
     checks = [
-        _check(
-            "bandwidth-related server factor, raw SNR",
-            "derived",
-            _close(raw.b_part, B_PART_RAW, 1e-5),
-            f"expected {B_PART_RAW} +/- 1e-5, got {raw.b_part:.9g}",
-        ),
-        _check(
-            "bandwidth-related server factor, db-to-linear SNR",
-            "reference",
-            _close(db.b_part, B_PART_DB, 5e-4),
-            f"expected {B_PART_DB} +/- 5e-4, got {db.b_part:.9g}",
-        ),
+        _near("bandwidth-related server factor, raw SNR", "derived", raw.b_part, B_PART_RAW, "1e-5"),
+        _near("bandwidth-related server factor, db-to-linear SNR", "reference", db.b_part, B_PART_DB, "5e-4"),
         _check(
             "per-bit price slope inside the documented interval",
             "reference",
@@ -343,12 +322,8 @@ def _optimizer_anchors(cfg: SwarmConfig, n_trials: int) -> list[AnchorCheck]:
     stds = {name: st.std_value for name, st in report.stats.items()}
 
     checks = [
-        _check(
-            "search-gap reference value at the comparison setting",
-            "derived",
-            _close(report.u_max, USER_UTILITY_AT_CORNER, 1e-3),
-            f"expected {USER_UTILITY_AT_CORNER} +/- 1e-3, got {report.u_max:.9g}",
-        ),
+        _near("search-gap reference value at the comparison setting", "derived",
+              report.u_max, USER_UTILITY_AT_CORNER, "1e-3"),
         _check(
             f"disc-pso converged in all {n_trials} trials with mean iterations <= 5",
             "statistical",

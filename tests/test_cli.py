@@ -135,6 +135,49 @@ def test_unknown_set_key_is_usage_error(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def _stdout(argv: list[str], capsys) -> str:
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_set_pair_reads_as_a_scenario_file_line(tmp_path, capsys):
+    # a quoted snr_mode was accepted in a file and refused by --set
+    line = "snr_mode='db-to-linear'"
+    scenario = tmp_path / "s.conf"
+    scenario.write_text(line + "\n")
+    from_file = _stdout(["optimize", "--scenario", str(scenario)], capsys)
+    assert _stdout(["optimize", "--set", line], capsys) == from_file != _stdout(["optimize"], capsys)
+
+
+def test_purchase_keys_give_one_sweep_from_set_or_file(tmp_path, capsys):
+    scenario = tmp_path / "s.conf"
+    scenario.write_text("f_server_ghz=3\nb_mbps=0.5\n")
+    argv = ["sweep", "--param", "q", "--grid", "819200,4096000"]
+    from_file = _stdout([*argv, "--scenario", str(scenario)], capsys)
+    from_set = _stdout([*argv, "--set", "f_server_ghz=3", "--set", "b_mbps=0.5"], capsys)
+    assert from_set == from_file != _stdout(argv, capsys)
+
+
+def test_scenario_file_with_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.conf", tmp_path / "marked.conf"
+    plain.write_text("q_kb=250\nb_mbps=0.5\n", encoding="utf-8")
+    marked.write_text("q_kb=250\nb_mbps=0.5\n", encoding="utf-8-sig")
+    assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+    argv = ["sweep", "--param", "f_server", "--grid", "1e9,6e9", "--scenario"]
+    assert _stdout([*argv, str(marked)], capsys) == _stdout([*argv, str(plain)], capsys)
+
+
+@pytest.mark.parametrize("pair, message", [
+    ("bogus=1", "unknown key 'bogus'"),
+    ("q_kb=abc", "non-numeric value 'abc' for key 'q_kb'"),
+    ("q_kb", "expected key=value, got 'q_kb'"),
+])
+def test_bad_set_pair_is_one_error_line(pair, message, capsys):
+    assert main(["optimize", "--set", pair]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["sweep", "--param", "q", "--grid", "1", "--frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edgeprice.scenario import (
+    ALLOCATION_KEYS,
+    DEFAULT_CONFIG,
     SNR_MODES,
     ChannelSpec,
     ScenarioError,
-    bits_to_kb,
     default_scenario,
-    ghz_to_hz,
-    hz_to_ghz,
     exp10,
-    kb_to_bits,
     libm,
     load_scenario,
     parse_config,
+    parse_setting,
     validate,
 )
 
@@ -68,11 +67,6 @@ def test_snr_modes_differ_only_in_effective_values():
     assert db.channel.effective_snrs() != raw.channel.effective_snrs()
 
 
-def test_strict_mode_requires_every_key():
-    with pytest.raises(ScenarioError, match="q_kb"):
-        load_scenario("c_cycles_per_bit=2640\n", strict=True)
-
-
 def test_nonpositive_value_names_the_field():
     with pytest.raises(ScenarioError, match="q"):
         load_scenario("q_kb=-5\n")
@@ -115,19 +109,16 @@ def test_parse_config_rejects_non_numeric():
         parse_config("q_kb=abc\n")
 
 
+@pytest.mark.parametrize("quote", ["", "'", '"'])
+@pytest.mark.parametrize("key", [*DEFAULT_CONFIG, *ALLOCATION_KEYS])
+def test_a_config_line_is_one_setting(key, quote):
+    line = f"{key} = {quote}{DEFAULT_CONFIG.get(key, 0.5)}{quote}"
+    assert parse_config(line) == dict([parse_setting(line)])
+
+
 def test_override_unknown_key_rejected():
     with pytest.raises(ScenarioError, match="override"):
         load_scenario(None, overrides={"bogus": 1.0})
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_kb_round_trip_exact_for_integers(kb):
-    assert bits_to_kb(kb_to_bits(float(kb))) == float(kb)
-
-
-@given(st.integers(min_value=1, max_value=10**6))
-def test_ghz_round_trip_exact_for_integers(ghz):
-    assert hz_to_ghz(ghz_to_hz(float(ghz))) == float(ghz)
 
 
 def test_channel_spec_mode_validation():
