@@ -128,12 +128,12 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
         raise ValueError(
             f"sweep grid must be strictly increasing, got {grid[i]!r} at index {i} after {grid[i - 1]!r}"
         )
-    if spec.parameter == "f_server":
-        lo, hi = spec.scenario.f_range
-    elif spec.parameter == "b":
-        lo, hi = spec.scenario.b_range
-    else:
-        lo, hi = 0.0, float("inf")
+    ranges = {"f_server": spec.scenario.f_range, "b": spec.scenario.b_range}
+    for name, (lo, hi) in ranges.items():  # the swept coordinate is replaced by the grid
+        value = getattr(spec.allocation, name)
+        if name != spec.parameter and not lo <= value <= hi:
+            raise ValueError(f"allocation {name}={value!r} outside the valid {name} range [{lo!r}, {hi!r}]")
+    lo, hi = ranges.get(spec.parameter, (0.0, float("inf")))
     if grid[0] < lo or grid[-1] > hi or grid[0] <= 0:
         raise ValueError(
             f"sweep grid {grid[0]!r}..{grid[-1]!r} outside the valid {spec.parameter} "

@@ -25,12 +25,14 @@ their values are not read. When the objective fails, the
 the earliest failing round.
 
 Each searcher is a proposal rule plus an acceptance rule over these
-arrays. disc_pso is the enhanced swarm (linearly decaying inertia plus a
-per-coordinate minimum velocity magnitude); baseline_pso is the same
-rules with fixed inertia and no velocity floor. The GA and DE baselines
-run fixed conventional operator settings (GA crossover 0.8, mutation
-0.1 at 0.05 box widths; DE F = 0.5, CR = 0.9) and breed whole
-generations with array draws.
+arrays, and each runs fixed settings. disc_pso is the enhanced swarm:
+inertia decaying linearly from 0.9 to 0.4 over n_max rounds, plus a
+per-coordinate minimum velocity magnitude of 0.6 box widths for
+f_server and 5/9 for b, so the floor follows the box. baseline_pso is
+the same rules with inertia fixed at 0.9 and no velocity floor; both
+learn at 2.0. The GA and DE baselines run conventional operator
+settings (GA crossover 0.8, mutation 0.1 at 0.05 box widths; DE F =
+0.5, CR = 0.9) and breed whole generations with array draws.
 """
 from __future__ import annotations
 
@@ -49,6 +51,14 @@ from .scenario import Scenario
 #: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
 
+#: The swarm settings. disc_pso's inertia decays linearly from _W_MAX to _W_MIN
+#: over n_max rounds, baseline_pso's stays at _W_MAX; both learn at _C1 (own best)
+#: and _C2 (global best).
+_W_MAX, _W_MIN, _C1, _C2 = 0.9, 0.4, 2.0, 2.0
+#: disc_pso's minimum velocity magnitude per round as a share of the box width, per
+#: (f_server, b) plane: exactly 3e9 Hz and 5e5 bit/s on the paper's 1-6 GHz x 0.1-1 Mbit/s box.
+_FLOOR_SHARE = np.array([0.6, 5e5 / 9e5]).reshape(2, 1, 1)
+
 
 class OptimizerError(RuntimeError):
     """A run aborted, e.g. the objective produced a non-finite value.
@@ -63,26 +73,9 @@ class OptimizerError(RuntimeError):
 
 @dataclass(frozen=True)
 class SwarmConfig:
-    """Search hyperparameters.
-
-    All four searchers read p_n, n_max, epsilon and seed. The inertia
-    bounds ``w_*``, learning factors ``c*_learn`` and velocity floors
-    ``delta_*`` are swarm-only: baseline_pso reads w_max, c1_learn and
-    c2_learn, disc_pso all of them; GA and DE read none.
-
-    The velocity floors are the accelerating mechanism of disc_pso and
-    only bite when they are a substantial fraction of the search box; the
-    defaults are ~60% of the default box widths. Scale them with the box
-    when the search ranges change.
-    """
+    """The settings every searcher reads; each searcher's own settings are fixed."""
 
     p_n: int = 30               # particle / population count
-    w_max: float = 0.9          # inertia upper bound
-    w_min: float = 0.4          # inertia lower bound
-    c1_learn: float = 2.0       # individual learning factor
-    c2_learn: float = 2.0       # social learning factor
-    delta_f: float = 3e9        # minimum velocity magnitude, Hz per round
-    delta_b: float = 5e5        # minimum velocity magnitude, bit/s per round
     n_max: int = 50             # maximum update rounds
     epsilon: float = 1e-3       # relative-gap termination threshold
     seed: int = 0
@@ -225,7 +218,8 @@ class _Rules(NamedTuple):
     tuple of (2, T, k) arrays sharing no memory with ``pop``.
     ``propose(cfg, round, rngs, box, pop, values, p_gb, state)`` gives new
     candidate and state arrays inside ``box``, the (2, 1, 1) planes (lo,
-    hi, GA mutation scale 0.05 * (hi - lo)) made once per search, drawing
+    hi, GA mutation scale 0.05 * (hi - lo), disc_pso velocity floor
+    _FLOOR_SHARE * (hi - lo)) made once per search, drawing
     from each trial's generator in ``rngs``; ``p_gb`` holds the (2, T, p_n)
     global bests, each trial's repeated along its row. ``accept(pop,
     values, candidates, candidate_values)`` gives the next (pop, values),
@@ -262,8 +256,9 @@ def _search(
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
     lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None]  # (2, 1, 1) planes each
-    box = lo, hi, 0.05 * (hi - lo)
-    pop = lo + (hi - lo) * _planes(_uniforms(rngs, (cfg.p_n, 2)))
+    width = hi - lo
+    box = lo, hi, 0.05 * width, _FLOOR_SHARE * width
+    pop = lo + width * _planes(_uniforms(rngs, (cfg.p_n, 2)))
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
     values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
     state = rules.init(pop)
@@ -310,14 +305,6 @@ def _replace_where(better: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Ca
     return accept
 
 
-@functools.lru_cache(maxsize=64)
-def _velocity_floor(delta_f: float, delta_b: float) -> np.ndarray:
-    """The per-coordinate minimum velocity magnitudes as read-only (2, 1, 1) planes."""
-    floor = np.array([delta_f, delta_b]).reshape(2, 1, 1)
-    floor.flags.writeable = False
-    return floor
-
-
 def _swarm(enhanced: bool) -> _Rules:
     """Swarm rules: the population is the personal bests; positions and velocities are state.
 
@@ -329,20 +316,20 @@ def _swarm(enhanced: bool) -> _Rules:
 
     def propose(cfg, n_f, rngs, box, best_position, best_values, p_gb, state):
         position, velocity = state
-        w = cfg.w_max - (cfg.w_max - cfg.w_min) * n_f / cfg.n_max if enhanced else cfg.w_max
+        w = _W_MAX - (_W_MAX - _W_MIN) * n_f / cfg.n_max if enhanced else _W_MAX
         # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order, as contiguous
         # (2, T, p_n) planes: r[0] those of c1, r[1] those of c2
         r = np.ascontiguousarray(_uniforms(rngs, (cfg.p_n, 2, 2)).transpose(3, 2, 0, 1))
         # w v + c1 r (best - x) + c2 r (p_gb - x), in that order, into this round's new array
         velocity = w * velocity
         pull = best_position - position
-        pull *= cfg.c1_learn * r[0]
+        pull *= _C1 * r[0]
         velocity += pull
         np.subtract(p_gb, position, out=pull)
-        pull *= cfg.c2_learn * r[1]
+        pull *= _C2 * r[1]
         velocity += pull
         if enhanced:
-            velocity = _with_min_magnitude(velocity, _velocity_floor(cfg.delta_f, cfg.delta_b))
+            velocity = _with_min_magnitude(velocity, box[3])
         position = (position + velocity).clip(*box[:2])
         return position, (position, velocity)
 
@@ -370,7 +357,7 @@ def _ga() -> _Rules:
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
         # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
-        lo, hi, sigma = box
+        lo, hi, sigma = box[:3]
         np.add(child, sigma * _planes(noise), out=child, where=mutate)
         return child.clip(lo, hi), state
 
@@ -409,12 +396,12 @@ def _run_one(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig, 
 
 
 def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Swarm search with decaying inertia and per-coordinate velocity floors."""
+    """Swarm search with inertia decaying 0.9 -> 0.4 and velocity floors of 0.6 and 5/9 box widths."""
     return _run_one(s, objective, u_max, cfg, _RULES[disc_pso])
 
 
 def baseline_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Plain swarm search: inertia fixed at w_max, no minimum-velocity floor."""
+    """Plain swarm search: inertia fixed at 0.9, no minimum-velocity floor."""
     return _run_one(s, objective, u_max, cfg, _RULES[baseline_pso])
 
 

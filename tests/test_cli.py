@@ -178,6 +178,34 @@ def test_bad_set_pair_is_one_error_line(pair, message, capsys):
     assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
+@pytest.mark.parametrize("key", ["w_max", "w_min", "c1_learn", "c2_learn", "delta_f", "delta_b"])
+def test_fixed_swarm_settings_are_unknown_keys(key, capsys):
+    # disc-pso's inertia, learning factors and velocity floor are fixed, as GA's and DE's settings are
+    assert main(["optimize", "--set", f"{key}=1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: unknown key '{key}'\n" and captured.out == ""
+
+
+def test_swarm_keys_are_set(capsys):
+    # p_n, n_max and epsilon stay settable; pso at seed 0 meets epsilon 1e-3 in its initial sampling
+    strict = ["optimize", "--algo", "pso", "--set", "epsilon=1e-12"]
+    assert "iterations: 1\nconverged: True\n" in _stdout(strict, capsys)
+    assert "iterations: 0\nconverged: False\n" in _stdout([*strict, "--set", "n_max=0"], capsys)
+    assert "iterations: 2\nconverged: True\n" in _stdout([*strict, "--set", "p_n=10"], capsys)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--param", "f_server", "--grid", "1e9,2e9", "--set", "b_mbps=50"],
+     "allocation b=50000000.0 outside the valid b range [100000.0, 1000000.0]"),
+    (["--param", "q", "--grid", "819200", "--set", "f_server_ghz=0.5"],
+     "allocation f_server=500000000.0 outside the valid f_server range [1000000000.0, 6000000000.0]"),
+])
+def test_sweep_pinned_purchase_outside_the_box_is_one_error_line(argv, message, capsys):
+    assert main(["sweep", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["sweep", "--param", "q", "--grid", "1", "--frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err

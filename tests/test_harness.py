@@ -160,6 +160,29 @@ def test_sweep_rejects_non_finite_or_non_positive_allocation(defaults, allocatio
         run_sweep(spec)
 
 
+@pytest.mark.parametrize(
+    "parameter, allocation, name",
+    [
+        ("f_server", Allocation(6 * GHZ, 50 * MBPS), "b"),
+        ("b", Allocation(0.5 * GHZ, 1 * MBPS), "f_server"),
+        ("q", Allocation(6 * GHZ, 0.05 * MBPS), "b"),
+        ("f_local", Allocation(7 * GHZ, 1 * MBPS), "f_server"),
+    ],
+)
+def test_sweep_rejects_a_fixed_purchase_outside_the_box(defaults, parameter, allocation, name):
+    # a grid value outside the box was refused, a pinned purchase outside it was swept
+    grid = {"f_server": (1e9, 2e9), "b": (1e5, 2e5), "q": (819200.0,), "f_local": (1e8, 5e8)}[parameter]
+    with pytest.raises(ValueError, match=rf"^allocation {name}=\S+ outside the valid {name} range \["):
+        run_sweep(SweepSpec(parameter, grid, defaults, allocation))
+
+
+def test_sweep_replaces_the_swept_purchase_coordinate(defaults):
+    # only the coordinate the sweep holds fixed must lie in the box
+    inside = SweepSpec("b", (1e5, 2e5), defaults, Allocation(6 * GHZ, 1 * MBPS))
+    outside = dataclasses.replace(inside, allocation=Allocation(6 * GHZ, 50 * MBPS))
+    assert run_sweep(outside) == run_sweep(inside)
+
+
 @pytest.mark.parametrize("parameter, grid", [("q", (819200.0,)), ("f_server", (1e9, 2e9))])
 def test_sweep_rejects_overflowing_model_values(defaults, parameter, grid):
     # k = 1e300 passes validate() but overflows the energy terms to inf

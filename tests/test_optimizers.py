@@ -153,10 +153,14 @@ def test_scalar_objective_is_rejected_with_its_shape(setting, algorithm):
         algorithm(s, lambda alloc: 1.0, u_max, SwarmConfig(seed=1))
 
 
-def test_structural_equivalence_of_pso_variants(setting):
-    # with the enhancements configured away the two searches coincide
+def test_structural_equivalence_of_pso_variants(setting, monkeypatch):
+    # with the enhancements patched away the two searches coincide
+    import edgeprice.optimizers as opt
+
+    monkeypatch.setattr(opt, "_W_MIN", opt._W_MAX)
+    monkeypatch.setattr(opt, "_FLOOR_SHARE", np.zeros((2, 1, 1)))
     s, objective, u_max = setting
-    cfg = SwarmConfig(seed=13, w_min=0.9, w_max=0.9, delta_f=0.0, delta_b=0.0, epsilon=1e-9)
+    cfg = SwarmConfig(seed=13, epsilon=1e-9)
     assert disc_pso(s, objective, u_max, cfg) == baseline_pso(s, objective, u_max, cfg)
 
 
@@ -179,16 +183,19 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
         return out
 
     monkeypatch.setattr(opt, "_with_min_magnitude", spy)
-    s, objective, u_max = setting
     cfg = SwarmConfig(seed=3, epsilon=1e-12, n_max=4)
-    opt.disc_pso(s, objective, u_max * 1.1, cfg)  # unreachable reference, full run
-    assert len(recorded) == cfg.n_max  # every round
-    for v, out, floor in recorded:
-        # both coordinates of every particle: the f_server and b planes of a batch of one trial
-        assert v.shape == out.shape == (2, 1, cfg.p_n)
-        assert floor.ravel().tolist() == [cfg.delta_f, cfg.delta_b]
-        assert ((v == 0.0) == (out == 0.0)).all()
-        assert ((out == 0.0) | (np.abs(out) >= floor)).all()
+    # the paper's box, whose floor is 3e9 Hz and 5e5 bit/s, and the box ten times as wide
+    for s, floors in ((setting[0], (3e9, 5e5)), (_wide_box(10), (0.6 * 59e9, 5e5 / 9e5 * 9.9e6))):
+        recorded.clear()
+        opt.disc_pso(s, dynamic_utility_objective(s), box_maximum_utility(s) * 1.1, cfg)  # full run
+        assert len(recorded) == cfg.n_max  # every round
+        for v, out, floor in recorded:
+            # both coordinates of every particle: the f_server and b planes of a batch of one trial
+            assert v.shape == out.shape == (2, 1, cfg.p_n)
+            for plane, value in zip(np.broadcast_to(floor, v.shape), floors):
+                assert (plane == value).all()
+            assert ((v == 0.0) == (out == 0.0)).all()
+            assert ((out == 0.0) | (np.abs(out) >= floor)).all()
 
 
 def test_trial_seeds_deterministic():
@@ -254,6 +261,22 @@ def test_enhancements_reduce_iterations(setting):
     assert all(disc.converged_list)
 
 
+def _wide_box(scale):
+    """The default scenario with its f_server and b maxima ``scale`` times the paper's."""
+    return default_scenario(f_range=(1e9, scale * 6e9), b_range=(1e5, scale * 1e6))
+
+
+@pytest.mark.parametrize("scale", [10, 100])
+def test_enhancements_reduce_iterations_on_wider_boxes(scale):
+    # the velocity floor is a share of the box width, so disc_pso keeps its lead off the paper's box
+    s = _wide_box(scale)
+    objective, u_max, cfg = dynamic_utility_objective(s), box_maximum_utility(s), SwarmConfig(epsilon=1e-6)
+    disc = replicate(disc_pso, s, objective, u_max, cfg, n_trials=50)
+    plain = replicate(baseline_pso, s, objective, u_max, cfg, n_trials=50)
+    assert all(disc.converged_list)
+    assert disc.mean_iterations < plain.mean_iterations
+
+
 
 def test_negative_utility_is_not_falsely_converged():
     # u_max < 0 here; a ratio (u_max - best)/best flips sign and stopped every
@@ -301,9 +324,6 @@ def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbp
         {"epsilon": 0.0},
         {"epsilon": -1e-3},
         {"epsilon": math.nan},
-        {"w_max": math.inf},
-        {"delta_f": math.nan},
-        {"c1_learn": -math.inf},
         {"p_n": 30.5},
         {"n_max": 2.0},
         {"seed": 1.5},
@@ -325,7 +345,7 @@ def test_swarm_config_checks_do_not_depend_on_magnitude():
     assert SwarmConfig(p_n=10**300).p_n == 10**300
     assert SwarmConfig(p_n=10**400, n_max=10**400, seed=10**400).n_max == 10**400
     assert SwarmConfig(epsilon=10**300).epsilon == 10**300
-    for fields in ({"epsilon": 10**400}, {"w_min": -(10**400)}):
+    for fields in ({"epsilon": 10**400}, {"epsilon": -(10**400)}):
         with pytest.raises(ValueError, match=rf"{next(iter(fields))}=-?10+: must be a finite float"):
             SwarmConfig(**fields)
 
