@@ -324,6 +324,9 @@ def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbp
         {"epsilon": 0.0},
         {"epsilon": -1e-3},
         {"epsilon": math.nan},
+        {"epsilon": math.inf},
+        {"p_n": "30"},
+        {"n_max": -(10**400)},
         {"p_n": 30.5},
         {"n_max": 2.0},
         {"seed": 1.5},
