@@ -612,3 +612,34 @@ def _seeded_results():
 def test_seeded_results_digest_is_pinned():
     text = "\n".join(map(repr, _seeded_results()))
     assert hashlib.sha256(text.encode()).hexdigest() == _RESULTS_DIGEST
+
+
+# ---------------------------------------------------------------- block-boundary digest
+# The digest above mostly holds runs that stop after about one round or at
+# n_max = 50. This one holds swarm runs of every length around a power of
+# two, as single runs that use every round and as batches whose trials
+# leave at different rounds, recorded before the swarms drew their
+# uniforms several rounds per generator call.
+
+_BLOCKS_DIGEST = "6bd39cb15e526aa042ac9fbef950ad9f3a5b403208fa90fdea3649f60a652c16"
+
+
+def _block_boundary_results():
+    s = default_scenario()
+    rng = np.random.default_rng(16)
+    seeded = (float(rng.uniform(*s.f_range)), float(rng.uniform(*s.b_range)))
+    for target in (_TARGET, seeded):
+        pc = derive_coefficients(s, *target)
+        linear = functools.partial(linear_user_utility_value, s, pc)
+        u_max = linear(critical_point(s, pc))
+        for search in (disc_pso, baseline_pso):
+            for n_max in (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 50):
+                for seed in range(4):
+                    yield search(s, linear, u_max, SwarmConfig(seed=seed, n_max=n_max, epsilon=1e-12))
+                    cfg = SwarmConfig(seed=seed, n_max=n_max, epsilon=1e-6)
+                    yield replicate(search, s, linear, u_max, cfg, n_trials=5)
+
+
+def test_swarm_block_boundaries_are_pinned():
+    text = "\n".join(map(repr, _block_boundary_results()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _BLOCKS_DIGEST
