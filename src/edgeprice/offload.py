@@ -26,8 +26,6 @@ class Allocation:
 @dataclass(frozen=True)
 class TimeBreakdown:
     t_local: float     # local execution time, s
-    r_u: float         # uplink rate, bit/s
-    r_d: float         # downlink rate, bit/s
     t_u: float         # upload time, s
     t_p: float         # remote processing time, s
     t_d: float         # download time, s
@@ -63,8 +61,6 @@ def time_breakdown(s: Scenario, alloc: Allocation) -> TimeBreakdown:
     t_local = local_exec_time(s)
     return TimeBreakdown(
         t_local=t_local,
-        r_u=r_u,
-        r_d=r_d,
         t_u=t_u,
         t_p=t_p,
         t_d=t_d,

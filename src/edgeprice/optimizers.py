@@ -24,15 +24,23 @@ their values are not read. When the objective fails, the
 ``OptimizerError`` names the lowest-index trial among those that fail in
 the earliest failing round.
 
-Each searcher is a proposal rule plus an acceptance rule over these
-arrays, and each runs fixed settings. disc_pso is the enhanced swarm:
-inertia decaying linearly from 0.9 to 0.4 over n_max rounds, plus a
-per-coordinate minimum velocity magnitude of 0.6 box widths for
-f_server and 5/9 for b, so the floor follows the box. baseline_pso is
-the same rules with inertia fixed at 0.9 and no velocity floor; both
-learn at 2.0. The GA and DE baselines run conventional operator
-settings (GA crossover 0.8, mutation 0.1 at 0.05 box widths; DE F =
-0.5, CR = 0.9) and breed whole generations with array draws.
+The search box is made once per ``Scenario`` instance and candidate
+count k: read-only (2, 1, k) planes of lo, hi, the width, the GA's
+mutation scale and disc_pso's velocity floor, each the shape of one
+trial's candidates. Each searcher is a proposal rule plus an acceptance
+rule over these arrays, and each runs fixed settings. A swarm's state is
+its positions, its velocities and a block of learning-factor draws for
+the rounds ahead, already scaled by c1 and c2; it draws a block of 1, 2,
+4, ... rounds per generator call, so a trial that leaves the batch may
+have drawn up to one block ahead from its own generator, which changes
+no result. disc_pso is the enhanced swarm: inertia decaying linearly
+from 0.9 to 0.4 over n_max rounds, plus a per-coordinate minimum
+velocity magnitude of 0.6 box widths for f_server and 5/9 for b, so the
+floor follows the box. baseline_pso is the same rules with inertia fixed
+at 0.9 and no velocity floor; both learn at 2.0. The GA and DE baselines
+run conventional operator settings (GA crossover 0.8, mutation 0.1 at
+0.05 box widths; DE F = 0.5, CR = 0.9) and breed whole generations with
+array draws.
 """
 from __future__ import annotations
 
@@ -156,12 +164,12 @@ def _evaluate_population(
     """The (L, k) values of the live trials' (2, L, k) rows ``pop``, scored in one objective call.
 
     The call scores the (T, k) rows of the whole batch, row t for trial t;
-    a finished trial's rows are the box corner ``hi`` and are not read.
+    a finished trial's rows are the box corner, ``hi`` of any row, and are not read.
     ``n_f`` is the round, None for the initial sampling; an error names it.
     """
     rows = pop
     if len(trials) < n_trials:
-        rows = np.broadcast_to(hi, (2, n_trials, pop.shape[2])).copy()
+        rows = np.broadcast_to(hi[..., :1], (2, n_trials, pop.shape[2])).copy()
         rows[:, trials] = pop
     f, b = rows[0], rows[1]  # indexing: unpacking goes through the array's iterator, a slower path
     values = np.asarray(objective(Allocation(f, b)), dtype=float)
@@ -202,6 +210,39 @@ def _track_best(
     return improved
 
 
+class _Box(NamedTuple):
+    """A scenario's search box as read-only (2, 1, k) planes, the f_server and b rows of k candidates.
+
+    Each plane is constant along its row, so it has the shape of a
+    single trial's candidates and numpy takes its same-shape path.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    width: np.ndarray   # hi - lo
+    sigma: np.ndarray   # the GA's mutation scale, 0.05 * width
+    floor: np.ndarray   # disc_pso's velocity floor, _FLOOR_SHARE * width
+
+
+def _search_box(s: Scenario, k: int) -> _Box:
+    """The box of ``s`` for k candidates per trial, made once per ``Scenario`` instance and k.
+
+    It is kept in the instance's ``__dict__``, as ``pricing`` keeps the
+    scenario's factors, so a ``dataclasses.replace``d scenario gets its own;
+    a box whose floor was made from another ``_FLOOR_SHARE`` is made again.
+    """
+    boxes = s.__dict__.setdefault("_search_boxes", {})
+    share, box = boxes.get(k, (None, None))
+    if share is not _FLOOR_SHARE:
+        lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None].repeat(k, axis=-1)
+        width = hi - lo
+        box = _Box(lo, hi, width, 0.05 * width, _FLOOR_SHARE * width)
+        for plane in box:
+            plane.flags.writeable = False
+        boxes[k] = _FLOOR_SHARE, box
+    return box
+
+
 @functools.lru_cache(maxsize=64)
 def _first_rows(n_trials: int, k: int) -> np.ndarray:
     """The flat index of each trial's first row in a (T, k) batch (read-only)."""
@@ -215,22 +256,25 @@ class _Rules(NamedTuple):
 
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
     per trial; values are (T, k). ``init(pop)`` gives the rule state, a
-    tuple of (2, T, k) arrays sharing no memory with ``pop``.
+    tuple of arrays whose trial axis is second to last, sharing no memory
+    with ``pop``: for the swarms the (2, T, p_n) positions and velocities
+    and the (R, 2, 2, T, p_n) block of draws left for the next R rounds.
     ``propose(cfg, round, rngs, box, pop, values, p_gb, state)`` gives new
-    candidate and state arrays inside ``box``, the (2, 1, 1) planes (lo,
-    hi, GA mutation scale 0.05 * (hi - lo), disc_pso velocity floor
-    _FLOOR_SHARE * (hi - lo)) made once per search, drawing
-    from each trial's generator in ``rngs``; ``p_gb`` holds the (2, T, p_n)
-    global bests, each trial's repeated along its row. ``accept(pop,
-    values, candidates, candidate_values)`` gives the next (pop, values),
-    updating the search's own ``pop`` and ``values`` in place; it only
-    reads the candidates and the objective's values. Rules keep no state
-    of their own, so one set serves every run.
+    candidate and state arrays inside ``box``, the scenario's ``_Box`` for
+    the p_n - ``elite`` candidates proposed per trial, drawing from each
+    trial's generator in ``rngs``; ``p_gb`` holds the (2, T, p_n) global
+    bests, each trial's repeated along its row. ``accept(pop, values,
+    candidates, candidate_values)`` gives the next (pop, values), updating
+    the search's own ``pop`` and ``values`` in place; it only reads the
+    candidates and the objective's values. ``elite`` counts the rows a
+    generation keeps without proposing them: the GA's one elite. Rules
+    keep no state of their own, so one set serves every run.
     """
 
     init: Callable[[np.ndarray], tuple[np.ndarray, ...]]
     propose: Callable[..., tuple[np.ndarray, tuple[np.ndarray, ...]]]
     accept: Callable[..., tuple[np.ndarray, np.ndarray]]
+    elite: int = 0
 
 
 def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -255,10 +299,9 @@ def _search(
     n = len(seeds)
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
-    lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None]  # (2, 1, 1) planes each
-    width = hi - lo
-    box = lo, hi, 0.05 * width, _FLOOR_SHARE * width
+    lo, hi, width = _search_box(s, cfg.p_n)[:3]
     pop = lo + width * _planes(_uniforms(rngs, (cfg.p_n, 2)))
+    box = _search_box(s, cfg.p_n - rules.elite)
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
     values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
     state = rules.init(pop)
@@ -305,6 +348,30 @@ def _replace_where(better: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Ca
     return accept
 
 
+#: The learning factors as a (2, 1, 1, 1) column: c1 scales the draws of plane 0, c2 those of plane 1.
+_LEARNING = np.array([_C1, _C2]).reshape(2, 1, 1, 1)
+#: A block of swarm draws holds at most this many doubles, unless one round holds more.
+_BLOCK_DOUBLES = 2**16
+
+
+def _learning_draws(rngs: Sequence[np.random.Generator], cfg: SwarmConfig, n_f: int) -> np.ndarray:
+    """The swarm's draws for rounds n_f, n_f + 1, ... as (R, 2, 2, T, p_n) planes times c1 and c2.
+
+    Block[i, j] holds round n_f + i's draws for learning factor j as
+    (f_server, b) planes. Per trial and round the draws are
+    ``rng.random((p_n, 2, 2))``, one particle's (c1 f, c2 f, c1 b, c2 b) after
+    another, and one call for R rounds gives the doubles of R such calls.
+    R = n_f + 1 (blocks of 1, 2, 4, ... rounds), no further than round
+    n_max - 1, and the block holds at most _BLOCK_DOUBLES unless one round is
+    more: a trial that leaves the batch has drawn at most one block ahead,
+    from its own generator.
+    """
+    per_round = len(rngs) * cfg.p_n * 4
+    n = min(n_f + 1, cfg.n_max - n_f, max(1, _BLOCK_DOUBLES // per_round))
+    draws = _uniforms(rngs, (n, cfg.p_n, 2, 2)).transpose(1, 4, 3, 0, 2)
+    return np.multiply(draws, _LEARNING, order="C")
+
+
 def _swarm(enhanced: bool) -> _Rules:
     """Swarm rules: the population is the personal bests; positions and velocities are state.
 
@@ -312,26 +379,26 @@ def _swarm(enhanced: bool) -> _Rules:
     """
 
     def init(pop):
-        return pop.copy(), np.zeros(pop.shape)
+        return pop.copy(), np.zeros(pop.shape), np.empty((0, 2, 2, *pop.shape[1:]))
 
     def propose(cfg, n_f, rngs, box, best_position, best_values, p_gb, state):
-        position, velocity = state
+        position, velocity, draws = state
+        if not len(draws):
+            draws = _learning_draws(rngs, cfg, n_f)
+        r, draws = draws[0], draws[1:]
         w = _W_MAX - (_W_MAX - _W_MIN) * n_f / cfg.n_max if enhanced else _W_MAX
-        # per particle, the draws for (c1 f, c2 f, c1 b, c2 b), in that order, as contiguous
-        # (2, T, p_n) planes: r[0] those of c1, r[1] those of c2
-        r = np.ascontiguousarray(_uniforms(rngs, (cfg.p_n, 2, 2)).transpose(3, 2, 0, 1))
         # w v + c1 r (best - x) + c2 r (p_gb - x), in that order, into this round's new array
         velocity = w * velocity
         pull = best_position - position
-        pull *= _C1 * r[0]
+        pull *= r[0]
         velocity += pull
         np.subtract(p_gb, position, out=pull)
-        pull *= _C2 * r[1]
+        pull *= r[1]
         velocity += pull
         if enhanced:
-            velocity = _with_min_magnitude(velocity, box[3])
-        position = (position + velocity).clip(*box[:2])
-        return position, (position, velocity)
+            velocity = _with_min_magnitude(velocity, box.floor)
+        position = (position + velocity).clip(box.lo, box.hi)
+        return position, (position, velocity, draws)
 
     return _Rules(init, propose, _replace_where(np.greater))
 
@@ -357,9 +424,8 @@ def _ga() -> _Rules:
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
         # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
-        lo, hi, sigma = box[:3]
-        np.add(child, sigma * _planes(noise), out=child, where=mutate)
-        return child.clip(lo, hi), state
+        np.add(child, box.sigma * _planes(noise), out=child, where=mutate)
+        return child.clip(box.lo, box.hi), state
 
     def accept(pop, values, children, child_values):
         elite = values.argmax(axis=1) + _first_rows(*values.shape)  # flat row indices
@@ -368,7 +434,7 @@ def _ga() -> _Rules:
             np.concatenate([values.take(elite)[:, None], child_values], axis=1),
         )
 
-    return _Rules(_stateless, propose, accept)
+    return _Rules(_stateless, propose, accept, elite=1)
 
 
 def _de() -> _Rules:
@@ -384,7 +450,7 @@ def _de() -> _Rules:
         r = u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3]
         r += _first_rows(len(rngs), p_n)[:, None, None]  # flat row indices
         x = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
-        mutant = (x[0] + 0.5 * (x[1] - x[2])).clip(*box[:2])
+        mutant = (x[0] + 0.5 * (x[1] - x[2])).clip(box.lo, box.hi)
         mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
         return np.where(_planes(mask), mutant, pop), state
 

@@ -70,8 +70,6 @@ class CurvatureReport:
     grad_b: float
     h_ff: float
     h_bb: float
-    h_fb: float
-    h_bf: float
     lambda1: float
     lambda2: float
     negative_definite: bool
@@ -83,8 +81,6 @@ class CurvatureReport:
 class QuadraticGapEstimate:
     """Second-order prediction of the utility drop away from the maximum."""
 
-    c1: float
-    c2: float
     predicted_drop: float
     actual_drop: float
 
@@ -95,7 +91,6 @@ class Diagnostics:
 
     b_part: float
     p_part: float
-    q_grid: tuple[float, ...]
     u_affect: tuple[float, ...]
 
 
@@ -224,8 +219,6 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
         grad_b=grad_b,
         h_ff=h_ff,
         h_bb=h_bb,
-        h_fb=0.0,
-        h_bf=0.0,
         lambda1=h_ff,
         lambda2=h_bb,
         negative_definite=(h_ff < 0.0) & (h_bb < 0.0),
@@ -260,7 +253,7 @@ def quadratic_gap(
     predicted = 0.5 * (abs(report.lambda1) * c1**2 + abs(report.lambda2) * c2**2)
     u_max = linear_user_utility_value(s, pc, crit)
     actual = u_max - linear_user_utility_value(s, pc, displaced)
-    return QuadraticGapEstimate(c1=c1, c2=c2, predicted_drop=predicted, actual_drop=actual)
+    return QuadraticGapEstimate(predicted_drop=predicted, actual_drop=actual)
 
 
 def _bandwidth_server_factor(s: Scenario) -> float:
@@ -300,7 +293,7 @@ def diagnostics(
     grid = tuple(q_grid) if q_grid is not None else (s.q,)
     at_q = replace(s, q=np.array(grid, dtype=float))
     u_affect = -time_breakdown(at_q, alloc).t_offload + data_revenue(at_q)
-    return Diagnostics(b_part=b_part, p_part=p_part, q_grid=grid, u_affect=tuple(u_affect.tolist()))
+    return Diagnostics(b_part=b_part, p_part=p_part, u_affect=tuple(u_affect.tolist()))
 
 
 def coupling_ratio(s: Scenario) -> float:

@@ -198,6 +198,74 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
             assert ((out == 0.0) | (np.abs(out) >= floor)).all()
 
 
+def _spy_uniforms(monkeypatch):
+    """Record the shape every ``_uniforms`` call draws, trial axis first."""
+    import edgeprice.optimizers as opt
+
+    shapes = []
+    original = opt._uniforms
+
+    def spy(rngs, shape):
+        out = original(rngs, shape)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(opt, "_uniforms", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("search", [disc_pso, baseline_pso])
+def test_full_swarm_search_draws_in_doubling_blocks(setting, search, monkeypatch):
+    # a 50-round search: the initial sampling, then blocks of 1, 2, 4, 8, 16 and the 19 rounds left
+    shapes = _spy_uniforms(monkeypatch)
+    s, objective, u_max = setting
+    cfg = SwarmConfig(seed=5, epsilon=1e-12)
+    run = search(s, objective, u_max * 1.1, cfg)
+    assert run.iterations_used == cfg.n_max == 50
+    assert shapes == [(1, 30, 2)] + [(1, n, 30, 2, 2) for n in (1, 2, 4, 8, 16, 19)]
+
+
+def test_large_batch_draws_one_round_per_block(setting, monkeypatch):
+    # one round of 2000 trials is more than the block cap, so no block holds a second round
+    import edgeprice.optimizers as opt
+
+    shapes = _spy_uniforms(monkeypatch)
+    s, objective, u_max = setting
+    cfg = SwarmConfig(seed=5, epsilon=1e-12, n_max=4)
+    replicate(disc_pso, s, objective, u_max * 1.1, cfg, n_trials=2000)
+    assert shapes[1:] == [(2000, 1, 30, 2, 2)] * cfg.n_max
+    # 50 trials: blocks of 1, 2, 4, 8 rounds, then as many as the cap holds
+    shapes.clear()
+    cfg = dataclasses.replace(cfg, n_max=50)
+    replicate(baseline_pso, s, objective, u_max * 1.1, cfg, n_trials=50)
+    cap = opt._BLOCK_DOUBLES // (50 * 30 * 4)
+    assert [shape[1] for shape in shapes[1:]] == [1, 2, 4, 8] + [cap] * 3 + [50 - 15 - 3 * cap]
+
+
+def test_search_box_is_made_once_per_scenario_and_read_only(setting, monkeypatch):
+    import edgeprice.optimizers as opt
+
+    s, objective, u_max = setting
+    disc_pso(s, objective, u_max, SwarmConfig(seed=1))
+    box = opt._search_box(s, 30)
+    assert box.lo.shape == box.floor.shape == (2, 1, 30)
+    assert not any(plane.flags.writeable for plane in box)
+    baseline_de(s, objective, u_max, SwarmConfig(seed=1))
+    assert opt._search_box(s, 30) is box
+    # the GA's children are p_n - 1 rows: its own box, kept beside the swarms'
+    baseline_ga(s, objective, u_max, SwarmConfig(seed=1, n_max=2))
+    assert opt._search_box(s, 29).lo.shape == (2, 1, 29) and opt._search_box(s, 30) is box
+    # a replaced scenario is another instance: its own box, even with the same ranges
+    same = dataclasses.replace(s)
+    assert opt._search_box(same, 30) is not box
+    assert all((a == b).all() for a, b in zip(opt._search_box(same, 30), box))
+    wide = dataclasses.replace(s, f_range=(1e9, 60e9))
+    assert opt._search_box(wide, 30).hi[0].tolist() == [[60e9] * 30]
+    # the floor follows _FLOOR_SHARE at search time, also on a scenario searched before
+    monkeypatch.setattr(opt, "_FLOOR_SHARE", np.zeros((2, 1, 1)))
+    assert (opt._search_box(s, 30).floor == 0.0).all()
+
+
 def test_trial_seeds_deterministic():
     assert trial_seeds(42, 10) == trial_seeds(42, 10)
     assert trial_seeds(42, 10) != trial_seeds(43, 10)

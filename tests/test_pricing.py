@@ -298,7 +298,6 @@ def test_curvature_frozen_values(defaults):
     report = curvature_report(defaults, pc, CORNER)
     assert report.h_ff == pytest.approx(-5.006222222222222e-20, rel=1e-12)
     assert report.h_bb == pytest.approx(-1.3565006159851038e-12, rel=1e-12)
-    assert report.h_fb == 0.0 and report.h_bf == 0.0
     assert report.lambda1 == report.h_ff and report.lambda2 == report.h_bb
     assert report.negative_definite
 
@@ -382,7 +381,6 @@ def test_diagnostics_u_affect_grid(defaults):
 
     grid = (819_200.0, 4_096_000.0)
     result = diagnostics(defaults, CORNER, q_grid=grid)
-    assert result.q_grid == grid
     assert result.u_affect[1] == pytest.approx(14.672495599115235, rel=1e-9)
     for q, u in zip(grid, result.u_affect):
         s_q = dataclasses.replace(defaults, q=q)
