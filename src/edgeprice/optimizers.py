@@ -164,7 +164,7 @@ def _evaluate_population(
     """The (L, k) values of the live trials' (2, L, k) rows ``pop``, scored in one objective call.
 
     The call scores the (T, k) rows of the whole batch, row t for trial t;
-    a finished trial's rows are the box corner, ``hi`` of any row, and are not read.
+    a finished trial's rows are the box corner ``hi[..., 0]`` and are not read.
     ``n_f`` is the round, None for the initial sampling; an error names it.
     """
     rows = pop
@@ -211,10 +211,10 @@ def _track_best(
 
 
 class _Box(NamedTuple):
-    """A scenario's search box as read-only (2, 1, k) planes, the f_server and b rows of k candidates.
+    """A search box as read-only (2, 1, k) planes, each constant along its row.
 
-    Each plane is constant along its row, so it has the shape of a
-    single trial's candidates and numpy takes its same-shape path.
+    A plane has the shape of one trial's k candidates, so on a single run
+    numpy takes its same-shape path.
     """
 
     lo: np.ndarray
@@ -355,16 +355,13 @@ _BLOCK_DOUBLES = 2**16
 
 
 def _learning_draws(rngs: Sequence[np.random.Generator], cfg: SwarmConfig, n_f: int) -> np.ndarray:
-    """The swarm's draws for rounds n_f, n_f + 1, ... as (R, 2, 2, T, p_n) planes times c1 and c2.
+    """The draws of rounds n_f, n_f + 1, ... as (R, 2, 2, T, p_n) planes, times c1 and c2.
 
-    Block[i, j] holds round n_f + i's draws for learning factor j as
-    (f_server, b) planes. Per trial and round the draws are
-    ``rng.random((p_n, 2, 2))``, one particle's (c1 f, c2 f, c1 b, c2 b) after
-    another, and one call for R rounds gives the doubles of R such calls.
-    R = n_f + 1 (blocks of 1, 2, 4, ... rounds), no further than round
-    n_max - 1, and the block holds at most _BLOCK_DOUBLES unless one round is
-    more: a trial that leaves the batch has drawn at most one block ahead,
-    from its own generator.
+    block[i, j] holds round n_f + i's draws for learning factor j as
+    (f_server, b) planes. A round's draws are each trial's
+    ``rng.random((p_n, 2, 2))``, per particle (c1 f, c2 f, c1 b, c2 b), and one
+    call for R rounds gives the doubles of R such calls. R = n_f + 1 (blocks
+    of 1, 2, 4, ... rounds), up to round n_max - 1 and _BLOCK_DOUBLES.
     """
     per_round = len(rngs) * cfg.p_n * 4
     n = min(n_f + 1, cfg.n_max - n_f, max(1, _BLOCK_DOUBLES // per_round))
@@ -373,7 +370,7 @@ def _learning_draws(rngs: Sequence[np.random.Generator], cfg: SwarmConfig, n_f: 
 
 
 def _swarm(enhanced: bool) -> _Rules:
-    """Swarm rules: the population is the personal bests; positions and velocities are state.
+    """Swarm rules: the population is the personal bests; positions, velocities and draws are state.
 
     ``enhanced`` adds disc_pso's decaying inertia and velocity floor to the plain swarm.
     """

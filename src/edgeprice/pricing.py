@@ -290,8 +290,7 @@ def diagnostics(
     b_part = _bandwidth_server_factor(s)
     p_part = s.w2 * s.c / alloc.f_server + upsilon(s) / alloc.b
 
-    grid = tuple(q_grid) if q_grid is not None else (s.q,)
-    at_q = replace(s, q=np.array(grid, dtype=float))
+    at_q = replace(s, q=np.array(q_grid if q_grid is not None else (s.q,), dtype=float))
     u_affect = -time_breakdown(at_q, alloc).t_offload + data_revenue(at_q)
     return Diagnostics(b_part=b_part, p_part=p_part, u_affect=tuple(u_affect.tolist()))
 
