@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .harness import (
@@ -35,51 +34,23 @@ from .optimizers import OptimizerError, SwarmConfig
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
 
-_SWARM_FIELD_TYPES = {f.name: type(f.default) for f in fields(SwarmConfig) if f.name != "seed"}
 
-
-def _parse_overrides(pairs: list[str]) -> tuple[dict[str, float | str], dict[str, float | int]]:
-    """Split --set key=value pairs into scenario/allocation and swarm overrides.
-
-    A scenario or allocation pair is read as one scenario-file line is.
-    """
-    scenario_overrides: dict[str, float | str] = {}
-    swarm_overrides: dict[str, float | int] = {}
-    for pair in pairs:
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in _SWARM_FIELD_TYPES:
-            try:
-                number = float(value)
-            except ValueError:
-                raise ValueError(f"--set {key}: invalid value {value!r}") from None
-            # SwarmConfig rejects any other value of an int field
-            integral = _SWARM_FIELD_TYPES[key] is int and number.is_integer()
-            swarm_overrides[key] = int(number) if integral else number
-        else:
-            scenario_overrides.update([parse_setting(pair)])
-    return scenario_overrides, swarm_overrides
-
-
-def _load_context(args: argparse.Namespace) -> tuple[Scenario, Allocation, SwarmConfig]:
-    """Scenario, default allocation, and swarm config for one invocation."""
+def _load_context(args: argparse.Namespace) -> tuple[Scenario, dict[str, float | str]]:
+    """Scenario of one invocation, and its settings: the file's lines, then the --set pairs."""
     path = args.scenario or os.environ.get(SCENARIO_ENV_VAR)
     # utf-8-sig: a byte-order mark, as some editors write, is not part of the first key
     config = parse_config(Path(path).read_text(encoding="utf-8-sig")) if path else {}
-    scenario_overrides, swarm_overrides = _parse_overrides(args.set or [])
-    config.update(scenario_overrides)
-    scenario = load_scenario(overrides=config)
-    allocation = Allocation(*default_purchase(scenario, config))
-    return scenario, allocation, SwarmConfig(seed=args.seed, **swarm_overrides)
+    config.update(map(parse_setting, args.set or []))
+    return load_scenario(overrides=config), config
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario, allocation, _ = _load_context(args)
+    scenario, config = _load_context(args)
     try:
         grid = tuple(float(v) for v in args.grid.split(","))
     except ValueError:
         raise ValueError(f"--grid expects comma-separated numbers, got {args.grid!r}") from None
+    allocation = Allocation(*default_purchase(scenario, config))
     spec = SweepSpec(parameter=args.param, grid=grid, scenario=scenario, allocation=allocation)
     rows = run_sweep(spec)
     if args.plot:
@@ -92,7 +63,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
-    scenario, _, _ = _load_context(args)
+    scenario, _ = _load_context(args)
     grid = surface_grid(scenario, args.steps, args.steps)
     if args.plot:
         emit_plot(grid, "heatmap", args.plot, series=args.series)
@@ -107,7 +78,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario, _, cfg = _load_context(args)
+    scenario, _ = _load_context(args)
+    cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
     objective, u_max = dynamic_utility_objective(scenario), box_maximum_utility(scenario)
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
     print(f"algorithm: {args.algo}")
@@ -123,13 +95,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario, _, cfg = _load_context(args)
+    scenario, _ = _load_context(args)
+    cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
     if args.out:
         emit_comparison_csv(report, args.out)
     if args.plot:
         emit_plot(report.stats[args.plot_algo].position_list, "scatter", args.plot)
-    if report.randomized:  # each trial's own corner value, not the base scenario's
+    if args.randomize:  # each trial's own corner value, not the base scenario's
         low, high = map(_format_number, (min(report.u_max_list), max(report.u_max_list)))
         print(f"gap reference u_max: {low} to {high} per trial  (trials: {args.trials})")
     else:
@@ -165,9 +138,18 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
         "--set",
         action="append",
         metavar="KEY=VALUE",
-        help="override a scenario, allocation, or swarm-config key (repeatable)",
+        help="override a scenario or purchase key, as one scenario-file line (repeatable)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for stochastic subcommands")
+
+
+def _add_search_options(parser: argparse.ArgumentParser) -> None:
+    """The SwarmConfig settings, for the commands that search; SwarmConfig holds the defaults."""
+    for flag, kind, text in (("--seed", int, "seed of the searches"),
+                             ("--p-n", int, "particle / population count"),
+                             ("--n-max", int, "maximum update rounds"),
+                             ("--epsilon", float, "relative-gap stop threshold")):
+        default = getattr(SwarmConfig, flag[2:].replace("-", "_"))
+        parser.add_argument(flag, type=kind, default=default, help=f"{text} (default: {default})")
 
 
 @functools.cache
@@ -202,11 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="run one seeded search")
     _add_common_options(p_opt)
+    _add_search_options(p_opt)
     p_opt.add_argument("--algo", default="disc-pso", choices=tuple(ALGORITHMS))
     p_opt.set_defaults(handler=_cmd_optimize)
 
     p_cmp = sub.add_parser("compare", help="paired-seed comparison of all algorithms")
     _add_common_options(p_cmp)
+    _add_search_options(p_cmp)
     p_cmp.add_argument("--trials", type=int, default=50)
     p_cmp.add_argument("--randomize", action="store_true", help="redraw q and f_local per trial")
     p_cmp.add_argument("--out", help="CSV destination")

@@ -89,9 +89,7 @@ class SurfaceGrid:
 class ComparisonReport:
     """Everything needed to regenerate the algorithm-comparison table and plots."""
 
-    scenario: Scenario
     n_trials: int
-    randomized: bool
     u_max: float                       # gap reference of the base scenario
     u_max_list: tuple[float, ...]      # per-trial gap references actually used
     stats: dict[str, TrialStats]
@@ -232,9 +230,7 @@ def compare_optimizers(
     u_max = np.broadcast_to(np.ravel(objective(corner_allocation(trial_s))), n_trials)
     batch = (trial_s, objective, u_max, cfg, n_trials)
     return ComparisonReport(
-        scenario=s,
         n_trials=n_trials,
-        randomized=randomize,
         u_max=box_maximum_utility(s),
         u_max_list=tuple(u_max.tolist()),
         stats={name: replicate(algo, *batch) for name, algo in ALGORITHMS.items()},

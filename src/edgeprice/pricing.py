@@ -64,12 +64,8 @@ class UtilitySummary:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Gradient, Hessian, eigenvalues, and critical point of the linear-priced utility."""
+    """Hessian eigenvalues and critical point of the linear-priced utility."""
 
-    grad_f: float
-    grad_b: float
-    h_ff: float
-    h_bb: float
     lambda1: float
     lambda2: float
     negative_definite: bool
@@ -203,25 +199,20 @@ def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:
 
 
 def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> CurvatureReport:
-    """Gradient at ``alloc`` plus the (diagonal) Hessian and critical point.
+    """The Hessian's eigenvalues at ``alloc``, and the critical point.
 
     The mixed partials vanish identically, so the eigenvalues are the
     diagonal entries and negative definiteness reduces to both being
     negative, which holds for every valid input.
     """
-    grad_f, grad_b = user_utility_gradient(s, pc, alloc)
     _, q_w2c, q_ups = _scenario_factors(s)
-    h_ff = -2.0 * q_w2c / libm(pow, alloc.f_server, 3)
-    h_bb = -2.0 * q_ups / libm(pow, alloc.b, 3)
+    lambda1 = -2.0 * q_w2c / libm(pow, alloc.f_server, 3)
+    lambda2 = -2.0 * q_ups / libm(pow, alloc.b, 3)
     crit = critical_point(s, pc)
     return CurvatureReport(
-        grad_f=grad_f,
-        grad_b=grad_b,
-        h_ff=h_ff,
-        h_bb=h_bb,
-        lambda1=h_ff,
-        lambda2=h_bb,
-        negative_definite=(h_ff < 0.0) & (h_bb < 0.0),
+        lambda1=lambda1,
+        lambda2=lambda2,
+        negative_definite=(lambda1 < 0.0) & (lambda2 < 0.0),
         critical_f=crit.f_server,
         critical_b=crit.b,
     )

@@ -188,10 +188,23 @@ def test_fixed_swarm_settings_are_unknown_keys(key, capsys):
 
 def test_swarm_keys_are_set(capsys):
     # p_n, n_max and epsilon stay settable; pso at seed 0 meets epsilon 1e-3 in its initial sampling
-    strict = ["optimize", "--algo", "pso", "--set", "epsilon=1e-12"]
+    strict = ["optimize", "--algo", "pso", "--epsilon", "1e-12"]
     assert "iterations: 1\nconverged: True\n" in _stdout(strict, capsys)
-    assert "iterations: 0\nconverged: False\n" in _stdout([*strict, "--set", "n_max=0"], capsys)
-    assert "iterations: 2\nconverged: True\n" in _stdout([*strict, "--set", "p_n=10"], capsys)
+    assert "iterations: 0\nconverged: False\n" in _stdout([*strict, "--n-max", "0"], capsys)
+    assert "iterations: 2\nconverged: True\n" in _stdout([*strict, "--p-n", "10"], capsys)
+    # compare reads the same options: no round runs, so no trial converges
+    table = _stdout(["compare", "--trials", "2", "--epsilon", "1e-12", "--n-max", "0"], capsys)
+    assert [line[-15:] for line in table.splitlines()[2:]] == ["0.000       0/2"] * 4
+
+
+@pytest.mark.parametrize("command", [["surface", "--steps", "3"],
+                                     ["sweep", "--param", "f_server", "--grid", "1e9,2e9"]])
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--set", "p_n=40"], ["--set", "n_max=5"],
+                                    ["--set", "epsilon=1e-6"]])
+def test_search_settings_are_refused_where_nothing_searches(command, option, capsys):
+    # sweep and surface evaluate closed forms; a search setting there would be ignored
+    assert main([*command, *option]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -309,19 +322,22 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
     [
         (["compare", "--trials", "0"], "n_trials"),
         (["optimize", "--set", "f_max_ghz=inf"], "f_max=inf"),
-        (["optimize", "--set", "n_max=-1"], "n_max"),
+        pytest.param(["optimize", "--n-max", "-1"], "n_max=-1: must be >= 0", id="argv2-n_max"),
         (["optimize", "--set", "k_coeff=inf"], "k=inf"),
-        (["optimize", "--set", "p_n=0"], "p_n"),
-        (["optimize", "--algo", "de", "--set", "p_n=3"], "p_n"),
+        pytest.param(["optimize", "--p-n", "0"], "p_n=0: must be >= 4", id="argv4-p_n"),
+        pytest.param(["optimize", "--algo", "de", "--p-n", "3"], "p_n=3: must be >= 4", id="argv5-p_n"),
         (["optimize", "--set", "snr_mode=db-to-linear", "--set", "snr_uplink=4000"], "snr_uplink"),
         (["optimize", "--set", "k_coeff=1e300"], "non-finite objective"),
         (["compare", "--trials", "2", "--set", "k_coeff=1e300"], "non-finite objective"),
         (["surface", "--set", "k_coeff=1e300"], "non-finite surface cell"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "b_mbps=nan"], "b=nan"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "f_server_ghz=inf"], "f_server=inf"),
-        (["optimize", "--algo", "ga", "--set", "n_max=2.5", "--set", "epsilon=1e-15"], "n_max=2.5"),
-        (["optimize", "--set", "p_n=4.9"], "p_n=4.9"),
-        (["optimize", "--set", "p_n=inf"], "p_n=inf"),
+        pytest.param(["optimize", "--algo", "ga", "--n-max", "2.5", "--epsilon", "1e-15"],
+                     "argument --n-max: invalid int value: '2.5'", id="argv12-n_max=2.5"),
+        pytest.param(["optimize", "--p-n", "4.9"], "argument --p-n: invalid int value: '4.9'",
+                     id="argv13-p_n=4.9"),
+        pytest.param(["optimize", "--p-n", "inf"], "argument --p-n: invalid int value: 'inf'",
+                     id="argv14-p_n=inf"),
         (["optimize", "--scenario", "{dir}"], "Is a directory"),
         (["EDGEPRICE_SCENARIO={dir}", "surface", "--steps", "3"], "Is a directory"),
         (["surface", "--steps", "3", "--plot", "{dir}"], "Is a directory"),
@@ -338,7 +354,8 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
-    # "{dir}" stands for an existing directory; a leading NAME=value sets the environment
+    # "{dir}" stands for an existing directory; a leading NAME=value sets the environment.
+    # An explicit id names the setting under test, in the form of the generated ids.
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     if "=" in argv[0]:
         monkeypatch.setenv(*argv.pop(0).split("=", 1))

@@ -674,11 +674,14 @@ def _seeded_results():
                 yield replicate(search, s, objective, u_max, cfg, n_trials=20)
     for seed in range(3):
         for randomize in (False, True):
-            yield compare_optimizers(default_scenario(), SwarmConfig(seed=seed), 20, randomize=randomize)
+            report = compare_optimizers(default_scenario(), SwarmConfig(seed=seed), 20, randomize=randomize)
+            # recorded when a report also echoed the call's scenario and randomize arguments
+            echo = f"scenario={default_scenario()!r}, n_trials=20, randomized={randomize!r}, "
+            yield repr(report).replace("n_trials=20, ", echo, 1)
 
 
 def test_seeded_results_digest_is_pinned():
-    text = "\n".join(map(repr, _seeded_results()))
+    text = "\n".join(r if isinstance(r, str) else repr(r) for r in _seeded_results())
     assert hashlib.sha256(text.encode()).hexdigest() == _RESULTS_DIGEST
 
 
