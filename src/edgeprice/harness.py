@@ -23,26 +23,10 @@ from .pricing import (
     user_utility,
 )
 from .scenario import Scenario, ghz_to_hz, kb_to_bits, validate
-from .optimizers import (
-    SwarmConfig,
-    TrialStats,
-    baseline_de,
-    baseline_ga,
-    baseline_pso,
-    disc_pso,
-    replicate,
-)
+from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
 SWEEPABLE_PARAMETERS = ("f_server", "b", "q", "f_local")
-
-#: Algorithms in the order they are compared and reported.
-ALGORITHMS = {
-    "disc-pso": disc_pso,
-    "pso": baseline_pso,
-    "ga": baseline_ga,
-    "de": baseline_de,
-}
 
 SWEEP_CSV_HEADER = ("param", "value", "price", "u_user", "u_server", "t_offload", "t_save", "e_save")
 COMPARISON_CSV_HEADER = ("algorithm", "trial", "seed", "u_user_final", "iterations", "f_server_hz", "b_bps")
@@ -215,7 +199,7 @@ def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
 def compare_optimizers(
     s: Scenario, cfg: SwarmConfig, n_trials: int, *, randomize: bool = False
 ) -> ComparisonReport:
-    """Run all four algorithms over paired per-trial seeds.
+    """Run every searcher of ``ALGORITHMS``, in its order, over paired per-trial seeds.
 
     Each algorithm runs one ``replicate`` batch on one objective, so every
     round of a batch is scored in one call. In the default deterministic

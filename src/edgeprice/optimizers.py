@@ -27,20 +27,22 @@ the earliest failing round.
 The search box is made once per ``Scenario`` instance and candidate
 count k: read-only (2, 1, k) planes of lo, hi, the width, the GA's
 mutation scale and disc_pso's velocity floor, each the shape of one
-trial's candidates. Each searcher is a proposal rule plus an acceptance
-rule over these arrays, and each runs fixed settings. A swarm's state is
-its positions, its velocities and a block of learning-factor draws for
-the rounds ahead, already scaled by c1 and c2; it draws a block of 1, 2,
-4, ... rounds per generator call, so a trial that leaves the batch may
-have drawn up to one block ahead from its own generator, which changes
-no result. disc_pso is the enhanced swarm: inertia decaying linearly
-from 0.9 to 0.4 over n_max rounds, plus a per-coordinate minimum
-velocity magnitude of 0.6 box widths for f_server and 5/9 for b, so the
-floor follows the box. baseline_pso is the same rules with inertia fixed
-at 0.9 and no velocity floor; both learn at 2.0. The GA and DE baselines
-run conventional operator settings (GA crossover 0.8, mutation 0.1 at
-0.05 box widths; DE F = 0.5, CR = 0.9) and breed whole generations with
-array draws.
+trial's candidates. Each searcher is one ``_Searcher`` object: its name,
+a proposal rule and an acceptance rule over these arrays, and its fixed
+settings. Calling it is one seeded run. ``ALGORITHMS`` lists the four by
+name; the harness, the CLI and ``replicate`` all read that one table. A
+swarm's state is its positions, its velocities and a block of
+learning-factor draws for the rounds ahead, already scaled by c1 and c2;
+it draws a block of 1, 2, 4, ... rounds per generator call, so a trial
+that leaves the batch may have drawn up to one block ahead from its own
+generator, which changes no result. disc_pso is the enhanced swarm:
+inertia decaying linearly from 0.9 to 0.4 over n_max rounds, plus a
+per-coordinate minimum velocity magnitude of 0.6 box widths for f_server
+and 5/9 for b, so the floor follows the box. baseline_pso is the same
+rules with inertia fixed at 0.9 and no velocity floor; both learn at
+2.0. The GA and DE baselines run conventional operator settings (GA
+crossover 0.8, mutation 0.1 at 0.05 box widths; DE F = 0.5, CR = 0.9)
+and breed whole generations with array draws.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -228,18 +230,16 @@ def _search_box(s: Scenario, k: int) -> _Box:
     """The box of ``s`` for k candidates per trial, made once per ``Scenario`` instance and k.
 
     It is kept in the instance's ``__dict__``, as ``pricing`` keeps the
-    scenario's factors, so a ``dataclasses.replace``d scenario gets its own;
-    a box whose floor was made from another ``_FLOOR_SHARE`` is made again.
+    scenario's factors, so a ``dataclasses.replace``d scenario gets its own.
     """
     boxes = s.__dict__.setdefault("_search_boxes", {})
-    share, box = boxes.get(k, (None, None))
-    if share is not _FLOOR_SHARE:
+    box = boxes.get(k)
+    if box is None:
         lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None].repeat(k, axis=-1)
         width = hi - lo
-        box = _Box(lo, hi, width, 0.05 * width, _FLOOR_SHARE * width)
+        box = boxes[k] = _Box(lo, hi, width, 0.05 * width, _FLOOR_SHARE * width)
         for plane in box:
             plane.flags.writeable = False
-        boxes[k] = _FLOOR_SHARE, box
     return box
 
 
@@ -251,9 +251,12 @@ def _first_rows(n_trials: int, k: int) -> np.ndarray:
     return first
 
 
-class _Rules(NamedTuple):
-    """A searcher: its state, proposal and acceptance over a batch of T trials.
+@dataclass(frozen=True)
+class _Searcher:
+    """A searcher: its name, and its state, proposal and acceptance over a batch of T trials.
 
+    Calling it, ``searcher(s, objective, u_max, cfg)``, is the single run
+    seeded by ``cfg.seed``: a batch of one trial. ``replicate`` runs many.
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
     per trial; values are (T, k). ``init(pop)`` gives the rule state, a
     tuple of arrays whose trial axis is second to last, sharing no memory
@@ -267,14 +270,22 @@ class _Rules(NamedTuple):
     candidates, candidate_values)`` gives the next (pop, values), updating
     the search's own ``pop`` and ``values`` in place; it only reads the
     candidates and the objective's values. ``elite`` counts the rows a
-    generation keeps without proposing them: the GA's one elite. Rules
-    keep no state of their own, so one set serves every run.
+    generation keeps without proposing them: the GA's one elite. A
+    searcher keeps no state of its own, so one instance serves every run.
     """
 
-    init: Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    propose: Callable[..., tuple[np.ndarray, tuple[np.ndarray, ...]]]
-    accept: Callable[..., tuple[np.ndarray, np.ndarray]]
+    name: str
+    init: Callable[[np.ndarray], tuple[np.ndarray, ...]] = field(repr=False)
+    propose: Callable[..., tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(repr=False)
+    accept: Callable[..., tuple[np.ndarray, np.ndarray]] = field(repr=False)
     elite: int = 0
+
+    @property
+    def __name__(self) -> str:  # what pytest and other tools print for a callable
+        return self.name
+
+    def __call__(self, s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
+        return _search(s, objective, u_max, (cfg.seed,), cfg, self)[0]
 
 
 def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -284,7 +295,7 @@ def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
 @np.errstate(over="ignore", invalid="ignore")
 def _search(
     s: Scenario, objective: Objective, u_max: float | np.ndarray, seeds: Sequence[int], cfg: SwarmConfig,
-    rules: _Rules,
+    searcher: _Searcher,
 ) -> list[RunResult]:
     """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
@@ -301,10 +312,10 @@ def _search(
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
     lo, hi, width = _search_box(s, cfg.p_n)[:3]
     pop = lo + width * _planes(_uniforms(rngs, (cfg.p_n, 2)))
-    box = _search_box(s, cfg.p_n - rules.elite)
+    box = _search_box(s, cfg.p_n - searcher.elite)
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
     values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
-    state = rules.init(pop)
+    state = searcher.init(pop)
     # each trial's global best repeated along its row: the swarm's p_gb - x then needs no broadcast
     s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, cfg.p_n)), [False] * n
     for t in _track_best(s_gb, p_gb, pop, values):
@@ -330,11 +341,11 @@ def _search(
                 for xs in (trials, rngs, u_max, s_gb, converged)
             )
 
-        candidates, state = rules.propose(cfg, n_f, rngs, box, pop, values, p_gb, state)
+        candidates, state = searcher.propose(cfg, n_f, rngs, box, pop, values, p_gb, state)
         candidate_values = _evaluate_population(objective, n, trials, hi, candidates, n_f)
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
-        pop, values = rules.accept(pop, values, candidates, candidate_values)
+        pop, values = searcher.accept(pop, values, candidates, candidate_values)
         n_f += 1
 
 
@@ -369,8 +380,8 @@ def _learning_draws(rngs: Sequence[np.random.Generator], cfg: SwarmConfig, n_f: 
     return np.multiply(draws, _LEARNING, order="C")
 
 
-def _swarm(enhanced: bool) -> _Rules:
-    """Swarm rules: the population is the personal bests; positions, velocities and draws are state.
+def _swarm(name: str, enhanced: bool) -> _Searcher:
+    """A swarm: the population is the personal bests; positions, velocities and draws are state.
 
     ``enhanced`` adds disc_pso's decaying inertia and velocity floor to the plain swarm.
     """
@@ -397,11 +408,11 @@ def _swarm(enhanced: bool) -> _Rules:
         position = (position + velocity).clip(box.lo, box.hi)
         return position, (position, velocity, draws)
 
-    return _Rules(init, propose, _replace_where(np.greater))
+    return _Searcher(name, init, propose, _replace_where(np.greater))
 
 
-def _ga() -> _Rules:
-    """GA rules: the elite plus p_n - 1 children bred from tournament winners."""
+def _ga() -> _Searcher:
+    """The GA: the elite plus p_n - 1 children bred from tournament winners."""
 
     def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         n = cfg.p_n - 1
@@ -431,11 +442,11 @@ def _ga() -> _Rules:
             np.concatenate([values.take(elite)[:, None], child_values], axis=1),
         )
 
-    return _Rules(_stateless, propose, accept, elite=1)
+    return _Searcher("ga", _stateless, propose, accept, elite=1)
 
 
-def _de() -> _Rules:
-    """DE rules: rand/1/bin trial vectors, kept when at least as good as their target."""
+def _de() -> _Searcher:
+    """DE: rand/1/bin trial vectors, kept when at least as good as their target."""
     coordinates = np.arange(2)
 
     def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
@@ -451,53 +462,26 @@ def _de() -> _Rules:
         mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
         return np.where(_planes(mask), mutant, pop), state
 
-    return _Rules(_stateless, propose, _replace_where(np.greater_equal))
+    return _Searcher("de", _stateless, propose, _replace_where(np.greater_equal))
 
 
-def _run_one(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig, rules: _Rules) -> RunResult:
-    return _search(s, objective, u_max, (cfg.seed,), cfg, rules)[0]
+#: Swarm search with inertia decaying 0.9 -> 0.4 and velocity floors of 0.6 and 5/9 box widths.
+disc_pso = _swarm("disc-pso", enhanced=True)
+#: Plain swarm search: inertia fixed at 0.9, no minimum-velocity floor.
+baseline_pso = _swarm("pso", enhanced=False)
+#: Genetic-algorithm baseline: tournament-2, arithmetic crossover, Gaussian mutation. Each
+#: generation is the elite (the best member, kept without being evaluated again) plus p_n - 1
+#: children: crossover rate 0.8, per-gene mutation rate 0.1, mutation noise 0.05 times the box
+#: width of the gene.
+baseline_ga = _ga()
+#: Differential-evolution baseline (rand/1/bin, Storn & Price 1997) with box clamping. Weight
+#: F = 0.5, crossover CR = 0.9 plus one forced j_rand gene per trial vector. r1, r2, r3 are
+#: distinct and never the target: the first three columns of the argsort of a random-key matrix
+#: whose diagonal sorts last.
+baseline_de = _de()
 
-
-def disc_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Swarm search with inertia decaying 0.9 -> 0.4 and velocity floors of 0.6 and 5/9 box widths."""
-    return _run_one(s, objective, u_max, cfg, _RULES[disc_pso])
-
-
-def baseline_pso(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Plain swarm search: inertia fixed at 0.9, no minimum-velocity floor."""
-    return _run_one(s, objective, u_max, cfg, _RULES[baseline_pso])
-
-
-def baseline_ga(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Genetic-algorithm baseline: tournament-2, arithmetic crossover, Gaussian mutation.
-
-    Each generation is the elite (the best member, kept without being
-    evaluated again) plus p_n - 1 children: crossover rate 0.8, per-gene
-    mutation rate 0.1, mutation noise 0.05 times the box width of the gene.
-    """
-    return _run_one(s, objective, u_max, cfg, _RULES[baseline_ga])
-
-
-def baseline_de(s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
-    """Differential-evolution baseline (rand/1/bin, Storn & Price 1997) with box clamping.
-
-    Weight F = 0.5, crossover CR = 0.9 plus one forced j_rand gene per
-    trial vector. r1, r2, r3 are distinct and never the target: the first
-    three columns of the argsort of a random-key matrix whose diagonal
-    sorts last.
-    """
-    return _run_one(s, objective, u_max, cfg, _RULES[baseline_de])
-
-
-Algorithm = Callable[[Scenario, Objective, float, SwarmConfig], RunResult]
-
-#: The rules each public searcher runs.
-_RULES: dict[Algorithm, _Rules] = {
-    disc_pso: _swarm(enhanced=True),
-    baseline_pso: _swarm(enhanced=False),
-    baseline_ga: _ga(),
-    baseline_de: _de(),
-}
+#: The searchers by name, in the order they are compared and reported.
+ALGORITHMS = {a.name: a for a in (disc_pso, baseline_pso, baseline_ga, baseline_de)}
 
 
 def trial_seeds(seed: int, n_trials: int) -> tuple[int, ...]:
@@ -521,7 +505,7 @@ def stats_from_runs(runs: Sequence[RunResult]) -> TrialStats:
 
 
 def replicate(
-    algorithm: Algorithm,
+    algorithm: _Searcher,
     s: Scenario,
     objective: Objective,
     u_max: float | np.ndarray,
@@ -536,17 +520,17 @@ def replicate(
     a (T,) array; a scenario with (T, 1) columns gives each trial its own
     workload. An ``OptimizerError`` starts with ``trial i:``, where i is the
     lowest index among the trials that fail in the earliest failing round.
-    ``algorithm`` is one of disc_pso, baseline_pso, baseline_ga and
-    baseline_de.
+    ``algorithm`` is one of the searchers in ``ALGORITHMS``; any other
+    object, a ``dataclasses.replace`` copy under another name included,
+    raises ``ValueError``.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if algorithm not in _RULES:
-        names = ", ".join(f.__name__ for f in _RULES)
-        raise ValueError(f"replicate runs one of {names}; got {algorithm!r}")
+    if algorithm not in ALGORITHMS.values():
+        raise ValueError(f"replicate runs one of {', '.join(ALGORITHMS)}; got {algorithm!r}")
     seeds = trial_seeds(cfg.seed, n_trials)
     try:
-        runs = _search(s, objective, u_max, seeds, cfg, _RULES[algorithm])
+        runs = _search(s, objective, u_max, seeds, cfg, algorithm)
     except OptimizerError as exc:
         raise OptimizerError(f"trial {exc.trial}: {exc}", exc.trial) from exc
     return stats_from_runs(runs)

@@ -274,12 +274,12 @@ def diagnostics(
     """Factors behind the flat price/server-utility trends.
 
     b_part is the bandwidth-related numerator of the server utility; p_part
-    the per-bit price slope at the given allocation; u_affect the
+    the dynamic price per bit at the given allocation; u_affect the
     q-dependent part of the server utility (-t_offload + data revenue),
     evaluated on ``q_grid`` (default: the scenario's own q) in one call.
     """
     b_part = _bandwidth_server_factor(s)
-    p_part = s.w2 * s.c / alloc.f_server + upsilon(s) / alloc.b
+    p_part = dynamic_price(s, alloc) / s.q
 
     at_q = replace(s, q=np.array(q_grid if q_grid is not None else (s.q,), dtype=float))
     u_affect = -time_breakdown(at_q, alloc).t_offload + data_revenue(at_q)

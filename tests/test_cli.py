@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from edgeprice.cli import _format_number, main
-from edgeprice.harness import compare_optimizers
+from edgeprice.harness import ALGORITHMS, box_maximum_utility, compare_optimizers
 from edgeprice.optimizers import SwarmConfig
+from edgeprice.pricing import dynamic_utility_objective
 from edgeprice.scenario import default_scenario
 
 SCENARIO_TEXT = """\
@@ -92,6 +93,15 @@ def test_optimize_deterministic_output(capsys):
     assert main(["optimize", "--algo", "disc-pso", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
     assert "best value" in first
+
+
+@pytest.mark.parametrize("name", ["disc-pso", "pso", "ga", "de"])
+def test_optimize_prints_the_librarys_single_run(name, capsys):
+    lines = _stdout(["optimize", "--algo", name, "--seed", "3"], capsys).splitlines()
+    s = default_scenario()
+    run = ALGORITHMS[name](s, dynamic_utility_objective(s), box_maximum_utility(s), SwarmConfig(seed=3))
+    assert lines[0] == f"algorithm: {name}"
+    assert lines[2] == "best value: %.9g" % run.best_value
 
 
 def test_compare_emits_csv(tmp_path, capsys):

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from edgeprice import harness, svgplot
+from edgeprice import harness, optimizers, svgplot
 from edgeprice.harness import (
     ALGORITHMS,
     SweepRow,
@@ -251,6 +251,16 @@ def test_compare_single_trial_has_four_rows(defaults):
     report = compare_optimizers(defaults, SwarmConfig(seed=3), 1)
     assert set(report.stats) == {"disc-pso", "pso", "ga", "de"}
     assert all(len(st.value_list) == 1 for st in report.stats.values())
+
+
+def test_one_table_lists_the_searchers_by_name_in_report_order(defaults):
+    # the CLI's --algo choices, the compare row order and the benchmark's metric names read these keys
+    assert harness.ALGORITHMS is optimizers.ALGORITHMS
+    assert tuple(ALGORITHMS) == ("disc-pso", "pso", "ga", "de")
+    assert all(searcher.name == name for name, searcher in ALGORITHMS.items())
+    public = (optimizers.disc_pso, optimizers.baseline_pso, optimizers.baseline_ga, optimizers.baseline_de)
+    assert all(a is b for a, b in zip(ALGORITHMS.values(), public, strict=True))
+    assert tuple(compare_optimizers(defaults, SwarmConfig(seed=3), 1).stats) == tuple(ALGORITHMS)
 
 
 def test_compare_seeds_are_paired(defaults):

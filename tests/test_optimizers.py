@@ -31,6 +31,8 @@ from edgeprice.scenario import default_scenario, validate
 from edgeprice.verification import random_scenario
 
 ALGORITHMS = (disc_pso, baseline_pso, baseline_ga, baseline_de)
+#: Each searcher's module attribute name: the id of its parametrized cases, kept stable.
+_IDS = {disc_pso: "disc_pso", baseline_pso: "baseline_pso", baseline_ga: "baseline_ga", baseline_de: "baseline_de"}
 
 
 @pytest.fixture
@@ -57,14 +59,14 @@ class CountingObjective:
         return values
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_fixed_seed_determinism(setting, algorithm):
     s, objective, u_max = setting
     cfg = SwarmConfig(seed=7)
     assert algorithm(s, objective, u_max, cfg) == algorithm(s, objective, u_max, cfg)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_vacuous_gap_converges_at_iteration_zero(setting, algorithm):
     s, objective, u_max = setting
     cfg = SwarmConfig(seed=3, epsilon=1e9)
@@ -76,7 +78,7 @@ def test_vacuous_gap_converges_at_iteration_zero(setting, algorithm):
     assert result.best_value == spy.best_seen
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_best_position_feasible(setting, algorithm):
     s, objective, u_max = setting
     for seed in range(8):
@@ -85,7 +87,7 @@ def test_best_position_feasible(setting, algorithm):
         assert s.b_range[0] <= result.best_position.b <= s.b_range[1]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_best_value_is_max_of_evaluations(setting, algorithm):
     # the reported best never regresses below anything the run evaluated
     s, objective, u_max = setting
@@ -94,7 +96,7 @@ def test_best_value_is_max_of_evaluations(setting, algorithm):
     assert result.best_value == spy.best_seen
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_evaluation_budget(setting, algorithm):
     s, objective, u_max = setting
     cfg = SwarmConfig(seed=5, epsilon=1e-12, n_max=9)  # force a full run
@@ -103,7 +105,7 @@ def test_evaluation_budget(setting, algorithm):
     assert spy.rows <= cfg.p_n * (cfg.n_max + 1)
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_evaluation_count_of_full_run(setting, algorithm):
     # one initial sampling of p_n, then p_n per round; GA keeps its elite unevaluated
     s, objective, u_max = setting
@@ -115,7 +117,7 @@ def test_evaluation_count_of_full_run(setting, algorithm):
     assert spy.rows == cfg.p_n + cfg.n_max * per_round
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_one_objective_call_per_population(setting, algorithm):
     # the initial sampling and each round are scored in one call each
     s, objective, u_max = setting
@@ -125,7 +127,7 @@ def test_one_objective_call_per_population(setting, algorithm):
     assert spy.calls == result.iterations_used + 1
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_gap_soundness(setting, algorithm):
     s, objective, u_max = setting
     for seed in range(8):
@@ -145,7 +147,7 @@ def test_non_finite_objective_aborts_with_diagnostic(setting):
         disc_pso(s, broken, u_max, SwarmConfig(seed=1))
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_scalar_objective_is_rejected_with_its_shape(setting, algorithm):
     # an objective that scores one row at a time cannot score a population
     s, _, u_max = setting
@@ -214,7 +216,7 @@ def _spy_uniforms(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("search", [disc_pso, baseline_pso])
+@pytest.mark.parametrize("search", [disc_pso, baseline_pso], ids=_IDS.get)
 def test_full_swarm_search_draws_in_doubling_blocks(setting, search, monkeypatch):
     # a 50-round search: the initial sampling, then blocks of 1, 2, 4, 8, 16 and the 19 rounds left
     shapes = _spy_uniforms(monkeypatch)
@@ -261,9 +263,9 @@ def test_search_box_is_made_once_per_scenario_and_read_only(setting, monkeypatch
     assert all((a == b).all() for a, b in zip(opt._search_box(same, 30), box))
     wide = dataclasses.replace(s, f_range=(1e9, 60e9))
     assert opt._search_box(wide, 30).hi[0].tolist() == [[60e9] * 30]
-    # the floor follows _FLOOR_SHARE at search time, also on a scenario searched before
+    # the floor is the _FLOOR_SHARE of when the box is made
     monkeypatch.setattr(opt, "_FLOOR_SHARE", np.zeros((2, 1, 1)))
-    assert (opt._search_box(s, 30).floor == 0.0).all()
+    assert (opt._search_box(dataclasses.replace(s), 30).floor == 0.0).all()
 
 
 def test_trial_seeds_deterministic():
@@ -645,9 +647,11 @@ def test_batch_error_reports_earliest_round_then_lowest_trial(setting):
 
 
 def test_replicate_rejects_an_unknown_searcher(setting):
+    # a searcher made from one of the four, with the same rules, is not one of them either
     s, objective, u_max = setting
-    with pytest.raises(ValueError, match="replicate runs one of disc_pso"):
-        replicate(lambda *args: None, s, objective, u_max, SwarmConfig(), n_trials=1)
+    for searcher in (lambda *args: None, dataclasses.replace(disc_pso, name="x")):
+        with pytest.raises(ValueError, match="^replicate runs one of disc-pso, pso, ga, de; got "):
+            replicate(searcher, s, objective, u_max, SwarmConfig(), n_trials=1)
 
 
 # ---------------------------------------------------------------- seeded-result digest
