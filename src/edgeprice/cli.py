@@ -107,10 +107,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"gap reference u_max: {low} to {high} per trial  (trials: {args.trials})")
     else:
         print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
-    print(f"{'algorithm':<10} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
+    width = max(10, *map(len, report.stats))
+    print(f"{'algorithm':<{width}} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():
         print(
-            f"{name:<10} {stats.mean_value:>12.6f} {stats.std_value:>12.6f} "
+            f"{name:<{width}} {stats.mean_value:>12.6f} {stats.std_value:>12.6f} "
             f"{stats.mean_iterations:>11.3f} {sum(stats.converged_list):>7}/{args.trials}"
         )
     return 0

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +42,9 @@ class SweepSpec:
     allocation: Allocation
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep point: a NamedTuple whose fields are the sweep CSV columns, in order."""
+
     parameter: str
     value: float
     price: float
@@ -143,8 +144,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         summary = user_utility(s, alloc)
     columns = _sweep_columns(summary)
     _require_finite("sweep value", *columns)
-    rows = list(zip(*(np.broadcast_to(c, grid.shape).tolist() for c in columns)))
-    return [SweepRow(spec.parameter, value, *row) for value, row in zip(spec.grid, rows)]
+    values = (np.broadcast_to(c, grid.shape).tolist() for c in columns)
+    return list(map(SweepRow._make, zip(repeat(spec.parameter), spec.grid, *values)))
 
 
 def _sweep_columns(summary: UtilitySummary) -> tuple:
@@ -226,7 +227,6 @@ def _format_number(x: float) -> str:
 
 
 _SWEEP_CSV_ROW = "%s" + ",%.9g" * (len(SWEEP_CSV_HEADER) - 1)  # "%.9g" % x == _format_number(x)
-_sweep_csv_fields = attrgetter("parameter", *SWEEP_CSV_HEADER[1:])
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
@@ -235,7 +235,7 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
     The one renderer of sweep rows: ``emit_csv`` ends its lines with CR LF,
     as ``csv.writer`` does, and the CLI's stdout with LF. No field needs quoting.
     """
-    return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, map(_sweep_csv_fields, rows))]
+    return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, rows)]
 
 
 def _write_csv(lines: list[str], path: str | Path) -> None:

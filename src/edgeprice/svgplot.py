@@ -8,15 +8,16 @@ heatmap cell), which general plotting libraries do not guarantee.
 give the same bytes). It colours the whole grid with a few numpy
 operations, in the same float64 steps a per-cell loop would take, and
 formats each distinct colour, column x, row y and the cell size once.
-Each column of cells is one C-level join of those strings, with no
-bytecode per cell, and the document is one join: a 150x150 surface takes
-about 8 ms, against 12 ms for per-cell strings and concatenation (2-CPU
-x86-64, Python 3.11). Line and scatter plots format each coordinate once.
+Each cell is three of those strings in one ``(nx, ny, 3)`` object array,
+and the document is a single join of that array's list, with no bytecode
+per cell: a 150x150 surface takes about 6 ms, against 8 ms when each
+column was joined first and the columns joined again (medians of 150
+in-process calls, 2-CPU x86-64, Python 3.11, numpy 2.4). Line and
+scatter plots format each coordinate once.
 """
 from __future__ import annotations
 
 import math
-import operator
 from typing import Sequence
 
 import numpy as np
@@ -95,15 +96,17 @@ def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title) -> list[str]:
     return parts
 
 
+_HEAD = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+    f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
+    f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
+)
+
+
 def _document(body: list[str]) -> str:
-    head = (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
-        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
-    )
-    # one join: each concatenation would copy the whole text, megabytes for a heatmap
-    return "\n".join([head, *body, "</svg>\n"])
+    # one join: each concatenation would copy the whole text
+    return "\n".join([_HEAD, *body, "</svg>\n"])
 
 
 def _pixels(
@@ -168,17 +171,29 @@ def heatmap(
     rgb = 0.0
     for a, b in zip(_LOW_COLOR, _HIGH_COLOR):  # 0xrrggbb, exact in a float64
         rgb = rgb * 256 + np.rint(a + frac * (b - a))
-    colors, which = np.unique(rgb, return_inverse=True)
-    fills = [f'#{c:06x}"/>' for c in colors.astype(int).tolist()]
+    colors, which = _group(rgb.astype(np.int32))
+    fills = np.array([f'#{c:06x}"/>' for c in colors.tolist()], dtype=object)
     cell_w = _PLOT_W / nx
     cell_h = _PLOT_H / ny
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
-    x_heads = [f'<rect x="{_fmt(MARGIN_LEFT + i * cell_w)}" y="' for i in range(nx)]
-    y_tails = [_fmt(MARGIN_TOP + (ny - 1 - j) * cell_h) + size for j in range(ny)]
-    # one string per column of cells, its lines joined in C: head + y + size + fill each
-    body = [
-        head + ("\n" + head).join(map(operator.add, y_tails, map(fills.__getitem__, row)))
-        for head, row in zip(x_heads, which.reshape(nx, ny).tolist())
-    ]
-    body.extend(_axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title))
-    return _document(body)
+    # each cell is "\n" + x head + y tail + fill, laid out in document order (x-major)
+    pieces = np.empty((nx, ny, 3), dtype=object)
+    pieces[:, :, 0] = np.array([f'\n<rect x="{_fmt(MARGIN_LEFT + i * cell_w)}" y="' for i in range(nx)],
+                               dtype=object)[:, None]
+    pieces[:, :, 1] = np.array([_fmt(MARGIN_TOP + (ny - 1 - j) * cell_h) + size for j in range(ny)],
+                               dtype=object)
+    pieces[:, :, 2] = fills.take(which)
+    parts = pieces.ravel().tolist()
+    parts.insert(0, _HEAD)
+    parts.append("\n".join(["", *_axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title), "</svg>\n"]))
+    return "".join(parts)  # the one copy of a megabyte-sized document
+
+
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys, and each key's index among them (``np.unique``'s inverse)."""
+    ordered = np.sort(keys, axis=None)
+    first = np.empty(ordered.shape, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    return distinct, np.searchsorted(distinct, keys)

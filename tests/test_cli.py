@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from edgeprice import optimizers
 from edgeprice.cli import _format_number, main
 from edgeprice.harness import ALGORITHMS, box_maximum_utility, compare_optimizers
 from edgeprice.optimizers import SwarmConfig
@@ -113,6 +115,20 @@ def test_compare_emits_csv(tmp_path, capsys):
     assert len(parsed) == 1 + 4 * 2
     stdout = capsys.readouterr().out
     assert "disc-pso" in stdout
+
+
+def test_compare_table_lines_up_under_a_long_algorithm_name(monkeypatch, capsys):
+    monkeypatch.setitem(optimizers.ALGORITHMS, "disc-pso-alias", optimizers.disc_pso)
+    assert main(["compare", "--trials", "2"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 5 and rows[-1].startswith("disc-pso-alias ")
+
+    def ends(line):
+        return [m.end() for m in re.finditer(r"\S+", line)]
+
+    mean, std, iters = (ends(header)[i] for i in (1, 2, 4))
+    assert all(ends(row)[1:4] == [mean, std, iters] for row in rows)
+    assert len({len(row) for row in rows}) == 1
 
 
 def test_randomized_compare_header_is_the_range_of_trial_references(capsys):

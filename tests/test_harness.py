@@ -10,6 +10,7 @@ import pytest
 from edgeprice import harness, optimizers, svgplot
 from edgeprice.harness import (
     ALGORITHMS,
+    SWEEP_CSV_HEADER,
     SweepRow,
     SweepSpec,
     box_maximum_utility,
@@ -94,7 +95,15 @@ def test_every_sweep_row_equals_its_scalar_summary(defaults, parameter, grid):
             parameter, value, summary.price, summary.u_user, summary.u_server,
             summary.time.t_offload, summary.time.t_save, summary.energy.e_save,
         )
-        assert all(type(v) is float for v in dataclasses.astuple(row)[1:])
+        assert all(type(v) is float for v in tuple(row)[1:])
+
+
+def test_sweep_rows_are_immutable_records_in_csv_column_order(f_sweep_spec):
+    row = run_sweep(f_sweep_spec)[0]
+    assert tuple(row) == tuple(getattr(row, name) for name in ("parameter", *SWEEP_CSV_HEADER[1:]))
+    assert repr(row).startswith(f"SweepRow(parameter='f_server', value={row.value!r}, price=")
+    with pytest.raises(AttributeError):
+        row.price = 0.0
 
 
 def test_single_point_grid_equals_direct_evaluation(defaults):
@@ -436,6 +445,22 @@ def test_heatmap_bytes_are_pinned(defaults, tmp_path, steps, series):
     path = tmp_path / "heat.svg"
     emit_plot(surface_grid(defaults, steps, steps), "heatmap", path, series=series)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _HEATMAP_SHA256[steps, series]
+
+
+# non-square, non-flat grids: a swapped or mis-broadcast (f, b) axis changes these bytes
+_RECTANGULAR_HEATMAP_SHA256 = {
+    (9, 4, "u_user"): "8608b4f52761c4d1d7a4ef66d9d25dec19fcf0ab52e38a7ea28091198829fc8c",
+    (4, 9, "u_user"): "d2b014bbaa1e3faebeb4289f9069b0808a658821db5cb94af81f12a77292d513",
+    (9, 4, "price"): "3879d9697593fedf8c11f68cf169133ad27ef5f25b81cb3bc22c9588b9816570",
+}
+
+
+@pytest.mark.parametrize("f_steps, b_steps, series", list(_RECTANGULAR_HEATMAP_SHA256))
+def test_rectangular_heatmap_bytes_are_pinned(defaults, tmp_path, f_steps, b_steps, series):
+    path = tmp_path / "heat.svg"
+    emit_plot(surface_grid(defaults, f_steps, b_steps), "heatmap", path, series=series)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _RECTANGULAR_HEATMAP_SHA256[f_steps, b_steps, series]
 
 
 def test_flat_heatmap_bytes_are_pinned():
