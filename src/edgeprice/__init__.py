@@ -62,7 +62,9 @@ from .harness import (
     corner_allocation,
     emit_comparison_csv,
     emit_csv,
-    emit_plot,
+    emit_positions_plot,
+    emit_surface_plot,
+    emit_sweep_plot,
     run_sweep,
     surface_grid,
 )

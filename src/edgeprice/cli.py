@@ -19,7 +19,9 @@ from .harness import (
     compare_optimizers,
     emit_comparison_csv,
     emit_csv,
-    emit_plot,
+    emit_positions_plot,
+    emit_surface_plot,
+    emit_sweep_plot,
     run_sweep,
     surface_grid,
     sweep_csv_lines,
@@ -54,7 +56,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = SweepSpec(parameter=args.param, grid=grid, scenario=scenario, allocation=allocation)
     rows = run_sweep(spec)
     if args.plot:
-        emit_plot(rows, "line", args.plot, series=args.series)
+        emit_sweep_plot(rows, args.plot, series=args.series)
     if args.out:
         emit_csv(rows, args.out)
     else:
@@ -66,7 +68,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     scenario, _ = _load_context(args)
     grid = surface_grid(scenario, args.steps, args.steps)
     if args.plot:
-        emit_plot(grid, "heatmap", args.plot, series=args.series)
+        emit_surface_plot(grid, args.plot, series=args.series)
     best = grid.argmax_u_user()
     value = grid.u_user.max()
     print(f"grid: {args.steps}x{args.steps} over f_server={scenario.f_range}, b={scenario.b_range}")
@@ -101,7 +103,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         emit_comparison_csv(report, args.out)
     if args.plot:
-        emit_plot(report.stats[args.plot_algo].position_list, "scatter", args.plot)
+        emit_positions_plot(report.stats[args.plot_algo].position_list, args.plot)
     if args.randomize:  # each trial's own corner value, not the base scenario's
         low, high = map(_format_number, (min(report.u_max_list), max(report.u_max_list)))
         print(f"gap reference u_max: {low} to {high} per trial  (trials: {args.trials})")

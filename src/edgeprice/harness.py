@@ -1,8 +1,11 @@
-"""Parameter sweeps, optimizer comparisons, and flat-file outputs.
+"""Parameter sweeps, surfaces, optimizer comparisons, and flat-file outputs.
 
-The harness adds no arithmetic of its own: every sweep row is a straight
-copy of model-module results, so rows are reproducible bit-exactly from
-the scenario and allocation that produced them.
+The harness adds no arithmetic of its own: sweeps and surfaces both read
+their price, ``u_user`` and ``u_server`` from one broadcast ``user_utility``
+call, so a surface cell equals the sweep row at the same purchase bit for
+bit, and both are reproducible bit-exactly from the scenario and
+allocation that produced them. ``pricing.server_utility`` is the
+independent closed form they are checked against.
 """
 from __future__ import annotations
 
@@ -15,13 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .offload import Allocation
-from .pricing import (
-    UtilitySummary,
-    dynamic_price,
-    dynamic_utility_objective,
-    server_utility,
-    user_utility,
-)
+from .pricing import UtilitySummary, dynamic_utility_objective, user_utility
 from .scenario import Scenario, ghz_to_hz, kb_to_bits, validate
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
@@ -57,7 +54,12 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Dense evaluation of the model over the purchase box."""
+    """Dense evaluation of the model over the purchase box.
+
+    The cells come from the ``user_utility`` call a sweep makes, so each
+    row equals a ``b`` sweep at its ``f_server``; ``pricing.server_utility``
+    is the closed-form reference for ``u_server``.
+    """
 
     f_values: tuple[float, ...]
     b_values: tuple[float, ...]
@@ -169,24 +171,24 @@ def _require_finite(what: str, *arrays: object) -> None:
 def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     """Dense (f_server, b) grid over the search box, endpoints included.
 
-    Like ``run_sweep``, the cells overflow to inf silently, and any inf or
-    NaN cell raises ``ValueError``.
+    Like ``run_sweep``, one ``user_utility`` call evaluates every cell;
+    the cells overflow to inf silently, and any inf or NaN cell raises
+    ``ValueError``.
     """
     if f_steps < 2 or b_steps < 2:
         raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
-    cells = Allocation(f_values[:, None], b_values[None, :])
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = SurfaceGrid(
-            f_values=tuple(f_values.tolist()),
-            b_values=tuple(b_values.tolist()),
-            u_user=dynamic_utility_objective(s)(cells),
-            price=dynamic_price(s, cells),
-            u_server=server_utility(s, cells),
-        )
-    _require_finite("surface cell", grid.u_user, grid.price, grid.u_server)
-    return grid
+        summary = user_utility(s, Allocation(f_values[:, None], b_values[None, :]))
+    _require_finite("surface cell", summary.u_user, summary.price, summary.u_server)
+    return SurfaceGrid(
+        f_values=tuple(f_values.tolist()),
+        b_values=tuple(b_values.tolist()),
+        u_user=summary.u_user,
+        price=summary.price,
+        u_server=summary.u_server,
+    )
 
 
 def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
@@ -238,13 +240,14 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
     return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, rows)]
 
 
-def _write_csv(lines: list[str], path: str | Path) -> None:
-    Path(path).write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+def _write(text: str, path: str | Path) -> None:
+    """The one file writer of CSV and SVG output: UTF-8, line ends as given."""
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep rows as CSV: header always present, numbers at 9 significant digits."""
-    _write_csv(sweep_csv_lines(rows), path)
+    _write("\r\n".join(sweep_csv_lines(rows)) + "\r\n", path)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
@@ -254,48 +257,29 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         records = zip(stats.seed_list, stats.value_list, stats.iteration_list, stats.position_list)
         for trial, (seed, value, iterations, at) in enumerate(records):
             lines.append(f"{name},{trial},{seed},{value:.9g},{iterations},{at.f_server:.9g},{at.b:.9g}")
-    _write_csv(lines, path)
+    _write("\r\n".join(lines) + "\r\n", path)
 
 
-def emit_plot(
-    data: Sequence[SweepRow] | Sequence[Allocation] | SurfaceGrid,
-    kind: str,
-    path: str | Path,
-    *,
-    series: str = "u_user",
-) -> None:
-    """Render sweep rows (line), best positions (scatter), or a grid (heatmap) as SVG.
+def emit_sweep_plot(rows: Sequence[SweepRow], path: str | Path, *, series: str = "u_user") -> None:
+    """Sweep rows as a line-plot SVG of ``series`` against the swept value."""
+    if not rows:
+        raise ValueError("line plot needs at least one sweep row")
+    points = [(row.value, getattr(row, series)) for row in rows]
+    _write(svgplot.line_plot(points, x_label=rows[0].parameter, y_label=series,
+                             title=f"{series} sweep"), path)
 
-    Scatter input is collapsed to distinct positions before plotting, so
-    the circle count in the file equals the number of unique points.
-    """
-    if kind == "line":
-        rows = list(data)  # type: ignore[arg-type]
-        if not rows:
-            raise ValueError("line plot needs at least one sweep row")
-        points = [(row.value, getattr(row, series)) for row in rows]
-        text = svgplot.line_plot(
-            points, x_label=rows[0].parameter, y_label=series, title=f"{series} sweep"
-        )
-    elif kind == "scatter":
-        positions = list(data)  # type: ignore[arg-type]
-        if not positions:
-            raise ValueError("scatter plot needs at least one position")
-        unique = list(dict.fromkeys((p.f_server, p.b) for p in positions))
-        text = svgplot.scatter_plot(
-            unique, x_label="f_server [Hz]", y_label="b [bit/s]", title="best positions"
-        )
-    elif kind == "heatmap":
-        if not isinstance(data, SurfaceGrid):
-            raise ValueError("heatmap plotting expects a SurfaceGrid")
-        text = svgplot.heatmap(
-            data.f_values,
-            data.b_values,
-            getattr(data, series),
-            x_label="f_server [Hz]",
-            y_label="b [bit/s]",
-            title=f"{series} surface",
-        )
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}; expected line, scatter, or heatmap")
-    Path(path).write_text(text, encoding="utf-8")
+
+def emit_surface_plot(grid: SurfaceGrid, path: str | Path, *, series: str = "u_user") -> None:
+    """One surface series as a heatmap SVG over the (f_server, b) box."""
+    _write(svgplot.heatmap(grid.f_values, grid.b_values, getattr(grid, series),
+                           x_label="f_server [Hz]", y_label="b [bit/s]",
+                           title=f"{series} surface"), path)
+
+
+def emit_positions_plot(positions: Sequence[Allocation], path: str | Path) -> None:
+    """Best positions as a scatter SVG, one circle per distinct position."""
+    if not positions:
+        raise ValueError("scatter plot needs at least one position")
+    unique = list(dict.fromkeys((p.f_server, p.b) for p in positions))
+    _write(svgplot.scatter_plot(unique, x_label="f_server [Hz]", y_label="b [bit/s]",
+                                title="best positions"), path)

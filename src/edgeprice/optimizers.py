@@ -280,10 +280,6 @@ class _Searcher:
     accept: Callable[..., tuple[np.ndarray, np.ndarray]] = field(repr=False)
     elite: int = 0
 
-    @property
-    def __name__(self) -> str:  # what pytest and other tools print for a callable
-        return self.name
-
     def __call__(self, s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
         return _search(s, objective, u_max, (cfg.seed,), cfg, self)[0]
 

@@ -18,14 +18,16 @@ from edgeprice.harness import (
     corner_allocation,
     emit_comparison_csv,
     emit_csv,
-    emit_plot,
+    emit_positions_plot,
+    emit_surface_plot,
+    emit_sweep_plot,
     run_sweep,
     surface_grid,
     _draw_trial_scenarios,
 )
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import SwarmConfig
-from edgeprice.pricing import dynamic_price, dynamic_utility_objective, server_utility, user_utility
+from edgeprice.pricing import dynamic_price, dynamic_utility_objective, user_utility
 from edgeprice.scenario import default_scenario
 
 GHZ = 1e9
@@ -230,7 +232,16 @@ def test_surface_cells_equal_scalar_closed_forms(defaults):
             alloc = Allocation(f, b)
             assert grid.u_user[i, j] == objective(alloc)
             assert grid.price[i, j] == dynamic_price(defaults, alloc)
-            assert grid.u_server[i, j] == server_utility(defaults, alloc)
+            assert grid.u_server[i, j] == user_utility(defaults, alloc).u_server
+
+
+def test_surface_cells_equal_sweep_rows(defaults):
+    grid = surface_grid(defaults, 9, 4)
+    for i, f in enumerate(grid.f_values):
+        spec = SweepSpec("b", grid.b_values, defaults, Allocation(f, defaults.b_range[1]))
+        rows = run_sweep(spec)
+        for series in ("price", "u_user", "u_server"):
+            assert [getattr(row, series) for row in rows] == getattr(grid, series)[i].tolist(), (f, series)
 
 
 def test_surface_argmax_at_corner(defaults):
@@ -401,7 +412,7 @@ def test_comparison_csv_deterministic(defaults, tmp_path):
 def test_line_plot_has_one_marker_per_point(defaults, tmp_path):
     rows = _rows(defaults)
     path = tmp_path / "sweep.svg"
-    emit_plot(rows, "line", path)
+    emit_sweep_plot(rows, path)
     tree = ET.parse(path)  # well-formed XML
     circles = tree.getroot().iter("{http://www.w3.org/2000/svg}circle")
     assert len(list(circles)) == 6
@@ -410,7 +421,7 @@ def test_line_plot_has_one_marker_per_point(defaults, tmp_path):
 def test_scatter_collapses_duplicates(tmp_path):
     positions = [Allocation(6e9, 1e6), Allocation(6e9, 1e6), Allocation(3e9, 5e5)]
     path = tmp_path / "scatter.svg"
-    emit_plot(positions, "scatter", path)
+    emit_positions_plot(positions, path)
     tree = ET.parse(path)
     circles = list(tree.getroot().iter("{http://www.w3.org/2000/svg}circle"))
     assert len(circles) == 2
@@ -419,7 +430,7 @@ def test_scatter_collapses_duplicates(tmp_path):
 def test_heatmap_cell_count(defaults, tmp_path):
     grid = surface_grid(defaults, 100, 100)
     path = tmp_path / "heat.svg"
-    emit_plot(grid, "heatmap", path)
+    emit_surface_plot(grid, path)
     tree = ET.parse(path)
     rects = [
         r
@@ -443,7 +454,7 @@ _HEATMAP_SHA256 = {
 @pytest.mark.parametrize("steps, series", list(_HEATMAP_SHA256))
 def test_heatmap_bytes_are_pinned(defaults, tmp_path, steps, series):
     path = tmp_path / "heat.svg"
-    emit_plot(surface_grid(defaults, steps, steps), "heatmap", path, series=series)
+    emit_surface_plot(surface_grid(defaults, steps, steps), path, series=series)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _HEATMAP_SHA256[steps, series]
 
 
@@ -458,7 +469,7 @@ _RECTANGULAR_HEATMAP_SHA256 = {
 @pytest.mark.parametrize("f_steps, b_steps, series", list(_RECTANGULAR_HEATMAP_SHA256))
 def test_rectangular_heatmap_bytes_are_pinned(defaults, tmp_path, f_steps, b_steps, series):
     path = tmp_path / "heat.svg"
-    emit_plot(surface_grid(defaults, f_steps, b_steps), "heatmap", path, series=series)
+    emit_surface_plot(surface_grid(defaults, f_steps, b_steps), path, series=series)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == _RECTANGULAR_HEATMAP_SHA256[f_steps, b_steps, series]
 
@@ -510,7 +521,8 @@ def test_plot_labels_are_xml_escaped():
 
 
 def test_plot_rejects_empty_and_unknown(tmp_path):
-    with pytest.raises(ValueError, match="at least one"):
-        emit_plot([], "line", tmp_path / "x.svg")
-    with pytest.raises(ValueError, match="unknown plot kind"):
-        emit_plot([Allocation(1e9, 1e5)], "pie", tmp_path / "x.svg")
+    with pytest.raises(ValueError, match="at least one sweep row"):
+        emit_sweep_plot([], tmp_path / "x.svg")
+    with pytest.raises(ValueError, match="at least one position"):
+        emit_positions_plot([], tmp_path / "x.svg")
+    assert not (tmp_path / "x.svg").exists()
