@@ -1,5 +1,7 @@
 """Dynamic-pricing edge-offloading model with near-optimal allocation search."""
 
+from types import ModuleType as _ModuleType
+
 from .scenario import (
     ChannelSpec,
     Scenario,
@@ -69,5 +71,8 @@ from .harness import (
     surface_grid,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules bind their own names here; a star import takes the API, not them
+__all__ = [
+    name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

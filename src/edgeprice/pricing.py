@@ -5,7 +5,7 @@ is the setting in which the utility has an interior critical point (the
 gradient/Hessian operations below). Dynamic pricing substitutes the
 critical-point relation back into the price, making the price a decreasing
 function of the purchased resources; it is the default objective for
-sweeps and optimization.
+sweeps and optimization, and the one ``user_utility`` prices.
 
 The per-bit factors:
 
@@ -33,8 +33,8 @@ random draws work so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class PriceCoefficients:
 
 @dataclass(frozen=True)
 class UtilitySummary:
-    """Priced outcome of one allocation under one pricing mode."""
+    """Priced outcome of one allocation under dynamic pricing."""
 
     price: float
     u_user: float
@@ -87,7 +87,7 @@ class Diagnostics:
 
     b_part: float
     p_part: float
-    u_affect: tuple[float, ...]
+    u_affect: float
 
 
 def chi(s: Scenario) -> float:
@@ -155,26 +155,17 @@ def dynamic_utility_objective(s: Scenario) -> Callable[[Allocation], float]:
     return objective
 
 
-def user_utility(
-    s: Scenario, alloc: Allocation, coefficients: PriceCoefficients | None = None
-) -> UtilitySummary:
-    """Full priced outcome of an allocation.
+def user_utility(s: Scenario, alloc: Allocation) -> UtilitySummary:
+    """Full outcome of an allocation under dynamic pricing.
 
-    ``coefficients=None`` selects dynamic pricing (the default objective);
-    passing PriceCoefficients selects linear pricing. The server utility is
-    always price - t_offload + data revenue.
+    The server utility is price - t_offload + data revenue.
     """
     times = time_breakdown(s, alloc)
-    if coefficients is None:
-        price = dynamic_price(s, alloc)
-        u_user = dynamic_user_utility_value(s, alloc)
-    else:
-        price = linear_price(coefficients, alloc)
-        u_user = linear_user_utility_value(s, coefficients, alloc)
+    price = dynamic_price(s, alloc)
     revenue = data_revenue(s)
     return UtilitySummary(
         price=price,
-        u_user=u_user,
+        u_user=dynamic_user_utility_value(s, alloc),
         u_server=price - times.t_offload + revenue,
         w_revenue=revenue,
         time=times,
@@ -236,7 +227,7 @@ def quadratic_gap(
     c1, c2 = displacement
     crit = critical_point(s, pc)
     displaced = Allocation(f_server=crit.f_server + c1, b=crit.b + c2)
-    if displaced.f_server <= 0.0 or displaced.b <= 0.0:
+    if np.any(displaced.f_server <= 0.0) or np.any(displaced.b <= 0.0):
         raise ValueError(
             f"displaced point ({displaced.f_server}, {displaced.b}) leaves the positive domain"
         )
@@ -268,22 +259,18 @@ def server_utility(s: Scenario, alloc: Allocation) -> float:
     )
 
 
-def diagnostics(
-    s: Scenario, alloc: Allocation, q_grid: Sequence[float] | None = None
-) -> Diagnostics:
+def diagnostics(s: Scenario, alloc: Allocation) -> Diagnostics:
     """Factors behind the flat price/server-utility trends.
 
     b_part is the bandwidth-related numerator of the server utility; p_part
     the dynamic price per bit at the given allocation; u_affect the
-    q-dependent part of the server utility (-t_offload + data revenue),
-    evaluated on ``q_grid`` (default: the scenario's own q) in one call.
+    q-dependent part of the server utility, -t_offload + data revenue.
     """
-    b_part = _bandwidth_server_factor(s)
-    p_part = dynamic_price(s, alloc) / s.q
-
-    at_q = replace(s, q=np.array(q_grid if q_grid is not None else (s.q,), dtype=float))
-    u_affect = -time_breakdown(at_q, alloc).t_offload + data_revenue(at_q)
-    return Diagnostics(b_part=b_part, p_part=p_part, u_affect=tuple(u_affect.tolist()))
+    return Diagnostics(
+        b_part=_bandwidth_server_factor(s),
+        p_part=dynamic_price(s, alloc) / s.q,
+        u_affect=-time_breakdown(s, alloc).t_offload + data_revenue(s),
+    )
 
 
 def coupling_ratio(s: Scenario) -> float:
@@ -292,6 +279,6 @@ def coupling_ratio(s: Scenario) -> float:
     Under dynamic pricing at fixed q and b the ratio is 2*w2/(1-w2),
     independent of which step is taken.
     """
-    if not 0.0 < s.w2 < 1.0:
+    if not np.all((0.0 < s.w2) & (s.w2 < 1.0)):
         raise ValueError(f"coupling ratio needs w2 in (0, 1), got {s.w2!r}")
     return 2.0 * s.w2 / (1.0 - s.w2)

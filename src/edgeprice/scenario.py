@@ -232,20 +232,14 @@ def scenario_from_config(config: Mapping[str, float | str]) -> Scenario:
     )
 
 
-def load_scenario(
-    config_text: str | None = None,
-    *,
-    overrides: Mapping[str, float | str] | None = None,
-) -> Scenario:
-    """Load, merge with defaults, convert to canonical units, and validate.
+def load_scenario(*, overrides: Mapping[str, float | str] | None = None) -> Scenario:
+    """Merge with defaults, convert to canonical units, and validate.
 
-    Keys absent from the document take the built-in defaults. ``overrides``
-    (already in config units) are applied last. Raises
-    :class:`ScenarioError` if the result violates any Scenario invariant.
+    Keys absent from ``overrides`` (config units, e.g. a :func:`parse_config`
+    mapping) take the built-in defaults. Raises :class:`ScenarioError` on an
+    unknown key or if the result violates any Scenario invariant.
     """
-    parsed = parse_config(config_text) if config_text is not None else {}
     merged = dict(DEFAULT_CONFIG)
-    merged.update(parsed)
     if overrides:
         for key in overrides:
             if key not in REQUIRED_KEYS and key not in ALLOCATION_KEYS:

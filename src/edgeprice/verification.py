@@ -108,16 +108,11 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
     return _scenario_from_uniforms("raw" if u_mode < 0.5 else "db-to-linear", u)
 
 
-def _random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
-    """A uniform point of the purchase box: one block of two draws, f_server then b."""
-    u_f, u_b = rng.random(2).tolist()
-    return Allocation(_uniform(*s.f_range, u_f), _uniform(*s.b_range, u_b))
-
-
 def _random_draw_groups(rng: np.random.Generator, n: int) -> list[tuple[Scenario, Allocation]]:
-    """``n`` draws of ``random_scenario`` then ``_random_allocation``, from one (n, 15) block.
+    """``n`` draws of ``random_scenario`` and a uniform purchase, from one (n, 15) block.
 
-    The block is the same stream as the ``n`` sequential calls. Its rows
+    The block is the same stream as ``n`` sequential draws, the purchase's
+    two as ``rng.uniform(*f_range)`` then ``rng.uniform(*b_range)``. Its rows
     are split by SNR mode into one array ``Scenario`` and ``Allocation``
     per mode, raw first, each keeping the draw order of its rows.
     """

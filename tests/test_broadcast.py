@@ -13,19 +13,24 @@ import pytest
 
 from edgeprice.offload import Allocation
 from edgeprice.pricing import (
+    coupling_ratio,
     critical_point,
     curvature_report,
     derive_coefficients,
     diagnostics,
     dynamic_price,
     dynamic_utility_objective,
+    linear_price,
     linear_user_utility_value,
+    quadratic_gap,
     server_utility,
     user_utility,
     user_utility_gradient,
 )
 from edgeprice.scenario import ChannelSpec, Scenario, default_scenario
-from edgeprice.verification import _random_allocation, random_scenario
+from edgeprice.verification import random_scenario
+
+from support import random_allocation
 
 NUMBER_FIELDS = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
 
@@ -52,6 +57,8 @@ def assert_elementwise(array_result, scalar_results: list) -> None:
     n = len(scalar_results)
     rows = [leaves(r) for r in scalar_results]
     for j, column in enumerate(leaves(array_result)):
+        # a list leaf is a malformed result, even where its items equal the scalar calls'
+        assert isinstance(column, (float, np.ndarray)), f"leaf {j} is a {type(column).__name__}"
         got = np.broadcast_to(column, (n,)).tolist()
         want = [row[j] for row in rows]
         assert got == want, f"leaf {j}: {sum(g != w for g, w in zip(got, want))} of {n} differ"
@@ -63,7 +70,7 @@ def random_draws(seed: int, n: int):
     draws = []
     for _ in range(n):
         s = random_scenario(rng)
-        draws.append((s, _random_allocation(rng, s), _random_allocation(rng, s)))
+        draws.append((s, random_allocation(rng, s), random_allocation(rng, s)))
     return [[d for d in draws if d[0].channel.snr_mode == mode] for mode in ("raw", "db-to-linear")]
 
 
@@ -83,8 +90,11 @@ def test_scenario_arrays_equal_the_scalar_calls(seed):
         assert_elementwise(pc, scalar_pcs)
         cases = [
             (user_utility(s, alloc), [user_utility(d[0], d[1]) for d in draws]),
-            (user_utility(s, alloc, pc),
-             [user_utility(d[0], d[1], p) for d, p in zip(draws, scalar_pcs)]),
+            (linear_price(pc, alloc), [linear_price(p, d[1]) for d, p in zip(draws, scalar_pcs)]),
+            (diagnostics(s, alloc), [diagnostics(d[0], d[1]) for d in draws]),
+            (coupling_ratio(s), [coupling_ratio(d[0]) for d in draws]),
+            (quadratic_gap(s, pc, (1e8, 1e4)),
+             [quadratic_gap(d[0], p, (1e8, 1e4)) for d, p in zip(draws, scalar_pcs)]),
             (server_utility(s, alloc), [server_utility(d[0], d[1]) for d in draws]),
             (dynamic_price(s, alloc), [dynamic_price(d[0], d[1]) for d in draws]),
             (dynamic_utility_objective(s)(alloc),
@@ -136,6 +146,7 @@ def test_scenario_arrays_equal_the_scalar_calls_where_numpy_differs(field, lo, h
     assert_elementwise(pc, scalar_pcs)
     assert_elementwise(user_utility(s, alloc), [user_utility(sc, alloc) for sc in scenarios])
     assert_elementwise(server_utility(s, alloc), [server_utility(sc, alloc) for sc in scenarios])
+    assert_elementwise(diagnostics(s, alloc), [diagnostics(sc, alloc) for sc in scenarios])
     assert_elementwise(curvature_report(s, pc, alloc),
                        [curvature_report(sc, p, alloc) for sc, p in zip(scenarios, scalar_pcs)])
 
@@ -144,7 +155,7 @@ def test_allocation_arrays_equal_the_scalar_calls():
     # numpy squares differ from libm pow here in a few rows of 10,000
     rng = np.random.default_rng(3)
     s = random_scenario(rng)
-    target = _random_allocation(rng, s)
+    target = random_allocation(rng, s)
     pc = derive_coefficients(s, target.f_server, target.b)
     f, b = rng.uniform(*s.f_range, 10_000), rng.uniform(*s.b_range, 10_000)
     points = [Allocation(fv, bv) for fv, bv in zip(f.tolist(), b.tolist())]
@@ -155,14 +166,3 @@ def test_allocation_arrays_equal_the_scalar_calls():
     assert_elementwise(derive_coefficients(s, f, b),
                        [derive_coefficients(s, a.f_server, a.b) for a in points])
 
-
-def test_diagnostics_q_grid_equals_one_scalar_call_per_q():
-    rng = np.random.default_rng(11)
-    s = random_scenario(rng)
-    alloc = _random_allocation(rng, s)
-    grid = tuple(rng.uniform(8192.0, 1e7, 200).tolist())
-    result = diagnostics(s, alloc, q_grid=grid)
-    assert all(type(u) is float for u in result.u_affect)
-    assert result.u_affect == tuple(
-        diagnostics(dataclasses.replace(s, q=q), alloc).u_affect[0] for q in grid
-    )

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,15 @@ def test_cli_import_loads_no_network_xml_or_anchor_modules():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_star_import_binds_the_api_and_no_module():
+    # importing a submodule binds its name in the package; `from edgeprice import *` must not take it
+    import edgeprice
+
+    values = {name: getattr(edgeprice, name) for name in edgeprice.__all__}
+    assert [name for name, value in values.items() if isinstance(value, types.ModuleType)] == []
+    assert {"user_utility", "load_scenario", "disc_pso", "run_sweep"} <= values.keys()
 
 
 @pytest.mark.filterwarnings("error")

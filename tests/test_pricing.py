@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from edgeprice.offload import Allocation
+from edgeprice.offload import Allocation, energy_breakdown, time_breakdown
 from edgeprice.pricing import (
     PriceCoefficients,
     chi,
@@ -211,10 +211,12 @@ def test_eu_path_equivalence_linear_mode():
         s = random_scenario(rng)
         alloc = random_allocation(rng, s)
         pc = derive_coefficients(s, rng.uniform(*s.f_range), rng.uniform(*s.b_range))
-        summary = user_utility(s, alloc, pc)
-        direct = s.w1 * summary.energy.e_save + s.w2 * summary.time.t_save - summary.price
-        scale = s.w1 * abs(summary.energy.e_save) + s.w2 * abs(summary.time.t_save) + summary.price
-        assert rel_gap(direct, summary.u_user, scale) <= 1e-9
+        e_save = energy_breakdown(s, alloc).e_save
+        t_save = time_breakdown(s, alloc).t_save
+        price = linear_price(pc, alloc)
+        direct = s.w1 * e_save + s.w2 * t_save - price
+        scale = s.w1 * abs(e_save) + s.w2 * abs(t_save) + price
+        assert rel_gap(direct, linear_user_utility_value(s, pc, alloc), scale) <= 1e-9
 
 
 def test_server_utility_anchor(defaults):
@@ -363,6 +365,10 @@ def test_quadratic_gap_rejects_nonpositive_point(defaults):
     pc = derive_coefficients(defaults, 6e9, 1e6)
     with pytest.raises(ValueError, match="positive"):
         quadratic_gap(defaults, pc, (-7e9, 0.0))
+    # critical points at 6 and 8 GHz: one displaced element at -1 GHz refuses the array
+    pcs = derive_coefficients(defaults, np.array([6e9, 8e9]), 1e6)
+    with pytest.raises(ValueError, match="positive"):
+        quadratic_gap(defaults, pcs, (-7e9, 0.0))
 
 
 # ---------------------------------------------------------------- diagnostics
@@ -376,10 +382,8 @@ def test_diagnostics_frozen(defaults, db_mode):
 
 
 def test_diagnostics_u_affect_grid(defaults):
-    from edgeprice.offload import time_breakdown
-
     grid = (819_200.0, 4_096_000.0)
-    result = diagnostics(defaults, CORNER, q_grid=grid)
+    result = diagnostics(dataclasses.replace(defaults, q=np.array(grid)), CORNER)
     assert result.u_affect[1] == pytest.approx(14.672495599115235, rel=1e-9)
     for q, u in zip(grid, result.u_affect):
         s_q = dataclasses.replace(defaults, q=q)
@@ -399,6 +403,8 @@ def test_coupling_ratio_values(defaults):
 def test_coupling_ratio_domain_error(defaults):
     with pytest.raises(ValueError, match="w2"):
         coupling_ratio(dataclasses.replace(defaults, w2=1.0))
+    with pytest.raises(ValueError, match="w2"):  # one element outside (0, 1) refuses the array
+        coupling_ratio(dataclasses.replace(defaults, w2=np.array([0.3, 1.0])))
 
 
 def test_coupling_measured_on_sweeps():

@@ -41,27 +41,27 @@ def test_defaults_validate_clean():
 
 
 def test_partial_config_fills_defaults():
-    s = load_scenario("q_kb=500\nf_local_ghz=0.1\n")
+    s = load_scenario(overrides=parse_config("q_kb=500\nf_local_ghz=0.1\n"))
     assert s.q == 4_096_000.0
     assert s.f_local == 1e8
     assert s.c == 2640.0  # untouched default
 
 
 def test_alpha_zero_is_accepted():
-    s = load_scenario("alpha=0\n")
+    s = load_scenario(overrides=parse_config("alpha=0\n"))
     assert s.alpha == 0.0
 
 
 def test_db_to_linear_effective_snr():
-    s = load_scenario("snr_mode=db-to-linear\nsnr_uplink=20\n")
+    s = load_scenario(overrides=parse_config("snr_mode=db-to-linear\nsnr_uplink=20\n"))
     up, down = s.channel.effective_snrs()
     assert up == pytest.approx(100.0, rel=1e-12)
     assert down == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_snr_modes_differ_only_in_effective_values():
-    raw = load_scenario("snr_mode=raw\n")
-    db = load_scenario("snr_mode=db-to-linear\n")
+    raw = load_scenario(overrides=parse_config("snr_mode=raw\n"))
+    db = load_scenario(overrides=parse_config("snr_mode=db-to-linear\n"))
     assert dataclasses.replace(raw, channel=db.channel) == db
     assert raw.channel.effective_snrs() == (20.0, 30.0)
     assert db.channel.effective_snrs() != raw.channel.effective_snrs()
@@ -69,7 +69,7 @@ def test_snr_modes_differ_only_in_effective_values():
 
 def test_nonpositive_value_names_the_field():
     with pytest.raises(ScenarioError, match="q"):
-        load_scenario("q_kb=-5\n")
+        load_scenario(overrides=parse_config("q_kb=-5\n"))
 
 
 def test_validation_report_flags_w2_boundary():
@@ -118,7 +118,7 @@ def test_a_config_line_is_one_setting(key, quote):
 
 def test_override_unknown_key_rejected():
     with pytest.raises(ScenarioError, match="override"):
-        load_scenario(None, overrides={"bogus": 1.0})
+        load_scenario(overrides={"bogus": 1.0})
 
 
 def test_channel_spec_mode_validation():

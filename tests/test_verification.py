@@ -8,7 +8,9 @@ from edgeprice.cli import main
 from edgeprice.offload import Allocation
 from edgeprice.scenario import ChannelSpec, Scenario
 from edgeprice import verification
-from edgeprice.verification import _random_allocation, _random_draw_groups, random_scenario
+from edgeprice.verification import _random_draw_groups, random_scenario
+
+from support import random_allocation
 
 KB, GHZ, MBPS = 8192.0, 1e9, 1e6
 
@@ -41,17 +43,6 @@ def test_block_draw_replays_the_scalar_draws(seed):
     assert block.random() == scalar.random()  # same generator state afterwards
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_random_allocation_replays_two_uniform_draws(seed):
-    block, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(200):
-        s = random_scenario(block)
-        assert s == _scalar_draw_scenario(scalar)
-        expected = Allocation(scalar.uniform(*s.f_range), scalar.uniform(*s.b_range))
-        assert _random_allocation(block, s) == expected
-    assert block.random() == scalar.random()
-
-
 def _unstack(s: Scenario, alloc: Allocation) -> list[tuple[Scenario, Allocation]]:
     """The scalar (scenario, allocation) pairs held by an array Scenario and Allocation."""
     names = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
@@ -75,7 +66,7 @@ def test_draw_groups_replay_the_sequential_draws(seed, n):
     draws = []
     for _ in range(n):
         s = random_scenario(sequential)
-        draws.append((s, _random_allocation(sequential, s)))
+        draws.append((s, random_allocation(sequential, s)))
     assert [s.channel.snr_mode for s, _ in groups] == ["raw", "db-to-linear"]
     replayed = [pair for group in groups for pair in _unstack(*group)]
     raw_first = sorted(draws, key=lambda d: d[0].channel.snr_mode != "raw")  # a stable sort
