@@ -8,6 +8,11 @@ with its tolerance and a basis tag:
   closed-form -- an identity between two computation paths,
   statistical -- an ordering/convergence contract over seeded trials.
 
+Each anchor is one array evaluation of the closed forms it checks. The
+relative-gap anchor spells the stop test u_max - best < epsilon*|best|
+itself over the (searchers, trials) results, so a fault in the
+searchers' own stop test cannot pass it.
+
 ``edgeprice validate`` prints one line per anchor and fails if any check
 fails. Absolute server-utility levels are deliberately NOT anchored: they
 depend on the unit chosen for the data-revenue term, so only deltas,
@@ -34,8 +39,8 @@ from .pricing import (
 )
 from .scenario import BITS_PER_KB as KB, BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ
 from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
-from .harness import SweepRow, SweepSpec, compare_optimizers, corner_allocation, run_sweep, surface_grid
-from .optimizers import SwarmConfig, _gap_met
+from .harness import SweepSpec, compare_optimizers, corner_allocation, run_sweep, surface_grid
+from .optimizers import SwarmConfig
 
 # Reference anchors for the default configuration (raw SNR mode unless noted).
 PRICE_AT_100KB = 0.315874        # at (6 GHz, 1 Mbps)
@@ -61,14 +66,10 @@ def _check(name: str, basis: str, passed: bool, detail: str) -> AnchorCheck:
     return AnchorCheck(name=name, basis=basis, passed=bool(passed), detail=detail)
 
 
-def _close(actual: float, expected: float, tol: float) -> bool:
-    return abs(actual - expected) <= tol
-
-
 def _near(name: str, basis: str, actual: float, expected: float, tol_text: str) -> AnchorCheck:
     """``actual`` within ``float(tol_text)`` of ``expected``; the tolerance is printed as given."""
     return _check(
-        name, basis, _close(actual, expected, float(tol_text)),
+        name, basis, abs(actual - expected) <= float(tol_text),
         f"expected {expected} +/- {tol_text}, got {actual:.9g}",
     )
 
@@ -135,9 +136,9 @@ def _price_anchors() -> list[AnchorCheck]:
     ]
 
 
-def _f_server_sweep() -> list[SweepRow]:
-    """The default scenario swept over f_server = 1..6 GHz at b = 0.1 Mbps."""
-    return run_sweep(
+def _f_server_sweep() -> np.ndarray:
+    """The (2, 5) steps of (u_user, u_server) over f_server = 1..6 GHz at b = 0.1 Mbps."""
+    rows = run_sweep(
         SweepSpec(
             parameter="f_server",
             grid=tuple(f * GHZ for f in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
@@ -145,40 +146,34 @@ def _f_server_sweep() -> list[SweepRow]:
             allocation=Allocation(6.0 * GHZ, 0.1 * MBPS),
         )
     )
+    return np.diff([[row.u_user for row in rows], [row.u_server for row in rows]])
 
 
-def _sweep_delta_anchors(rows: list[SweepRow]) -> list[AnchorCheck]:
-    user_deltas = [b.u_user - a.u_user for a, b in zip(rows, rows[1:])]
-    server_deltas = [b.u_server - a.u_server for a, b in zip(rows, rows[1:])]
+def _sweep_delta_anchors(deltas: np.ndarray) -> list[AnchorCheck]:
+    user_deltas, server_deltas = deltas
 
     checks = []
     tolerances = (1e-3, 1e-2, 1e-3, 1e-3, 1e-3)  # looser on the known-off 2->3 entry
-    user_ok = all(
-        _close(actual, expected, tol)
-        for actual, expected, tol in zip(user_deltas, USER_DELTAS, tolerances)
-    )
+    user_ok = np.all(abs(user_deltas - USER_DELTAS) <= tolerances)
     checks.append(
         _check(
             "user-utility deltas on the 1..6 GHz sweep",
             "reference",
             user_ok,
-            f"expected {USER_DELTAS}, got {tuple(round(d, 5) for d in user_deltas)}",
+            f"expected {USER_DELTAS}, got {tuple(round(d, 5) for d in user_deltas.tolist())}",
         )
     )
     checks.append(
         _near("user-utility 2->3 GHz delta, closed form", "derived",
               user_deltas[1], USER_DELTA_2_3_CLOSED_FORM, "1e-4")
     )
-    server_ok = all(
-        _close(actual, expected, 1e-4)
-        for actual, expected in zip(server_deltas, SERVER_DELTAS)
-    )
+    server_ok = np.all(abs(server_deltas - SERVER_DELTAS) <= 1e-4)
     checks.append(
         _check(
             "server-utility deltas on the 1..6 GHz sweep",
             "reference",
             server_ok,
-            f"expected {SERVER_DELTAS}, got {tuple(round(d, 6) for d in server_deltas)}",
+            f"expected {SERVER_DELTAS}, got {tuple(round(d, 6) for d in server_deltas.tolist())}",
         )
     )
     return checks
@@ -209,17 +204,15 @@ def _diagnostic_anchors() -> list[AnchorCheck]:
     return checks
 
 
-def _coupling_anchor(rows: list[SweepRow]) -> AnchorCheck:
+def _coupling_anchor(deltas: np.ndarray) -> AnchorCheck:
     ratio = coupling_ratio(default_scenario())
-    measured = [
-        (b.u_user - a.u_user) / (b.u_server - a.u_server) for a, b in zip(rows, rows[1:])
-    ]
-    ok = ratio == 2.0 and all(abs(m - ratio) / ratio <= 1e-9 for m in measured)
+    measured = deltas[0] / deltas[1]
+    ok = ratio == 2.0 and np.all(abs(measured - ratio) / ratio <= 1e-9)
     return _check(
         "user/server utility-change coupling on f_server sweeps",
         "closed-form",
         ok,
-        f"expected ratio 2 at w2=0.5, measured {tuple(round(m, 12) for m in measured)}",
+        f"expected ratio 2 at w2=0.5, measured {tuple(round(m, 12) for m in measured.tolist())}",
     )
 
 
@@ -292,14 +285,10 @@ def _curvature_anchor() -> AnchorCheck:
 def _quadratic_gap_anchor() -> AnchorCheck:
     s = default_scenario()
     pc = derive_coefficients(s, 6.0 * GHZ, 1.0 * MBPS)
-    u_max = USER_UTILITY_AT_CORNER
-    worst = 0.0
-    non_negative = True
-    for frac_f in (-0.1, -0.05, 0.0, 0.05, 0.1):
-        for frac_b in (-0.1, -0.05, 0.0, 0.05, 0.1):
-            estimate = quadratic_gap(s, pc, (frac_f * 6.0 * GHZ, frac_b * 1.0 * MBPS))
-            worst = max(worst, abs(estimate.actual_drop - estimate.predicted_drop) / u_max)
-            non_negative &= estimate.actual_drop >= 0.0
+    fracs = np.array([-0.1, -0.05, 0.0, 0.05, 0.1])
+    estimate = quadratic_gap(s, pc, (fracs[:, None] * 6.0 * GHZ, fracs[None, :] * 1.0 * MBPS))
+    worst = np.max(abs(estimate.actual_drop - estimate.predicted_drop) / USER_UTILITY_AT_CORNER)
+    non_negative = bool(np.all(estimate.actual_drop >= 0.0))
     ok = worst <= 1e-2 and non_negative
     return _check(
         "second-order drop prediction within 1e-2 of actual for <=10% displacements",
@@ -339,19 +328,16 @@ def _optimizer_anchors(cfg: SwarmConfig, n_trials: int) -> list[AnchorCheck]:
             f"stds {{{', '.join(f'{k}: {v:.3g}' for k, v in stds.items())}}}",
         ),
     ]
-    gap_ok = True
-    detail_parts = []
-    for name, stats in report.stats.items():
-        for value, converged in zip(stats.value_list, stats.converged_list):
-            if converged:
-                gap_ok &= _gap_met(report.u_max, value, cfg.epsilon)
-        detail_parts.append(f"{name}: {sum(stats.converged_list)}/{n_trials} converged")
+    values = np.array([stats.value_list for stats in report.stats.values()])  # (searchers, trials)
+    converged = np.array([stats.converged_list for stats in report.stats.values()])
+    gap_met = report.u_max - values < cfg.epsilon * abs(values)
+    counts = converged.sum(axis=1).tolist()
     checks.append(
         _check(
             "every converged trial satisfies the relative-gap inequality",
             "closed-form",
-            gap_ok,
-            "; ".join(detail_parts),
+            np.all(gap_met[converged]),
+            "; ".join(f"{name}: {n}/{n_trials} converged" for name, n in zip(report.stats, counts)),
         )
     )
     return checks
@@ -365,13 +351,13 @@ def run_anchor_suite(*, seed: int = 0, n_trials: int = 50) -> list[AnchorCheck]:
     cfg = SwarmConfig(seed=seed)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    sweep = _f_server_sweep()
+    deltas = _f_server_sweep()
     checks: list[AnchorCheck] = []
     checks.extend(_price_anchors())
-    checks.extend(_sweep_delta_anchors(sweep))
+    checks.extend(_sweep_delta_anchors(deltas))
     checks.append(_utility_anchor())
     checks.extend(_diagnostic_anchors())
-    checks.append(_coupling_anchor(sweep))
+    checks.append(_coupling_anchor(deltas))
     checks.append(_corner_maximality_anchor())
     checks.append(_path_consistency_anchor())
     checks.append(_curvature_anchor())

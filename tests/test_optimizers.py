@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgeprice.harness import box_maximum_utility, compare_optimizers
+from edgeprice import optimizers
+from edgeprice.harness import box_maximum_utility, compare_optimizers, corner_allocation
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import (
     OptimizerError,
@@ -28,7 +29,7 @@ from edgeprice.pricing import (
     linear_user_utility_value,
 )
 from edgeprice.scenario import default_scenario, validate
-from edgeprice.verification import random_scenario
+from edgeprice.verification import _scenario_from_uniforms, random_scenario
 
 ALGORITHMS = (disc_pso, baseline_pso, baseline_ga, baseline_de)
 #: Each searcher's module attribute name: the id of its parametrized cases, kept stable.
@@ -383,6 +384,34 @@ def test_converged_implies_gap_met(algorithm, seed, q_kb, f_local_ghz, b_max_mbp
     result = algorithm(s, dynamic_utility_objective(s), u_max, cfg)
     if result.converged:
         assert u_max - result.best_value < cfg.epsilon * abs(result.best_value)
+
+
+def test_every_trial_is_finite_in_the_box_and_honest_on_random_workloads():
+    # 250 random (T, 1) workloads per SNR mode on the paper's box and on boxes 10 and 100 times
+    # wider, at a loose and a tight gap, one batch per searcher: no trial may give a non-finite
+    # or out-of-box best, beat the corner, claim a gap it did not meet, or stop early unconverged
+    rng = np.random.default_rng(9)
+    for mode in ("raw", "db-to-linear"):
+        drawn = _scenario_from_uniforms(mode, rng.random((12, 250, 1)))
+        for scale in (1, 10, 100):
+            s = dataclasses.replace(drawn, f_range=(1e9, scale * 6e9), b_range=(1e5, scale * 1e6))
+            objective = dynamic_utility_objective(s)
+            u_max = np.ravel(objective(corner_allocation(s)))
+            for epsilon in (1e-3, 1e-9):
+                cfg = SwarmConfig(epsilon=epsilon)
+                for name, searcher in optimizers.ALGORITHMS.items():
+                    where = f"{name}, {mode} SNR, box x{scale}, epsilon {epsilon}"
+                    stats = replicate(searcher, s, objective, u_max, cfg, n_trials=250)
+                    best = np.array(stats.value_list)
+                    f = np.array([p.f_server for p in stats.position_list])
+                    b = np.array([p.b for p in stats.position_list])
+                    converged = np.array(stats.converged_list)
+                    assert np.all(np.isfinite(best)), where
+                    assert np.all((s.f_range[0] <= f) & (f <= s.f_range[1])), where
+                    assert np.all((s.b_range[0] <= b) & (b <= s.b_range[1])), where
+                    assert np.all(best <= u_max), where
+                    assert np.all((u_max - best < epsilon * abs(best))[converged]), where
+                    assert np.all(np.array(stats.iteration_list)[~converged] == cfg.n_max), where
 
 
 @pytest.mark.parametrize(

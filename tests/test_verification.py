@@ -6,8 +6,9 @@ import pytest
 
 from edgeprice.cli import main
 from edgeprice.offload import Allocation
+from edgeprice.optimizers import SwarmConfig
 from edgeprice.scenario import ChannelSpec, Scenario
-from edgeprice import verification
+from edgeprice import optimizers, verification
 from edgeprice.verification import _random_draw_groups, random_scenario
 
 from support import random_allocation
@@ -78,6 +79,25 @@ def test_validate_stdout_is_the_golden_file(capsys):
     assert main(["validate"]) == 0
     golden = Path(__file__).parent / "golden" / "validate-seed0.txt"
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_validate_stdout_at_other_seeds_is_its_golden_file(seed, capsys):
+    assert main(["validate", "--seed", str(seed)]) == 0
+    golden = Path(__file__).parent / "golden" / f"validate-seed{seed}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+
+def test_relative_gap_anchor_does_not_read_the_stop_test_it_checks(monkeypatch):
+    # a stop test ten times too loose lets trials stop short of the gap: the anchor must see it
+    def loose(u_max, best, epsilon):
+        return u_max - best < 10 * epsilon * abs(best)
+
+    monkeypatch.setattr(optimizers, "_gap_met", loose)
+    monkeypatch.setattr(verification, "_gap_met", loose, raising=False)
+    checks = verification._optimizer_anchors(SwarmConfig(), 50)
+    (gap,) = [c for c in checks if c.name == "every converged trial satisfies the relative-gap inequality"]
+    assert not gap.passed
 
 
 @pytest.mark.parametrize("kwargs, message", [({"seed": -1}, "seed=-1"), ({"n_trials": 0}, "n_trials")])
