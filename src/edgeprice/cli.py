@@ -31,7 +31,7 @@ from .harness import (
 )
 from .offload import Allocation
 from .pricing import dynamic_utility_objective
-from .scenario import Scenario, default_purchase, load_scenario, parse_config, parse_setting
+from .scenario import ALLOCATION_KEYS, Scenario, default_purchase, load_scenario, parse_config, parse_setting
 from .optimizers import OptimizerError, SwarmConfig
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
@@ -44,6 +44,15 @@ def _load_context(args: argparse.Namespace) -> tuple[Scenario, dict[str, float |
     config = parse_config(Path(path).read_text(encoding="utf-8-sig")) if path else {}
     config.update(map(parse_setting, args.set or []))
     return load_scenario(overrides=config), config
+
+
+def _search_scenario(args: argparse.Namespace) -> Scenario:
+    """The scenario of optimize and compare, which search for the purchase: a pinned one is refused."""
+    scenario, config = _load_context(args)
+    for key in ALLOCATION_KEYS:
+        if key in config:
+            raise ValueError(f"key {key!r} pins a purchase, which {args.command} searches for")
+    return scenario
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -65,6 +74,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_surface(args: argparse.Namespace) -> int:
+    # surface evaluates the whole box and ignores a pinned purchase; it still accepts one
+    # because the benchmark's surface runs pass the sweep's --set pairs
     scenario, _ = _load_context(args)
     grid = surface_grid(scenario, args.steps, args.steps)
     if args.plot:
@@ -80,7 +91,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario, _ = _load_context(args)
+    scenario = _search_scenario(args)
     cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
     objective, u_max = dynamic_utility_objective(scenario), box_maximum_utility(scenario)
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
@@ -97,7 +108,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario, _ = _load_context(args)
+    scenario = _search_scenario(args)
     cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
     if args.out:

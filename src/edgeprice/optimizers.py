@@ -15,12 +15,14 @@ box, one objective and T seeds. Positions are (2, T, k) arrays, the
 f_server and b planes of k rows for each of T trials, and values are
 (T, k), the trial axis second to last. Each trial draws from its own
 generator, in the order it would alone, so a trial's result does not
-depend on the batch it ran in. A trial that meets the gap or reaches
-n_max is finished: its result is recorded and it leaves the batch. Each
-round is one objective call on the (T, k) rows of the batch, row t for
-trial t, so an objective whose scenario holds (T, 1) columns gives each
-trial its own workload; a finished trial's rows are the box corner, and
-their values are not read. When the objective fails, the
+depend on the batch it ran in. A single run makes each draw as one
+generator call with a leading trial axis of 1, a batch as one call per
+trial. A trial that meets the gap or reaches n_max is finished: its
+result is recorded and it leaves the batch. Each round is one objective
+call on the (T, k) rows of the batch, row t for trial t, so an objective
+whose scenario holds (T, 1) columns gives each trial its own workload; a
+finished trial's rows are the box corner, and their values are not read.
+When the objective fails, the
 ``OptimizerError`` names the lowest-index trial among those that fail in
 the earliest failing round.
 
@@ -42,7 +44,7 @@ and 5/9 for b, so the floor follows the box. baseline_pso is the same
 rules with inertia fixed at 0.9 and no velocity floor; both learn at
 2.0. The GA and DE baselines run conventional operator settings (GA
 crossover 0.8, mutation 0.1 at 0.05 box widths; DE F = 0.5, CR = 0.9)
-and breed whole generations with array draws.
+and breed each generation in place, in the arrays their draws index.
 """
 from __future__ import annotations
 
@@ -141,13 +143,25 @@ def _with_min_magnitude(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
     return np.copysign(out, v, out=out)
 
 
-def _uniforms(rngs: Sequence[np.random.Generator], shape: tuple[int, ...]) -> np.ndarray:
-    """Each trial's next ``rng.random(shape)``, stacked on a leading trial axis."""
-    if len(rngs) == 1:  # the same draws, one numpy call
-        return rngs[0].random((1, *shape))
+def _draws(
+    rngs: Sequence[np.random.Generator], shape: tuple[int, ...], kind: str = "random", high: int = 0
+) -> np.ndarray:
+    """Each trial's next ``shape`` of ``kind`` draws, stacked on a leading trial axis.
+
+    ``kind`` is "random", "standard_normal" or "integers", the last drawing
+    from [0, high). A single trial makes one call with a leading axis of 1,
+    which gives the same numbers; a batch makes one call per trial.
+    """
+    if kind == "integers":  # the one kind without out=
+        if len(rngs) == 1:
+            return rngs[0].integers(high, size=(1, *shape))
+        return np.array([rng.integers(high, size=shape) for rng in rngs])
+    if len(rngs) == 1:
+        return getattr(rngs[0], kind)(size=(1, *shape))
+    draw = getattr(np.random.Generator, kind)
     out = np.empty((len(rngs), *shape))
     for rng, block in zip(rngs, out):
-        rng.random(out=block)
+        draw(rng, out=block)
     return out
 
 
@@ -244,11 +258,21 @@ def _search_box(s: Scenario, k: int) -> _Box:
 
 
 @functools.lru_cache(maxsize=64)
-def _first_rows(n_trials: int, k: int) -> np.ndarray:
-    """The flat index of each trial's first row in a (T, k) batch (read-only)."""
-    first = np.arange(0, n_trials * k, k)
+def _first_rows(n_trials: int, k: int, ndim: int) -> np.ndarray:
+    """The flat index of each trial's first row in a (T, k) batch, as a read-only (T, 1, ...) of ndim axes."""
+    first = np.arange(0, n_trials * k, k).reshape(-1, *[1] * (ndim - 1))
     first.flags.writeable = False
     return first
+
+
+def _flat_rows(index: np.ndarray, k: int) -> np.ndarray:
+    """The (T, ...) per-trial row indices ``index`` made flat indices into a (T, k) batch, in place.
+
+    A single trial's row indices are already flat, so it adds no offsets.
+    """
+    if len(index) > 1:
+        index += _first_rows(len(index), k, index.ndim)
+    return index
 
 
 @dataclass(frozen=True)
@@ -307,7 +331,7 @@ def _search(
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
     lo, hi, width = _search_box(s, cfg.p_n)[:3]
-    pop = lo + width * _planes(_uniforms(rngs, (cfg.p_n, 2)))
+    pop = lo + width * _planes(_draws(rngs, (cfg.p_n, 2)))
     box = _search_box(s, cfg.p_n - searcher.elite)
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
     values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
@@ -372,7 +396,7 @@ def _learning_draws(rngs: Sequence[np.random.Generator], cfg: SwarmConfig, n_f: 
     """
     per_round = len(rngs) * cfg.p_n * 4
     n = min(n_f + 1, cfg.n_max - n_f, max(1, _BLOCK_DOUBLES // per_round))
-    draws = _uniforms(rngs, (n, cfg.p_n, 2, 2)).transpose(1, 4, 3, 0, 2)
+    draws = _draws(rngs, (n, cfg.p_n, 2, 2)).transpose(1, 4, 3, 0, 2)
     return np.multiply(draws, _LEARNING, order="C")
 
 
@@ -414,49 +438,55 @@ def _ga() -> _Searcher:
         n = cfg.p_n - 1
         # per trial: [parent, child, contestant], two tournaments of two per child;
         # then uniforms for crossover (n), lambda (n) and mutation (n, 2); then noise
-        contest = np.array([rng.integers(cfg.p_n, size=(2, n, 2)) for rng in rngs])
-        u = _uniforms(rngs, (4 * n,))
-        noise = np.empty((len(rngs), n, 2))
-        for rng, block in zip(rngs, noise):
-            rng.standard_normal(out=block)
-        contest += _first_rows(len(rngs), cfg.p_n)[:, None, None, None]  # flat row indices
-        a, b = contest[..., 0], contest[..., 1]
-        winners = np.where(values.take(a) >= values.take(b), a, b)
-        parents = pop.reshape(2, -1).take(winners, axis=1).transpose(2, 0, 1, 3)
+        contest = _flat_rows(_draws(rngs, (2, n, 2), "integers", cfg.p_n), cfg.p_n)
+        u = _draws(rngs, (4 * n,))
+        noise = _draws(rngs, (n, 2), "standard_normal")
+        score = values.take(contest)  # both contestants of every tournament
+        winners = np.where(score[..., 0] >= score[..., 1], contest[..., 0], contest[..., 1])
+        rows = pop.reshape(2, -1)
+        child, other = rows.take(winners[:, 0], axis=1), rows.take(winners[:, 1], axis=1)
         lam = u[:, n : 2 * n]
-        child = np.where(u[:, :n] < 0.8, lam * parents[0] + (1.0 - lam) * parents[1], parents[0])
+        other *= 1.0 - lam
+        other += lam * child  # lam * child + (1 - lam) * other: the same bits in either order
+        np.copyto(child, other, where=u[:, :n] < 0.8)
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
         # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
         np.add(child, box.sigma * _planes(noise), out=child, where=mutate)
-        return child.clip(box.lo, box.hi), state
+        return child.clip(box.lo, box.hi, out=child), state
 
     def accept(pop, values, children, child_values):
-        elite = values.argmax(axis=1) + _first_rows(*values.shape)  # flat row indices
-        return (
-            np.concatenate([pop.reshape(2, -1).take(elite, axis=1)[..., None], children], axis=2),
-            np.concatenate([values.take(elite)[:, None], child_values], axis=1),
-        )
+        elite = _flat_rows(values.argmax(axis=1), values.shape[1])
+        pop[..., 0] = pop.reshape(2, -1).take(elite, axis=1)
+        pop[..., 1:] = children
+        values[:, 0] = values.take(elite)
+        values[:, 1:] = child_values
+        return pop, values
 
     return _Searcher("ga", _stateless, propose, accept, elite=1)
 
 
 def _de() -> _Searcher:
     """DE: rand/1/bin trial vectors, kept when at least as good as their target."""
-    coordinates = np.arange(2)
+    coordinates = np.arange(2).reshape(2, 1, 1)
 
     def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         p_n = cfg.p_n
         # per trial: (p_n, p_n) random keys and a (p_n, 2) crossover draw, then j_rand
-        u = _uniforms(rngs, (p_n * p_n + 2 * p_n,))
-        j_rand = np.array([rng.integers(2, size=p_n) for rng in rngs])
+        u = _draws(rngs, (p_n * p_n + 2 * p_n,))
+        j_rand = _draws(rngs, (p_n,), "integers", 2)
         u[:, : p_n * p_n : p_n + 1] = 2.0  # the diagonal of each key matrix
-        r = u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3]
-        r += _first_rows(len(rngs), p_n)[:, None, None]  # flat row indices
-        x = pop.reshape(2, -1).take(r.transpose(2, 0, 1), axis=1).transpose(1, 0, 2, 3)
-        mutant = (x[0] + 0.5 * (x[1] - x[2])).clip(box.lo, box.hi)
-        mask = (u[:, p_n * p_n :].reshape(-1, p_n, 2) < 0.9) | (j_rand[..., None] == coordinates)
-        return np.where(_planes(mask), mutant, pop), state
+        r = _flat_rows(u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3], p_n)
+        rows = pop.reshape(2, -1)
+        mutant = rows.take(r[..., 1], axis=1)
+        mutant -= rows.take(r[..., 2], axis=1)
+        mutant *= 0.5
+        mutant += rows.take(r[..., 0], axis=1)  # x1 + 0.5 * (x2 - x3)
+        mutant.clip(box.lo, box.hi, out=mutant)
+        # the target's own coordinate stays where the crossover draw is >= CR and it is not j_rand
+        keep = _planes(u[:, p_n * p_n :].reshape(-1, p_n, 2) >= 0.9) & (j_rand != coordinates)
+        np.copyto(mutant, pop, where=keep)
+        return mutant, state
 
     return _Searcher("de", _stateless, propose, _replace_where(np.greater_equal))
 

@@ -234,6 +234,28 @@ def test_search_settings_are_refused_where_nothing_searches(command, option, cap
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", [["optimize", "--algo", "ga"], ["compare", "--trials", "2"]])
+@pytest.mark.parametrize("key", ["f_server_ghz", "b_mbps"])
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_searching_commands_refuse_a_pinned_purchase(command, key, source, tmp_path, capsys):
+    # optimize and compare search for the purchase: a pinned one used to be read and ignored
+    option = ["--set", f"{key}=0.5"]
+    if source == "file":
+        (tmp_path / "s.conf").write_text(f"q_kb=250\n{key}=0.5\n")
+        option = ["--scenario", str(tmp_path / "s.conf")]
+    assert main([*command, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: key '{key}' pins a purchase, which {command[0]} searches for\n"
+    assert captured.out == ""
+
+
+def test_surface_still_accepts_a_pinned_purchase(capsys):
+    # surface ignores the purchase keys, but the benchmark's surface runs still pass them
+    plain = _stdout(["surface", "--steps", "3"], capsys)
+    pinned = ["surface", "--steps", "3", "--set", "f_server_ghz=3", "--set", "b_mbps=0.5"]
+    assert _stdout(pinned, capsys) == plain
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--param", "f_server", "--grid", "1e9,2e9", "--set", "b_mbps=50"],
      "allocation b=50000000.0 outside the valid b range [100000.0, 1000000.0]"),
@@ -463,3 +485,44 @@ def test_compare_output_bytes_are_pinned(tmp_path, capsys):
     assert _sha256(out.read_bytes()) == "205e8024e96a26b1181b2dc100dbff08aeb5bd4f6fcebab55dab532b7b96e04d"
     assert _sha256(stdout) == "3729b494badc53374b0bdd1247d2fcc92bfaec3326a210747887dd58e41dd465"
     assert _sha256(plot.read_bytes()) == "06a16cc3a748700b375c6b48020f150a370c3bd63418c74501adb7722b354a11"
+
+
+# ---------------------------------------------------------------- the CLI over random scenarios
+# Every command that takes a scenario, run in process on random_scenario draws given as --set
+# pairs: a draw either runs (exit 0) or is refused with one error line (exit 2), and nothing the
+# CLI prints is inf or NaN.
+
+_SWEEP_GRIDS = {"f_server": "1e9,3.5e9,6e9", "b": "1e5,5e5,1e6", "q": "819200,4096000",
+                "f_local": "1e8,5e8,1e9"}
+_NON_FINITE = re.compile(r"(?i)\b(?:nan|inf(?:inity)?)\b")
+
+
+def _set_pairs(s) -> list[str]:
+    """``s`` as --set pairs in config units; the box keeps its default."""
+    values = {"q_kb": s.q / 8192.0, "c_cycles_per_bit": s.c, "f_local_ghz": s.f_local / 1e9, "k_coeff": s.k,
+              "p_u_w": s.p_u, "p_d_w": s.p_d, "alpha": s.alpha, "w1": s.w1, "w2": s.w2, "mu": s.mu,
+              "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink}
+    pairs = [f"{key}={value!r}" for key, value in values.items()] + [f"snr_mode={s.channel.snr_mode}"]
+    return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(capsys):
+    from edgeprice.verification import random_scenario
+
+    rng = np.random.default_rng(9)
+    codes = []
+    for i in range(200):
+        pairs = _set_pairs(random_scenario(rng))
+        param = list(_SWEEP_GRIDS)[i % len(_SWEEP_GRIDS)]
+        commands = [["optimize", "--algo", algo, "--n-max", "5", "--seed", str(i)] for algo in ALGORITHMS]
+        commands += [["surface", "--steps", "5"], ["sweep", "--param", param, "--grid", _SWEEP_GRIDS[param]],
+                     ["compare", "--trials", "2", "--n-max", "5", "--seed", str(i)]]
+        for command in commands:
+            code = main([*command, *pairs])
+            captured = capsys.readouterr()
+            assert code in (0, 2), (command, pairs)
+            assert "Traceback" not in captured.err
+            assert code == 0 or (captured.out == "" and len(captured.err.splitlines()) == 1)
+            assert not _NON_FINITE.search(captured.out), (command, pairs, captured.out)
+            codes.append(code)
+    assert codes.count(0) > 0.9 * len(codes)  # the draws are valid scenarios; most must run

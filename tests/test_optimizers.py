@@ -202,18 +202,19 @@ def test_velocity_floor_applied_every_round(setting, monkeypatch):
 
 
 def _spy_uniforms(monkeypatch):
-    """Record the shape every ``_uniforms`` call draws, trial axis first."""
+    """Record the shape every ``_draws`` call of uniforms draws, trial axis first."""
     import edgeprice.optimizers as opt
 
     shapes = []
-    original = opt._uniforms
+    original = opt._draws
 
-    def spy(rngs, shape):
-        out = original(rngs, shape)
-        shapes.append(out.shape)
+    def spy(rngs, shape, kind="random", high=0):
+        out = original(rngs, shape, kind, high)
+        if kind == "random":
+            shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(opt, "_uniforms", spy)
+    monkeypatch.setattr(opt, "_draws", spy)
     return shapes
 
 
@@ -747,3 +748,28 @@ def _block_boundary_results():
 def test_swarm_block_boundaries_are_pinned():
     text = "\n".join(map(repr, _block_boundary_results()))
     assert hashlib.sha256(text.encode()).hexdigest() == _BLOCKS_DIGEST
+
+
+# ---------------------------------------------------------------- small-population digest
+# The digests above run p_n = 30 only. This one holds every searcher at the
+# minimum and at odd population sizes, as single runs and as 7-trial
+# batches, at a loose and a tight stop test, recorded before a one-trial
+# GA or DE generation was bred in place: both paths must keep every result.
+
+_SMALL_POPULATION_DIGEST = "7652e16d4d6d3daf46ab461304ed11d0089f3f5a85e8134640a55966612211a4"
+
+
+def _small_population_results():
+    for search in ALGORITHMS:
+        for p_n in (4, 5, 7):
+            for setting, epsilon in (("dynamic", 1e-3), ("linear", 1e-9)):
+                objective, u_max, _ = _PIN_SETTINGS[setting]
+                cfg = SwarmConfig(p_n=p_n, n_max=25, epsilon=epsilon, seed=p_n)
+                for seed in range(6):
+                    yield search(_S, objective, u_max, dataclasses.replace(cfg, seed=seed))
+                yield replicate(search, _S, objective, u_max, cfg, n_trials=7)
+
+
+def test_small_population_results_are_pinned():
+    text = "\n".join(map(repr, _small_population_results()))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SMALL_POPULATION_DIGEST
