@@ -22,12 +22,12 @@ from .harness import (
     emit_positions_plot,
     emit_surface_plot,
     emit_sweep_plot,
+    format_number,
     run_sweep,
     surface_grid,
     sweep_csv_lines,
     ALGORITHMS,
     SWEEPABLE_PARAMETERS,
-    _format_number,
 )
 from .offload import Allocation
 from .pricing import dynamic_utility_objective
@@ -84,8 +84,8 @@ def _cmd_surface(args: argparse.Namespace) -> int:
     value = grid.u_user.max()
     print(f"grid: {args.steps}x{args.steps} over f_server={scenario.f_range}, b={scenario.b_range}")
     print(
-        f"argmax u_user: f_server={_format_number(best.f_server)} Hz, "
-        f"b={_format_number(best.b)} bit/s, u_user={_format_number(value)}"
+        f"argmax u_user: f_server={format_number(best.f_server)} Hz, "
+        f"b={format_number(best.b)} bit/s, u_user={format_number(value)}"
     )
     return 0
 
@@ -97,10 +97,10 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
     print(f"algorithm: {args.algo}")
     print(f"seed: {result.seed}")
-    print(f"best value: {_format_number(result.best_value)}")
+    print(f"best value: {format_number(result.best_value)}")
     print(
-        f"best position: f_server={_format_number(result.best_position.f_server)} Hz, "
-        f"b={_format_number(result.best_position.b)} bit/s"
+        f"best position: f_server={format_number(result.best_position.f_server)} Hz, "
+        f"b={format_number(result.best_position.b)} bit/s"
     )
     print(f"iterations: {result.iterations_used}")
     print(f"converged: {result.converged}")
@@ -116,10 +116,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.plot:
         emit_positions_plot(report.stats[args.plot_algo].position_list, args.plot)
     if args.randomize:  # each trial's own corner value, not the base scenario's
-        low, high = map(_format_number, (min(report.u_max_list), max(report.u_max_list)))
+        low, high = map(format_number, (min(report.u_max_list), max(report.u_max_list)))
         print(f"gap reference u_max: {low} to {high} per trial  (trials: {args.trials})")
     else:
-        print(f"gap reference u_max: {_format_number(report.u_max)}  (trials: {args.trials})")
+        print(f"gap reference u_max: {format_number(report.u_max)}  (trials: {args.trials})")
     width = max(10, *map(len, report.stats))
     print(f"{'algorithm':<{width}} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():

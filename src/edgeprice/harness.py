@@ -19,7 +19,7 @@ import numpy as np
 
 from .offload import Allocation
 from .pricing import UtilitySummary, dynamic_utility_objective, user_utility
-from .scenario import Scenario, ghz_to_hz, kb_to_bits, validate
+from .scenario import Scenario, ghz_to_hz, kb_to_bits, scenario_numbers, validate
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
@@ -100,6 +100,9 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
     report = validate(spec.scenario)
     if report:
         raise ValueError("invalid scenario: " + "; ".join(report))
+    arrays = [name for name, value in scenario_numbers(spec.scenario).items() if getattr(value, "ndim", 0)]
+    if arrays:  # the grid would broadcast against them, each row a different scenario
+        raise ValueError(f"a sweep pins one scenario, but it holds arrays in {', '.join(arrays)}")
     if not (0 < spec.allocation.f_server < np.inf and 0 < spec.allocation.b < np.inf):
         raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
     grid = tuple(spec.grid)
@@ -224,11 +227,11 @@ def compare_optimizers(
     )
 
 
-def _format_number(x: float) -> str:
-    return f"{x:.9g}"
+NUMBER_FORMAT = "%.9g"  # every number of the CSV rows, CLI lines and anchor details: 9 significant digits
+format_number = NUMBER_FORMAT.__mod__  # x -> NUMBER_FORMAT % x, with no Python frame per call
 
-
-_SWEEP_CSV_ROW = "%s" + ",%.9g" * (len(SWEEP_CSV_HEADER) - 1)  # "%.9g" % x == _format_number(x)
+_SWEEP_CSV_ROW = ",".join(("%s", *[NUMBER_FORMAT] * (len(SWEEP_CSV_HEADER) - 1)))
+_COMPARISON_CSV_ROW = ",".join(("%s", "%s", "%s", NUMBER_FORMAT, "%s", NUMBER_FORMAT, NUMBER_FORMAT))
 
 
 def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
@@ -255,8 +258,8 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
     lines = [",".join(COMPARISON_CSV_HEADER)]
     for name, stats in report.stats.items():
         records = zip(stats.seed_list, stats.value_list, stats.iteration_list, stats.position_list)
-        for trial, (seed, value, iterations, at) in enumerate(records):
-            lines.append(f"{name},{trial},{seed},{value:.9g},{iterations},{at.f_server:.9g},{at.b:.9g}")
+        lines.extend(_COMPARISON_CSV_ROW % (name, trial, seed, value, iterations, at.f_server, at.b)
+                     for trial, (seed, value, iterations, at) in enumerate(records))
     _write("\r\n".join(lines) + "\r\n", path)
 
 

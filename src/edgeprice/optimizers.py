@@ -48,7 +48,6 @@ and breed each generation in place, in the arrays their draws index.
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import sys
@@ -158,6 +157,8 @@ def _draws(
         return np.array([rng.integers(high, size=shape) for rng in rngs])
     if len(rngs) == 1:
         return getattr(rngs[0], kind)(size=(1, *shape))
+    # a batch fills one block with out=: stacking the trials' own arrays copies them too, 11.4
+    # against 5.7 us for T = 4 (2, 2, 30) uniform blocks, 103 against 59 us for T = 50 (2 CPUs)
     draw = getattr(np.random.Generator, kind)
     out = np.empty((len(rngs), *shape))
     for rng, block in zip(rngs, out):
@@ -257,21 +258,13 @@ def _search_box(s: Scenario, k: int) -> _Box:
     return box
 
 
-@functools.lru_cache(maxsize=64)
-def _first_rows(n_trials: int, k: int, ndim: int) -> np.ndarray:
-    """The flat index of each trial's first row in a (T, k) batch, as a read-only (T, 1, ...) of ndim axes."""
-    first = np.arange(0, n_trials * k, k).reshape(-1, *[1] * (ndim - 1))
-    first.flags.writeable = False
-    return first
-
-
 def _flat_rows(index: np.ndarray, k: int) -> np.ndarray:
     """The (T, ...) per-trial row indices ``index`` made flat indices into a (T, k) batch, in place.
 
     A single trial's row indices are already flat, so it adds no offsets.
     """
     if len(index) > 1:
-        index += _first_rows(len(index), k, index.ndim)
+        index += np.arange(0, len(index) * k, k).reshape(-1, *[1] * (index.ndim - 1))
     return index
 
 

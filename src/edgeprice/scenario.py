@@ -272,48 +272,59 @@ def default_scenario(**field_overrides: object) -> Scenario:
     return scenario
 
 
-def validate(s: Scenario) -> list[str]:
-    """Check every Scenario invariant; one report entry per violation.
-
-    Returns an empty list iff the scenario is valid. Never raises.
-    Non-finite numbers are reported alone, before the range checks.
-    """
+def scenario_numbers(s: Scenario) -> dict[str, float]:
+    """Every number of ``s`` by name: the number fields, the two SNR figures and the box bounds."""
     numbers = {name: getattr(s, name) for name in _NUMBER_FIELDS}
     numbers.update(snr_uplink=s.channel.snr_uplink, snr_downlink=s.channel.snr_downlink)
     numbers.update(f_min=s.f_range[0], f_max=s.f_range[1], b_min=s.b_range[0], b_max=s.b_range[1])
-    report = [f"{name}={value!r}: must be finite" for name, value in numbers.items()
-              if not math.isfinite(value)]
+    return numbers
+
+
+def _every(ok) -> bool:
+    """A check's outcome: a scalar field's as it is, an array field's over every element."""
+    return ok.all() if type(ok) is _ndarray else ok
+
+
+def validate(s: Scenario) -> list[str]:
+    """Check every Scenario invariant; one report entry per violation.
+
+    Returns an empty list iff the scenario is valid. Never raises. An
+    array field fails a check, in one entry, if any element fails it.
+    Non-finite numbers are reported alone, before the range checks.
+    """
+    report = [f"{name}={value!r}: must be finite" for name, value in scenario_numbers(s).items()
+              if not _every(abs(value) < math.inf)]  # NaN compares false
     if report:
         return report
     for name, value in (("q", s.q), ("c", s.c), ("f_local", s.f_local), ("k", s.k)):
-        if not value > 0:
+        if not _every(value > 0):
             report.append(f"{name}={value!r}: must be strictly positive")
-    if not s.alpha >= 0:
+    if not _every(s.alpha >= 0):
         report.append(f"alpha={s.alpha!r}: must be non-negative")
-    if not 0 < s.mu < 1:
+    if not _every((0 < s.mu) & (s.mu < 1)):
         report.append(f"mu={s.mu!r}: outside the open interval (0, 1)")
-    if not s.w1 > 0:
+    if not _every(s.w1 > 0):
         report.append(f"w1={s.w1!r}: must be strictly positive")
-    if not s.w2 > 0:
+    if not _every(s.w2 > 0):
         report.append(f"w2={s.w2!r}: must be strictly positive")
-    elif not s.w2 < 1:
+    elif not _every(s.w2 < 1):
         report.append(f"w2={s.w2!r}: w2 < 1 required for ES trend")
-    if not s.channel.snr_uplink > 0:
+    if not _every(s.channel.snr_uplink > 0):
         report.append(f"snr_uplink={s.channel.snr_uplink!r}: must be strictly positive")
-    if not s.channel.snr_downlink > 0:
+    if not _every(s.channel.snr_downlink > 0):
         report.append(f"snr_downlink={s.channel.snr_downlink!r}: must be strictly positive")
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
         figures = (s.channel.snr_uplink, s.channel.snr_downlink)
         snrs = s.channel.effective_snrs()  # the log2(1 + snr) pair is a domain error for snr <= -1
-        efficiencies = s.channel.spectral_efficiencies if min(snrs) > 0 else (None, None)
+        efficiencies = s.channel.spectral_efficiencies if all(_every(x > 0) for x in snrs) else (None, None)
         for name, value, snr, eff in zip(("snr_uplink", "snr_downlink"), figures, snrs, efficiencies):
-            if snr == math.inf:
+            if not _every(snr < math.inf):
                 report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
-            elif eff == 0:  # 1 + snr rounds to 1: a zero rate
+            elif not _every(eff != 0):  # 1 + snr rounds to 1: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
-        if not (0 < lo < hi):
+        if not _every((0 < lo) & (lo < hi)):
             report.append(f"{name}={lo!r}..{hi!r}: bounds must satisfy 0 < min < max")
     return report

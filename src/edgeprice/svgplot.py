@@ -11,9 +11,11 @@ formats each distinct colour, column x, row y and the cell size once.
 Line and scatter plots format each coordinate once.
 
 Every plot is assembled the same way: each part of the document (an axes
-element, the polyline, a marker, a heatmap cell) starts with its own
-newline, and ``_document`` puts the shared head before the parts and
-``</svg>`` after them and joins the whole document once.
+element, an axis tick, the polyline, a marker, a heatmap cell) starts
+with its own newline, and ``_document`` puts the shared head before the
+parts and ``</svg>`` after them and joins the whole document once. Each
+axis tick, like each marker, is one row of a ``%`` template, at 6 digits;
+the 9-digit format of the CSV and CLI numbers is ``harness.NUMBER_FORMAT``.
 """
 from __future__ import annotations
 
@@ -60,6 +62,14 @@ def _y_pixel(y: float, lo: float, hi: float) -> float:
     return MARGIN_TOP + (hi - y) / (hi - lo) * _PLOT_H
 
 
+_TICK = (  # one tick of each axis: the x mark, the x label, the y mark and the y label
+    f'\n<line x1="%s" y1="{MARGIN_TOP + _PLOT_H}" x2="%s" y2="{MARGIN_TOP + _PLOT_H + 5}" stroke="#333"/>'
+    f'\n<text x="%s" y="{MARGIN_TOP + _PLOT_H + 18}" text-anchor="middle" font-size="10">%s</text>'
+    f'\n<line x1="{MARGIN_LEFT - 5}" y1="%s" x2="{MARGIN_LEFT}" y2="%s" stroke="#333"/>'
+    f'\n<text x="{MARGIN_LEFT - 8}" y="%s" text-anchor="end" font-size="10">%s</text>'
+)
+
+
 def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title) -> list[str]:
     parts = [
         f'\n<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
@@ -75,24 +85,10 @@ def _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title) -> list[str]:
         frac = i / 4
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
-        xp = _x_pixel(xv, x_lo, x_hi)
+        x = _fmt(_x_pixel(xv, x_lo, x_hi))
         yp = _y_pixel(yv, y_lo, y_hi)
-        parts.append(
-            f'\n<line x1="{_fmt(xp)}" y1="{MARGIN_TOP + _PLOT_H}" x2="{_fmt(xp)}" '
-            f'y2="{MARGIN_TOP + _PLOT_H + 5}" stroke="#333"/>'
-        )
-        parts.append(
-            f'\n<text x="{_fmt(xp)}" y="{MARGIN_TOP + _PLOT_H + 18}" text-anchor="middle" '
-            f'font-size="10">{_fmt(xv)}</text>'
-        )
-        parts.append(
-            f'\n<line x1="{MARGIN_LEFT - 5}" y1="{_fmt(yp)}" x2="{MARGIN_LEFT}" '
-            f'y2="{_fmt(yp)}" stroke="#333"/>'
-        )
-        parts.append(
-            f'\n<text x="{MARGIN_LEFT - 8}" y="{_fmt(yp + 3)}" text-anchor="end" '
-            f'font-size="10">{_fmt(yv)}</text>'
-        )
+        y = _fmt(yp)
+        parts.append(_TICK % (x, x, x, _fmt(xv), y, y, _fmt(yp + 3), _fmt(yv)))
     return parts
 
 

@@ -39,7 +39,7 @@ from .pricing import (
 )
 from .scenario import BITS_PER_KB as KB, BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ
 from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
-from .harness import SweepSpec, compare_optimizers, corner_allocation, run_sweep, surface_grid
+from .harness import SweepSpec, compare_optimizers, corner_allocation, format_number, run_sweep, surface_grid
 from .optimizers import SwarmConfig
 
 # Reference anchors for the default configuration (raw SNR mode unless noted).
@@ -70,7 +70,7 @@ def _near(name: str, basis: str, actual: float, expected: float, tol_text: str) 
     """``actual`` within ``float(tol_text)`` of ``expected``; the tolerance is printed as given."""
     return _check(
         name, basis, abs(actual - expected) <= float(tol_text),
-        f"expected {expected} +/- {tol_text}, got {actual:.9g}",
+        f"expected {expected} +/- {tol_text}, got {format_number(actual)}",
     )
 
 
@@ -198,7 +198,7 @@ def _diagnostic_anchors() -> list[AnchorCheck]:
             "per-bit price slope inside the documented interval",
             "reference",
             P_PART_RANGE[0] <= raw.p_part <= P_PART_RANGE[1],
-            f"expected within {P_PART_RANGE}, got {raw.p_part:.9g}",
+            f"expected within {P_PART_RANGE}, got {format_number(raw.p_part)}",
         ),
     ]
     return checks

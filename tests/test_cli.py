@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from edgeprice import optimizers
-from edgeprice.cli import _format_number, main
-from edgeprice.harness import ALGORITHMS, box_maximum_utility, compare_optimizers
+from edgeprice.cli import main
+from edgeprice.harness import ALGORITHMS, box_maximum_utility, compare_optimizers, format_number
 from edgeprice.optimizers import SwarmConfig
 from edgeprice.pricing import dynamic_utility_objective
 from edgeprice.scenario import default_scenario
@@ -137,7 +137,7 @@ def test_randomized_compare_header_is_the_range_of_trial_references(capsys):
     header = capsys.readouterr().out.splitlines()[0]
     references = compare_optimizers(default_scenario(), SwarmConfig(seed=4), 6, randomize=True).u_max_list
     assert min(references) < max(references)
-    low, high = _format_number(min(references)), _format_number(max(references))
+    low, high = format_number(min(references)), format_number(max(references))
     assert header == f"gap reference u_max: {low} to {high} per trial  (trials: 6)"
 
 
@@ -485,6 +485,17 @@ def test_compare_output_bytes_are_pinned(tmp_path, capsys):
     assert _sha256(out.read_bytes()) == "205e8024e96a26b1181b2dc100dbff08aeb5bd4f6fcebab55dab532b7b96e04d"
     assert _sha256(stdout) == "3729b494badc53374b0bdd1247d2fcc92bfaec3326a210747887dd58e41dd465"
     assert _sha256(plot.read_bytes()) == "06a16cc3a748700b375c6b48020f150a370c3bd63418c74501adb7722b354a11"
+
+
+
+def test_compare_plots_the_searcher_named_by_plot_algo(tmp_path, capsys):
+    # GA's five trials end at five points, disc-pso's all on the box corner
+    report = compare_optimizers(default_scenario(), SwarmConfig(), 5)
+    for name in ("ga", "disc-pso"):
+        plot = tmp_path / f"{name}.svg"
+        assert main(["compare", "--trials", "5", "--plot", str(plot), "--plot-algo", name]) == 0
+        distinct = {(p.f_server, p.b) for p in report.stats[name].position_list}
+        assert plot.read_text().count("<circle ") == len(distinct) == {"ga": 5, "disc-pso": 1}[name]
 
 
 # ---------------------------------------------------------------- the CLI over random scenarios

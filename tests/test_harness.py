@@ -161,6 +161,21 @@ def test_sweep_rejects_invalid_scenario(defaults):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"q": np.array([1e5, -1e5])}, r"invalid scenario: q=array\(\[ 100000., -100000.\]\): must be strictly"),
+        # valid, and as long as the grid: broadcast, each row would pair a q with a grid value
+        ({"q": np.array([1e5, 2e5]), "mu": np.array([0.5, 0.6])}, "one scenario, but it holds arrays in q, mu$"),
+    ],
+)
+def test_sweep_refuses_an_array_scenario_by_name(defaults, fields, message):
+    scenario = dataclasses.replace(defaults, **fields)
+    spec = SweepSpec("f_server", (1e9, 2e9), scenario, Allocation(6 * GHZ, 1 * MBPS))
+    with pytest.raises(ValueError, match=message):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize(
     "allocation",
     [Allocation(6 * GHZ, float("nan")), Allocation(float("inf"), 1 * MBPS), Allocation(0.0, 1 * MBPS)],
 )

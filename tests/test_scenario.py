@@ -89,6 +89,59 @@ def test_validation_report_one_entry_per_violation():
     assert len(report) == 3
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"alpha": -1.0}, "alpha=-1.0: must be non-negative"),
+        ({"w1": 0.0}, "w1=0.0: must be strictly positive"),
+        ({"w2": 0.0}, "w2=0.0: must be strictly positive"),
+        ({"f_range": (6e9, 1e9)}, "f_range=6000000000.0..1000000000.0: bounds must satisfy 0 < min < max"),
+        ({"b_range": (0.0, 1e6)}, "b_range=0.0..1000000.0: bounds must satisfy 0 < min < max"),
+    ],
+)
+def test_validation_message_of_each_range_check(fields, message):
+    assert validate(default_scenario(**fields)) == [message]
+
+
+def _with_field(name, value):
+    """The default scenario with one number field, or one SNR figure of its channel, set to ``value``."""
+    s = default_scenario()
+    if name.startswith("snr_"):
+        return dataclasses.replace(s, channel=dataclasses.replace(s.channel, **{name: value}))
+    return dataclasses.replace(s, **{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, bad, reason",
+    [
+        ("q", -1.0, "must be strictly positive"),
+        ("k", math.inf, "must be finite"),
+        ("alpha", -1.0, "must be non-negative"),
+        ("mu", 1.5, "outside the open interval (0, 1)"),
+        ("w1", 0.0, "must be strictly positive"),
+        ("w2", 1.0, "w2 < 1 required for ES trend"),
+        ("snr_uplink", -1.0, "must be strictly positive"),
+        ("snr_downlink", 1e-300, "log2(1 + snr) is 0, so the link carries nothing"),
+    ],
+)
+def test_an_array_field_fails_a_check_once_if_any_element_fails_it(name, bad, reason):
+    s = default_scenario()
+    good = getattr(s.channel if name.startswith("snr_") else s, name)
+    values = np.array([good, bad, good])
+    assert validate(_with_field(name, bad)) == [f"{name}={bad!r}: {reason}"]
+    assert validate(_with_field(name, values)) == [f"{name}={values!r}: {reason}"]
+    assert validate(_with_field(name, np.array([good, good]))) == []
+
+
+def test_array_scenarios_validate_like_their_elements():
+    assert validate(default_scenario(q=np.array([1e5, 2e5]))) == []
+    overflow = ChannelSpec(np.array([20.0, 4000.0]), 30.0, "db-to-linear")
+    (entry,) = validate(default_scenario(channel=overflow))
+    assert entry.startswith("snr_uplink=array([  20., 4000.]) dB") and "not finite" in entry
+    report = validate(default_scenario(q=np.array([-1.0, 1e5]), mu=np.array([0.5, 2.0]), c=0.0))
+    assert [entry.split("=")[0] for entry in report] == ["q", "c", "mu"]
+
+
 def test_parse_config_comments_and_quotes():
     parsed = parse_config("# comment\nq_kb = 250  # trailing\nsnr_mode = \"raw\"\n\n")
     assert parsed == {"q_kb": 250.0, "snr_mode": "raw"}
