@@ -6,6 +6,7 @@ from .scenario import (
     ChannelSpec,
     Scenario,
     ScenarioError,
+    checked,
     default_scenario,
     load_scenario,
     validate,

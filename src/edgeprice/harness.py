@@ -19,7 +19,7 @@ import numpy as np
 
 from .offload import Allocation
 from .pricing import UtilitySummary, dynamic_utility_objective, user_utility
-from .scenario import Scenario, ghz_to_hz, kb_to_bits, scenario_numbers, validate
+from .scenario import Scenario, checked, ghz_to_hz, kb_to_bits, scenario_numbers
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
@@ -92,17 +92,19 @@ def box_maximum_utility(s: Scenario) -> float:
     return dynamic_utility_objective(s)(corner_allocation(s))
 
 
+def _require_one_scenario(s: Scenario, entry: str) -> None:
+    """No array in ``s``: a grid would broadcast against one, each cell a different scenario."""
+    arrays = [name for name, value in scenario_numbers(s).items() if getattr(value, "ndim", 0)]
+    if arrays:
+        raise ValueError(f"a {entry} pins one scenario, but it holds arrays in {', '.join(arrays)}")
+
+
 def _check_sweep_spec(spec: SweepSpec) -> None:
     if spec.parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {spec.parameter!r}; expected one of {SWEEPABLE_PARAMETERS}"
         )
-    report = validate(spec.scenario)
-    if report:
-        raise ValueError("invalid scenario: " + "; ".join(report))
-    arrays = [name for name, value in scenario_numbers(spec.scenario).items() if getattr(value, "ndim", 0)]
-    if arrays:  # the grid would broadcast against them, each row a different scenario
-        raise ValueError(f"a sweep pins one scenario, but it holds arrays in {', '.join(arrays)}")
+    _require_one_scenario(checked(spec.scenario), "sweep")
     if not (0 < spec.allocation.f_server < np.inf and 0 < spec.allocation.b < np.inf):
         raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
     grid = tuple(spec.grid)
@@ -180,6 +182,7 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     """
     if f_steps < 2 or b_steps < 2:
         raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
+    _require_one_scenario(checked(s), "surface")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,6 +218,7 @@ def compare_optimizers(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    checked(s)  # s itself, before randomize replaces q and f_local; replicate checks the trials' copy
     trial_s = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else s
     objective = dynamic_utility_objective(trial_s)
     u_max = np.broadcast_to(np.ravel(objective(corner_allocation(trial_s))), n_trials)

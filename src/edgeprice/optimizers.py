@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .offload import Allocation
-from .scenario import Scenario
+from .scenario import Scenario, checked
 
 #: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
@@ -318,8 +318,10 @@ def _search(
     completed the same number of rounds; the finished ones are recorded
     and dropped from every per-trial array, whose trial axis is the second
     to last, before the next round. Like float arithmetic, the objective
-    overflows to inf silently; a non-finite value raises.
+    overflows to inf silently; a non-finite value raises. A scenario that
+    fails ``validate`` raises ``ScenarioError`` before any draw.
     """
+    checked(s)
     n = len(seeds)
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()

@@ -107,8 +107,13 @@ class Scenario:
     """One end-user / edge-server pair in canonical units.
 
     Instances are immutable and safe for concurrent read-only use. Direct
-    construction performs no checking; use :func:`validate` or go through
-    :func:`load_scenario`, which rejects invalid configurations.
+    construction performs no checking. :func:`checked` is the one gate: it
+    runs :func:`validate` once per instance and raises :class:`ScenarioError`,
+    a ``ValueError``, naming each failing field. Every library entry that
+    takes a Scenario calls it: :func:`load_scenario`, ``run_sweep``,
+    ``surface_grid``, ``compare_optimizers``, and the search loop behind the
+    four searchers and ``replicate``. The closed forms of ``pricing`` and
+    ``offload`` stay unchecked.
     """
 
     q: float                      # offload amount, bits
@@ -246,11 +251,7 @@ def load_scenario(*, overrides: Mapping[str, float | str] | None = None) -> Scen
                 raise ScenarioError(f"unknown override key {key!r}")
         merged.update(overrides)
 
-    scenario = scenario_from_config(merged)
-    report = validate(scenario)
-    if report:
-        raise ScenarioError("invalid scenario: " + "; ".join(report))
-    return scenario
+    return checked(scenario_from_config(merged))
 
 
 def default_purchase(s: Scenario, config: Mapping[str, float | str]) -> tuple[float, float]:
@@ -283,6 +284,20 @@ def scenario_numbers(s: Scenario) -> dict[str, float]:
 def _every(ok) -> bool:
     """A check's outcome: a scalar field's as it is, an array field's over every element."""
     return ok.all() if type(ok) is _ndarray else ok
+
+
+def checked(s: Scenario) -> Scenario:
+    """``s`` if it passes :func:`validate`, else :class:`ScenarioError` naming each failing field.
+
+    The pass is kept in the instance's ``__dict__``, as ``pricing`` keeps its
+    factors: each instance is validated once, a ``dataclasses.replace`` copy anew.
+    """
+    if "_checked" not in s.__dict__:
+        report = validate(s)
+        if report:
+            raise ScenarioError("invalid scenario: " + "; ".join(report))
+        s.__dict__["_checked"] = True
+    return s
 
 
 def validate(s: Scenario) -> list[str]:

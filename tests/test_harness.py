@@ -166,13 +166,19 @@ def test_sweep_rejects_invalid_scenario(defaults):
         ({"q": np.array([1e5, -1e5])}, r"invalid scenario: q=array\(\[ 100000., -100000.\]\): must be strictly"),
         # valid, and as long as the grid: broadcast, each row would pair a q with a grid value
         ({"q": np.array([1e5, 2e5]), "mu": np.array([0.5, 0.6])}, "one scenario, but it holds arrays in q, mu$"),
+        # the shape of a surface's cells: each cell would pair a q with a purchase
+        ({"q": np.array([1e5, 4e6])[:, None, None]}, "one scenario, but it holds arrays in q$"),
     ],
 )
 def test_sweep_refuses_an_array_scenario_by_name(defaults, fields, message):
+    # a surface refuses it too, by the same message under its own name
     scenario = dataclasses.replace(defaults, **fields)
     spec = SweepSpec("f_server", (1e9, 2e9), scenario, Allocation(6 * GHZ, 1 * MBPS))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as sweep:
         run_sweep(spec)
+    with pytest.raises(ValueError, match=message) as surface:
+        surface_grid(scenario, 3, 3)
+    assert str(surface.value) == str(sweep.value).replace("a sweep pins", "a surface pins")
 
 
 @pytest.mark.parametrize(

@@ -31,3 +31,29 @@ def test_no_module_reaches_a_private_name_of_another():
     assert len(_SOURCES) > 1
     reached = {path.name: _private_reaches(ast.parse(path.read_text(encoding="utf-8"))) for path in _SOURCES}
     assert {name: lines for name, lines in reached.items() if lines} == {}
+
+
+def _validate_callers(path: Path) -> list[str]:
+    """``module.function`` of each call to a ``validate``, the function being the innermost around it."""
+    callers = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == "validate" or getattr(func, "attr", None) == "validate":
+                    callers.append(f"{path.stem}.{where} (line {child.lineno})")
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return callers
+
+
+def test_only_the_gate_calls_validate():
+    # scenario.checked is the one gate: it validates once per instance and raises ScenarioError,
+    # so every entry refuses an invalid scenario with the same message
+    callers = [caller for path in _SOURCES for caller in _validate_callers(path)]
+    assert [caller.split(" ")[0] for caller in callers] == ["scenario.checked"], callers
