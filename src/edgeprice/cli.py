@@ -46,13 +46,13 @@ def _load_context(args: argparse.Namespace) -> tuple[Scenario, dict[str, float |
     return load_scenario(overrides=config), config
 
 
-def _search_scenario(args: argparse.Namespace) -> Scenario:
-    """The scenario of optimize and compare, which search for the purchase: a pinned one is refused."""
+def _search_inputs(args: argparse.Namespace) -> tuple[Scenario, SwarmConfig]:
+    """Scenario and SwarmConfig of a search command; a pinned purchase is refused, as the search finds it."""
     scenario, config = _load_context(args)
     for key in ALLOCATION_KEYS:
         if key in config:
             raise ValueError(f"key {key!r} pins a purchase, which {args.command} searches for")
-    return scenario
+    return scenario, SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -91,8 +91,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    scenario = _search_scenario(args)
-    cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
+    scenario, cfg = _search_inputs(args)
     objective, u_max = dynamic_utility_objective(scenario), box_maximum_utility(scenario)
     result = ALGORITHMS[args.algo](scenario, objective, u_max, cfg)
     print(f"algorithm: {args.algo}")
@@ -108,8 +107,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    scenario = _search_scenario(args)
-    cfg = SwarmConfig(p_n=args.p_n, n_max=args.n_max, epsilon=args.epsilon, seed=args.seed)
+    scenario, cfg = _search_inputs(args)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
     if args.out:
         emit_comparison_csv(report, args.out)
@@ -232,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OptimizerError, OSError) as exc:
         # ValueError: bad scenario or argument; OptimizerError: non-finite objective; OSError: bad path
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a grid, batch or population too large for this machine
+        print("error: out of memory; try fewer --steps, --trials or --p-n", file=sys.stderr)
         return 2
 
 

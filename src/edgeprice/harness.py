@@ -19,7 +19,7 @@ import numpy as np
 
 from .offload import Allocation
 from .pricing import UtilitySummary, dynamic_utility_objective, user_utility
-from .scenario import Scenario, checked, ghz_to_hz, kb_to_bits, scenario_numbers
+from .scenario import BITS_PER_KB, HZ_PER_GHZ, Scenario, checked, scenario_numbers
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
@@ -84,12 +84,12 @@ class ComparisonReport:
 
 def corner_allocation(s: Scenario) -> Allocation:
     """The (f_max, b_max) corner, where the dynamic-mode utility peaks."""
-    return Allocation(s.f_range[1], s.b_range[1])
+    return Allocation(checked(s).f_range[1], s.b_range[1])
 
 
 def box_maximum_utility(s: Scenario) -> float:
     """Dynamic-mode utility at the box corner (the search's gap reference)."""
-    return dynamic_utility_objective(s)(corner_allocation(s))
+    return dynamic_utility_objective(checked(s))(corner_allocation(s))
 
 
 def _require_one_scenario(s: Scenario, entry: str) -> None:
@@ -202,7 +202,7 @@ def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
     rng = np.random.default_rng([seed, 0x5CE1])
     draws = [(rng.uniform(100.0, 500.0), rng.integers(1, 11)) for _ in range(n_trials)]
     q_kb, f_local_tenths = np.array(draws).T[..., None]
-    return replace(s, q=kb_to_bits(q_kb), f_local=ghz_to_hz(0.1 * f_local_tenths))
+    return replace(s, q=q_kb * BITS_PER_KB, f_local=0.1 * f_local_tenths * HZ_PER_GHZ)
 
 
 def compare_optimizers(
@@ -218,15 +218,14 @@ def compare_optimizers(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    checked(s)  # s itself, before randomize replaces q and f_local; replicate checks the trials' copy
+    u_max = box_maximum_utility(s)  # gates s itself, before randomize replaces q and f_local
     trial_s = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else s
-    objective = dynamic_utility_objective(trial_s)
-    u_max = np.broadcast_to(np.ravel(objective(corner_allocation(trial_s))), n_trials)
-    batch = (trial_s, objective, u_max, cfg, n_trials)
+    u_max_list = np.broadcast_to(np.ravel(box_maximum_utility(trial_s)), n_trials)
+    batch = (trial_s, dynamic_utility_objective(trial_s), u_max_list, cfg, n_trials)
     return ComparisonReport(
         n_trials=n_trials,
-        u_max=box_maximum_utility(s),
-        u_max_list=tuple(u_max.tolist()),
+        u_max=u_max,
+        u_max_list=tuple(u_max_list.tolist()),
         stats={name: replicate(algo, *batch) for name, algo in ALGORITHMS.items()},
     )
 

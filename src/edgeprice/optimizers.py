@@ -513,9 +513,13 @@ def trial_seeds(seed: int, n_trials: int) -> tuple[int, ...]:
 def stats_from_runs(runs: Sequence[RunResult]) -> TrialStats:
     values = np.array([r.best_value for r in runs])
     iterations = np.array([r.iterations_used for r in runs])
+    # std squares each deviation, which overflows past about 1e154: values beyond 2**400 are
+    # scaled down by an exact power of two for the mean and std, and these are scaled back
+    shift = max(int(np.frexp(np.abs(values).max())[1]) - 400, 0)
+    scaled = np.ldexp(values, -shift)
     return TrialStats(
-        mean_value=float(values.mean()),
-        std_value=float(values.std()),
+        mean_value=float(np.ldexp(scaled.mean(), shift)),
+        std_value=float(np.ldexp(scaled.std(), shift)),
         mean_iterations=float(iterations.mean()),
         value_list=tuple(float(v) for v in values),
         iteration_list=tuple(int(i) for i in iterations),

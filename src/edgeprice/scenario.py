@@ -31,18 +31,6 @@ BPS_PER_MBPS = 1e6
 SNR_MODES = ("raw", "db-to-linear")
 
 
-def kb_to_bits(kb: float) -> float:
-    return kb * BITS_PER_KB
-
-
-def ghz_to_hz(ghz: float) -> float:
-    return ghz * HZ_PER_GHZ
-
-
-def mbps_to_bps(mbps: float) -> float:
-    return mbps * BPS_PER_MBPS
-
-
 _ndarray = np.ndarray  # bound once: the scalar path of libm is one type test
 
 
@@ -111,9 +99,10 @@ class Scenario:
     runs :func:`validate` once per instance and raises :class:`ScenarioError`,
     a ``ValueError``, naming each failing field. Every library entry that
     takes a Scenario calls it: :func:`load_scenario`, ``run_sweep``,
-    ``surface_grid``, ``compare_optimizers``, and the search loop behind the
-    four searchers and ``replicate``. The closed forms of ``pricing`` and
-    ``offload`` stay unchecked.
+    ``surface_grid``, ``corner_allocation``, ``box_maximum_utility``,
+    ``compare_optimizers``, and the search loop behind the four searchers
+    and ``replicate``. The closed forms of ``pricing`` and ``offload`` stay
+    unchecked.
     """
 
     q: float                      # offload amount, bits
@@ -157,10 +146,11 @@ DEFAULT_CONFIG: dict[str, float | str] = {
     "b_max_mbps": 1.0,
 }
 
-REQUIRED_KEYS = tuple(DEFAULT_CONFIG)
-
 #: Recognized but optional keys: a pinned purchase, see :func:`default_purchase`.
 ALLOCATION_KEYS = ("f_server_ghz", "b_mbps")
+
+#: Every key a setting may name: the scenario's, all with defaults, and the purchase's.
+_KEYS = frozenset((*DEFAULT_CONFIG, *ALLOCATION_KEYS))
 
 _STRING_KEYS = ("snr_mode",)
 
@@ -178,7 +168,7 @@ def parse_setting(text: str) -> tuple[str, float | str]:
     key, value = key.strip(), value.strip().strip("'\"")
     if not sep:
         raise ScenarioError(f"expected key=value, got {text!r}")
-    if key not in REQUIRED_KEYS and key not in ALLOCATION_KEYS:
+    if key not in _KEYS:
         raise ScenarioError(f"unknown key {key!r}")
     if key in _STRING_KEYS:
         return key, value
@@ -221,9 +211,9 @@ def scenario_from_config(config: Mapping[str, float | str]) -> Scenario:
         snr_mode=str(config["snr_mode"]),
     )
     return Scenario(
-        q=kb_to_bits(num("q_kb")),
+        q=num("q_kb") * BITS_PER_KB,
         c=num("c_cycles_per_bit"),
-        f_local=ghz_to_hz(num("f_local_ghz")),
+        f_local=num("f_local_ghz") * HZ_PER_GHZ,
         k=num("k_coeff"),
         p_u=num("p_u_w"),
         p_d=num("p_d_w"),
@@ -232,8 +222,8 @@ def scenario_from_config(config: Mapping[str, float | str]) -> Scenario:
         w2=num("w2"),
         mu=num("mu"),
         channel=channel,
-        f_range=(ghz_to_hz(num("f_min_ghz")), ghz_to_hz(num("f_max_ghz"))),
-        b_range=(mbps_to_bps(num("b_min_mbps")), mbps_to_bps(num("b_max_mbps"))),
+        f_range=(num("f_min_ghz") * HZ_PER_GHZ, num("f_max_ghz") * HZ_PER_GHZ),
+        b_range=(num("b_min_mbps") * BPS_PER_MBPS, num("b_max_mbps") * BPS_PER_MBPS),
     )
 
 
@@ -244,14 +234,10 @@ def load_scenario(*, overrides: Mapping[str, float | str] | None = None) -> Scen
     mapping) take the built-in defaults. Raises :class:`ScenarioError` on an
     unknown key or if the result violates any Scenario invariant.
     """
-    merged = dict(DEFAULT_CONFIG)
-    if overrides:
-        for key in overrides:
-            if key not in REQUIRED_KEYS and key not in ALLOCATION_KEYS:
-                raise ScenarioError(f"unknown override key {key!r}")
-        merged.update(overrides)
-
-    return checked(scenario_from_config(merged))
+    for key in overrides or ():
+        if key not in _KEYS:
+            raise ScenarioError(f"unknown override key {key!r}")
+    return checked(scenario_from_config({**DEFAULT_CONFIG, **(overrides or {})}))
 
 
 def default_purchase(s: Scenario, config: Mapping[str, float | str]) -> tuple[float, float]:
@@ -260,8 +246,8 @@ def default_purchase(s: Scenario, config: Mapping[str, float | str]) -> tuple[fl
 
     No check here: a sweep checks its allocation before using it.
     """
-    f_server = ghz_to_hz(float(config["f_server_ghz"])) if "f_server_ghz" in config else s.f_range[1]
-    b = mbps_to_bps(float(config["b_mbps"])) if "b_mbps" in config else s.b_range[1]
+    f_server = float(config["f_server_ghz"]) * HZ_PER_GHZ if "f_server_ghz" in config else s.f_range[1]
+    b = float(config["b_mbps"]) * BPS_PER_MBPS if "b_mbps" in config else s.b_range[1]
     return f_server, b
 
 

@@ -423,6 +423,22 @@ def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, entry", [
+    (["surface", "--steps", "200000"], "surface_grid"),
+    (["compare", "--trials", "20000000"], "compare_optimizers"),
+])
+def test_out_of_memory_is_usage_error(argv, entry, monkeypatch, capsys):
+    # a 298 GiB grid or a 20-million-trial batch; the library call raises at once, nothing is allocated
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(f"edgeprice.cli.{entry}", exhausted)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: out of memory")
+    assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("last, message", [
     ("5e9", "must be strictly increasing, got 5000000000.0 at index 300 after 6000000000.0"),
     ("nan", "values must be finite, got nan at index 300"),
@@ -499,9 +515,9 @@ def test_compare_plots_the_searcher_named_by_plot_algo(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- the CLI over random scenarios
-# Every command that takes a scenario, run in process on random_scenario draws given as --set
-# pairs: a draw either runs (exit 0) or is refused with one error line (exit 2), and nothing the
-# CLI prints is inf or NaN.
+# Every command that takes a scenario, run in process on random draws given as --set pairs: a draw
+# either runs (exit 0) or is refused with one error line (exit 2), and nothing the CLI prints is
+# inf or NaN. The draws are random_scenario's moderate ones, then draws over what validate() accepts.
 
 _SWEEP_GRIDS = {"f_server": "1e9,3.5e9,6e9", "b": "1e5,5e5,1e6", "q": "819200,4096000",
                 "f_local": "1e8,5e8,1e9"}
@@ -513,27 +529,58 @@ def _set_pairs(s) -> list[str]:
     values = {"q_kb": s.q / 8192.0, "c_cycles_per_bit": s.c, "f_local_ghz": s.f_local / 1e9, "k_coeff": s.k,
               "p_u_w": s.p_u, "p_d_w": s.p_d, "alpha": s.alpha, "w1": s.w1, "w2": s.w2, "mu": s.mu,
               "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink}
-    pairs = [f"{key}={value!r}" for key, value in values.items()] + [f"snr_mode={s.channel.snr_mode}"]
+    return _pairs(values, s.channel.snr_mode)
+
+
+def _pairs(values: dict, snr_mode: str) -> list[str]:
+    pairs = [f"{key}={value!r}" for key, value in values.items()] + [f"snr_mode={snr_mode}"]
     return [arg for pair in pairs for arg in ("--set", pair)]
+
+
+#: The keys validate() checks only for sign, with the canonical units per config unit.
+_WIDE_KEYS = {"q_kb": 8192.0, "c_cycles_per_bit": 1.0, "f_local_ghz": 1e9, "k_coeff": 1.0, "p_u_w": 1.0,
+              "p_d_w": 1.0, "alpha": 1.0, "w1": 1.0}
+#: log10 bounds of an SNR figure validate() accepts, per mode: 1 + snr > 1, and 10^(x/10) finite.
+_SNR_DECADES = {"raw": (-15.0, 300.0), "db-to-linear": (-300.0, 3.4)}
+
+
+def _wide_set_pairs(rng: np.random.Generator) -> list[str]:
+    """A draw over what validate() accepts, log-uniform in canonical units: each positive number
+    over 1e-300..1e300, w2 and mu over 1e-300..1, each box's bounds as two sorted such draws, and
+    both SNR figures over ``_SNR_DECADES`` of either mode. Many overflow the model."""
+    decades = rng.uniform(-300, 300, len(_WIDE_KEYS))
+    values = {key: 10.0 ** x / unit for (key, unit), x in zip(_WIDE_KEYS.items(), decades)}
+    values.update(zip(("w2", "mu"), 10.0 ** rng.uniform(-300, 0, 2)))
+    for (low, high), unit in ((("f_min_ghz", "f_max_ghz"), 1e9), (("b_min_mbps", "b_max_mbps"), 1e6)):
+        values.update(zip((low, high), 10.0 ** np.sort(rng.uniform(-300, 300, 2)) / unit))
+    snr_mode = ("raw", "db-to-linear")[rng.integers(2)]
+    values.update(zip(("snr_uplink", "snr_downlink"), 10.0 ** rng.uniform(*_SNR_DECADES[snr_mode], 2)))
+    return _pairs({key: float(value) for key, value in values.items()}, snr_mode)
 
 
 def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(capsys):
     from edgeprice.verification import random_scenario
 
-    rng = np.random.default_rng(9)
-    codes = []
-    for i in range(200):
-        pairs = _set_pairs(random_scenario(rng))
-        param = list(_SWEEP_GRIDS)[i % len(_SWEEP_GRIDS)]
-        commands = [["optimize", "--algo", algo, "--n-max", "5", "--seed", str(i)] for algo in ALGORITHMS]
-        commands += [["surface", "--steps", "5"], ["sweep", "--param", param, "--grid", _SWEEP_GRIDS[param]],
-                     ["compare", "--trials", "2", "--n-max", "5", "--seed", str(i)]]
-        for command in commands:
-            code = main([*command, *pairs])
-            captured = capsys.readouterr()
-            assert code in (0, 2), (command, pairs)
-            assert "Traceback" not in captured.err
-            assert code == 0 or (captured.out == "" and len(captured.err.splitlines()) == 1)
-            assert not _NON_FINITE.search(captured.out), (command, pairs, captured.out)
-            codes.append(code)
+    def exit_codes(draw) -> list[int]:
+        rng = np.random.default_rng(9)
+        codes = []
+        for i in range(200):
+            pairs = draw(rng)
+            param = list(_SWEEP_GRIDS)[i % len(_SWEEP_GRIDS)]
+            commands = [["optimize", "--algo", algo, "--n-max", "5", "--seed", str(i)] for algo in ALGORITHMS]
+            commands += [["surface", "--steps", "5"],
+                         ["sweep", "--param", param, "--grid", _SWEEP_GRIDS[param]],
+                         ["compare", "--trials", "2", "--n-max", "5", "--seed", str(i)]]
+            for command in commands:
+                code = main([*command, *pairs])
+                captured = capsys.readouterr()
+                assert code in (0, 2), (command, pairs)
+                assert "Traceback" not in captured.err
+                assert code == 0 or (captured.out == "" and len(captured.err.splitlines()) == 1)
+                assert not _NON_FINITE.search(captured.out), (command, pairs, captured.out)
+                codes.append(code)
+        return codes
+
+    codes = exit_codes(lambda rng: _set_pairs(random_scenario(rng)))
     assert codes.count(0) > 0.9 * len(codes)  # the draws are valid scenarios; most must run
+    assert 0 in exit_codes(_wide_set_pairs)  # most overflow the model and are refused; not all

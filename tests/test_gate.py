@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from edgeprice import cli, scenario
-from edgeprice.harness import SweepSpec, compare_optimizers, run_sweep, surface_grid
+from edgeprice.harness import (
+    SweepSpec,
+    box_maximum_utility,
+    compare_optimizers,
+    corner_allocation,
+    run_sweep,
+    surface_grid,
+)
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import ALGORITHMS, SwarmConfig, replicate
 from edgeprice.scenario import ScenarioError, default_scenario, load_scenario, validate
@@ -37,6 +44,8 @@ _ENTRIES = {
     "surface_grid": lambda s: surface_grid(s, 3, 3),
     "compare_optimizers": lambda s: compare_optimizers(s, _CFG, 2),
     "compare_optimizers(randomize)": lambda s: compare_optimizers(s, _CFG, 2, randomize=True),
+    "corner_allocation": corner_allocation,
+    "box_maximum_utility": box_maximum_utility,
     "replicate": lambda s: replicate(ALGORITHMS["de"], s, _objective, 1.0, _CFG, 2),
     **{name: (lambda s, algo=algo: algo(s, _objective, 1.0, _CFG)) for name, algo in ALGORITHMS.items()},
 }

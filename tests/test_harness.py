@@ -360,7 +360,7 @@ def test_compare_scores_each_round_in_one_call(defaults, randomize, monkeypatch)
 
     monkeypatch.setattr(harness, "dynamic_utility_objective", counted)
     report = compare_optimizers(defaults, SwarmConfig(seed=3), 20, randomize=randomize)
-    # the corner call, box_maximum_utility's call, then the searches
+    # box_maximum_utility's calls, for s and then the trials' scenario, then the searches
     searches = shapes[2:]
     assert len(searches) == sum(max(stats.iteration_list) + 1 for stats in report.stats.values())
     assert {shape[0] for shape in searches} == {20}

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,18 @@ def test_replicate_aggregates_match_recomputation(setting):
     assert stats.std_value == pytest.approx(values.std(), rel=1e-12, abs=1e-15)
     assert stats.mean_iterations == pytest.approx(iterations.mean(), rel=1e-13)
     assert len(stats.position_list) == len(stats.seed_list) == 12
+
+
+@pytest.mark.parametrize("values, mean, std", [
+    ((-1e200, 1e200), 0.0, 1e200),  # the squares overflow
+    ((1e308, 1.7e308), 1.35e308, 3.5e307),  # the sum overflows
+])
+def test_aggregates_of_finite_values_are_finite(values, mean, std):
+    runs = [RunResult(v, Allocation(1e9, 1e6), 1, True, 0) for v in values]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = optimizers.stats_from_runs(runs)
+    assert stats.mean_value == mean and stats.std_value == pytest.approx(std, rel=1e-15)
 
 
 def test_replicate_reports_trial_index_on_abort(setting):
