@@ -15,7 +15,6 @@ from .offload import (
     Allocation,
     EnergyBreakdown,
     TimeBreakdown,
-    energy_breakdown,
     link_rates,
     local_exec_time,
     time_breakdown,

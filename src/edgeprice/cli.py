@@ -106,6 +106,12 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table_number(value: float) -> str:
+    """6 decimals where they fit the table's 12-character column, else ``format_number``'s 9 digits."""
+    text = f"{value:.6f}"
+    return text if len(text) <= 12 else format_number(value)
+
+
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario, cfg = _search_inputs(args)
     report = compare_optimizers(scenario, cfg, args.trials, randomize=args.randomize)
@@ -119,10 +125,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         print(f"gap reference u_max: {format_number(report.u_max)}  (trials: {args.trials})")
     width = max(10, *map(len, report.stats))
-    print(f"{'algorithm':<{width}} {'mean':>12} {'std':>12} {'mean iters':>11} {'converged':>10}")
+    values = {name: (_table_number(stats.mean_value), _table_number(stats.std_value))
+              for name, stats in report.stats.items()}
+    cell = max(12, *(len(text) for pair in values.values() for text in pair))
+    print(f"{'algorithm':<{width}} {'mean':>{cell}} {'std':>{cell}} {'mean iters':>11} {'converged':>10}")
     for name, stats in report.stats.items():
+        mean, std = values[name]
         print(
-            f"{name:<{width}} {stats.mean_value:>12.6f} {stats.std_value:>12.6f} "
+            f"{name:<{width}} {mean:>{cell}} {std:>{cell}} "
             f"{stats.mean_iterations:>11.3f} {sum(stats.converged_list):>7}/{args.trials}"
         )
     return 0

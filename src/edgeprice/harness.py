@@ -52,8 +52,7 @@ class SweepRow(NamedTuple):
     e_save: float
 
 
-@dataclass(frozen=True)
-class SurfaceGrid:
+class SurfaceGrid(NamedTuple):
     """Dense evaluation of the model over the purchase box.
 
     The cells come from the ``user_utility`` call a sweep makes, so each

@@ -11,6 +11,7 @@ for element equal to the scalar results.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scenario import Scenario
 
@@ -23,8 +24,7 @@ class Allocation:
     b: float
 
 
-@dataclass(frozen=True)
-class TimeBreakdown:
+class TimeBreakdown(NamedTuple):
     t_local: float     # local execution time, s
     t_u: float         # upload time, s
     t_p: float         # remote processing time, s
@@ -33,8 +33,7 @@ class TimeBreakdown:
     t_save: float      # t_local - t_offload
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     e_local: float     # local compute energy, J
     e_up: float        # upload energy, J
     e_d: float         # download energy, J
@@ -67,10 +66,6 @@ def time_breakdown(s: Scenario, alloc: Allocation) -> TimeBreakdown:
         t_offload=t_offload,
         t_save=t_local - t_offload,
     )
-
-
-def energy_breakdown(s: Scenario, alloc: Allocation) -> EnergyBreakdown:
-    return energy_from_times(s, time_breakdown(s, alloc))
 
 
 def energy_from_times(s: Scenario, times: TimeBreakdown) -> EnergyBreakdown:

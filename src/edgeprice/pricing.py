@@ -33,8 +33,7 @@ random draws work so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,16 +41,14 @@ from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_tim
 from .scenario import Scenario, libm
 
 
-@dataclass(frozen=True)
-class PriceCoefficients:
+class PriceCoefficients(NamedTuple):
     """Linear price-plane slopes: a per Hz, b_coef per bit/s."""
 
     a: float
     b_coef: float
 
 
-@dataclass(frozen=True)
-class UtilitySummary:
+class UtilitySummary(NamedTuple):
     """Priced outcome of one allocation under dynamic pricing."""
 
     price: float
@@ -62,8 +59,7 @@ class UtilitySummary:
     energy: EnergyBreakdown
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(NamedTuple):
     """Hessian eigenvalues and critical point of the linear-priced utility."""
 
     lambda1: float
@@ -73,16 +69,14 @@ class CurvatureReport:
     critical_b: float
 
 
-@dataclass(frozen=True)
-class QuadraticGapEstimate:
+class QuadraticGapEstimate(NamedTuple):
     """Second-order prediction of the utility drop away from the maximum."""
 
     predicted_drop: float
     actual_drop: float
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(NamedTuple):
     """Small-magnitude factors explaining why price and server utility flatten."""
 
     b_part: float

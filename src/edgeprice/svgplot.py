@@ -46,12 +46,22 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _span(values: Sequence[float]) -> tuple[float, float]:
-    lo, hi = min(values), max(values)
+def _span(values: Sequence[float], what: str) -> tuple[float, float]:
+    lo, hi = float(min(values)), float(max(values))
     if lo == hi:  # degenerate axis: pad so the scale stays invertible
         pad = abs(lo) * 0.05 or 1.0
-        return lo - pad, hi + pad
+        lo, hi = lo - pad, hi + pad
+    _check_span(lo, hi, what)
     return lo, hi
+
+
+def _check_span(lo: float, hi: float, what: str) -> None:
+    """Refuse a span ``hi - lo`` beyond the largest float, before numpy subtracts anything.
+
+    Python floats give ``inf`` where numpy would warn of an overflow and scale every point to NaN.
+    """
+    if hi - lo == math.inf:
+        raise ValueError(f"{what} span {lo!r} to {hi!r}, wider than the largest float")
 
 
 def _x_pixel(x: float, lo: float, hi: float) -> float:
@@ -113,8 +123,8 @@ def _pixels(
     """The axes, and each point's (x, y) pixel coordinates formatted once."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    x_lo, x_hi = _span(xs)
-    y_lo, y_hi = _span(ys)
+    x_lo, x_hi = _span(xs, "x values")
+    y_lo, y_hi = _span(ys, "y values")
     px = _x_pixel(np.array(xs, dtype=float), x_lo, x_hi).tolist()  # float64 steps, elementwise
     py = _y_pixel(np.array(ys, dtype=float), y_lo, y_hi).tolist()
     coords = list(zip(map(_fmt, px), map(_fmt, py)))
@@ -156,15 +166,16 @@ def heatmap(
     cell's position between the grid minimum and maximum (the midpoint on a
     flat grid), rounded half to even per channel.
     """
-    x_lo, x_hi = _span(x_values)
-    y_lo, y_hi = _span(y_values)
+    x_lo, x_hi = _span(x_values, "x values")
+    y_lo, y_hi = _span(y_values, "y values")
     nx, ny = len(x_values), len(y_values)
     grid = np.asarray(cells, dtype=float)
     if grid.shape != (nx, ny):
         raise ValueError(f"heatmap cells have shape {grid.shape}, expected {(nx, ny)}")
-    v_lo, v_hi = grid.min(), grid.max()
+    v_lo, v_hi = float(grid.min()), float(grid.max())
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):  # a NaN cell makes both NaN
         raise ValueError("heatmap cells must be finite")
+    _check_span(v_lo, v_hi, "heatmap cells")
     frac = np.full_like(grid, 0.5) if v_hi == v_lo else (grid - v_lo) / (v_hi - v_lo)
     rgb = 0.0
     for a, b in zip(_LOW_COLOR, _HIGH_COLOR):  # 0xrrggbb, exact in a float64

@@ -20,7 +20,7 @@ trends, and the two-path consistency of the server utility are checked.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ B_PART_DB = -0.0676              # db-to-linear SNR interpretation
 P_PART_RANGE = (3.227e-7, 2.347e-6)
 
 
-@dataclass(frozen=True)
-class AnchorCheck:
+class AnchorCheck(NamedTuple):
     name: str
     basis: str
     passed: bool

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import os
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from edgeprice import optimizers
+from edgeprice import cli, optimizers
 from edgeprice.cli import main
 from edgeprice.harness import ALGORITHMS, box_maximum_utility, compare_optimizers, format_number
 from edgeprice.optimizers import SwarmConfig
@@ -130,6 +131,33 @@ def test_compare_table_lines_up_under_a_long_algorithm_name(monkeypatch, capsys)
     mean, std, iters = (ends(header)[i] for i in (1, 2, 4))
     assert all(ends(row)[1:4] == [mean, std, iters] for row in rows)
     assert len({len(row) for row in rows}) == 1
+
+
+def _numbers_line_up(stdout: str) -> list[str]:
+    """The rows of a compare table whose mean and std columns end where the header's do."""
+    header, *rows = stdout.splitlines()[1:]
+    ends = [[m.end() for m in re.finditer(r"\S+", line)][1:3] for line in (header, *rows)]
+    assert all(row_ends == ends[0] for row_ends in ends[1:]), stdout
+    return rows
+
+
+def test_compare_table_prints_nine_digits_where_six_decimals_overflow(capsys):
+    # 101925.053168 is 13 characters: it used to push the rest of its row one column right
+    assert main(["compare", "--trials", "2", "--n-max", "5", "--set", "q_kb=1e6"]) == 0
+    rows = _numbers_line_up(capsys.readouterr().out)
+    assert rows[0].split()[1:3] == ["101925.053", "0.000000"]  # a value that fits keeps 6 decimals
+
+
+def test_compare_table_widens_both_number_columns_for_a_huge_mean(monkeypatch, capsys):
+    def huge_ga(*args, **kwargs):
+        report = compare_optimizers(*args, **kwargs)
+        ga = dataclasses.replace(report.stats["ga"], mean_value=-9.8e254, std_value=1.23456789e254)
+        return dataclasses.replace(report, stats={**report.stats, "ga": ga})
+
+    monkeypatch.setattr(cli, "compare_optimizers", huge_ga)
+    assert main(["compare", "--trials", "2", "--n-max", "5"]) == 0
+    rows = _numbers_line_up(capsys.readouterr().out)
+    assert rows[2].split()[1:3] == ["-9.8e+254", "1.23456789e+254"]
 
 
 def test_randomized_compare_header_is_the_range_of_trial_references(capsys):

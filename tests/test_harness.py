@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -531,6 +532,27 @@ def test_heatmap_rejects_misshapen_or_non_finite_cells():
         svgplot.heatmap([1.0, 2.0], [1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]], **labels)
     with pytest.raises(ValueError, match="finite"):
         svgplot.heatmap([1.0, 2.0], [1.0], [[1.0], [float("nan")]], **labels)
+
+
+@pytest.mark.parametrize("writer", [svgplot.line_plot, svgplot.scatter_plot])
+def test_point_plots_refuse_a_span_that_overflows(writer):
+    labels = dict(x_label="x", y_label="y", title="t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning fails the test too
+        with pytest.raises(ValueError, match=r"^y values span -1.5e\+308 to 1.5e\+308, wider"):
+            writer([(0.0, -1.5e308), (1.0, 1.5e308)], **labels)
+        with pytest.raises(ValueError, match=r"^x values span .* to inf, wider"):  # a flat axis is padded
+            writer([(1.79e308, 0.0)], **labels)
+
+
+def test_heatmap_refuses_a_span_that_overflows():
+    labels = dict(x_label="x", y_label="y", title="t")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^heatmap cells span -1.5e\+308 to 1.5e\+308, wider"):
+            svgplot.heatmap([1.0, 2.0], [1.0], np.array([[-1.5e308], [1.5e308]]), **labels)
+        with pytest.raises(ValueError, match=r"^x values span -1.5e\+308 to 1.5e\+308, wider"):
+            svgplot.heatmap([-1.5e308, 1.5e308], [1.0], [[1.0], [2.0]], **labels)
 
 
 def test_plot_labels_are_xml_escaped():

@@ -1,6 +1,10 @@
-"""Rules over the package's own source files, read with ``ast``."""
+"""Rules over the package's own source files, read with ``ast``, and over the records they define."""
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
+
+import pytest
 
 import edgeprice
 
@@ -57,3 +61,53 @@ def test_only_the_gate_calls_validate():
     # so every entry refuses an invalid scenario with the same message
     callers = [caller for path in _SOURCES for caller in _validate_callers(path)]
     assert [caller.split(" ")[0] for caller in callers] == ["scenario.checked"], callers
+
+
+def _classes() -> dict[str, type]:
+    """``module.Class`` of each class a package module defines, private ones included."""
+    classes = {}
+    for path in _SOURCES:
+        module = importlib.import_module("edgeprice" if path.stem == "__init__" else f"edgeprice.{path.stem}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                classes[f"{path.stem}.{name}"] = value
+    return classes
+
+
+#: The records that keep ``dataclasses.replace`` or per-instance state: Scenario and ChannelSpec
+#: cache in ``__dict__``, SwarmConfig checks itself in ``__post_init__``, and the rest are replaced
+#: by callers (or, like the searcher, are objects rather than values).
+_DATACLASSES = {
+    "harness.ComparisonReport", "harness.SweepSpec", "offload.Allocation", "optimizers.RunResult",
+    "optimizers.SwarmConfig", "optimizers.TrialStats", "optimizers._Searcher", "scenario.ChannelSpec",
+    "scenario.Scenario",
+}
+
+#: Every other result record is a NamedTuple: defined without generated code, immutable, and its
+#: fields in the order they had as dataclasses.
+_RECORDS = {
+    "offload.TimeBreakdown": ("t_local", "t_u", "t_p", "t_d", "t_offload", "t_save"),
+    "offload.EnergyBreakdown": ("e_local", "e_up", "e_d", "e_save"),
+    "pricing.PriceCoefficients": ("a", "b_coef"),
+    "pricing.UtilitySummary": ("price", "u_user", "u_server", "w_revenue", "time", "energy"),
+    "pricing.CurvatureReport": ("lambda1", "lambda2", "negative_definite", "critical_f", "critical_b"),
+    "pricing.QuadraticGapEstimate": ("predicted_drop", "actual_drop"),
+    "pricing.Diagnostics": ("b_part", "p_part", "u_affect"),
+    "harness.SurfaceGrid": ("f_values", "b_values", "u_user", "price", "u_server"),
+    "verification.AnchorCheck": ("name", "basis", "passed", "detail"),
+}
+
+
+def test_only_the_nine_replaced_or_stateful_records_are_dataclasses():
+    assert {name for name, cls in _classes().items() if dataclasses.is_dataclass(cls)} == _DATACLASSES
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_each_value_record_is_an_immutable_named_tuple(name):
+    cls = _classes()[name]
+    assert issubclass(cls, tuple) and cls._fields == _RECORDS[name]
+    record = cls(*map(float, range(len(cls._fields))))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, -1.0)
+    assert record == tuple(map(float, range(len(cls._fields))))

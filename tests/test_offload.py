@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from edgeprice.offload import Allocation, energy_breakdown, link_rates, local_exec_time, time_breakdown
+from edgeprice.offload import Allocation, energy_from_times, link_rates, local_exec_time, time_breakdown
 from edgeprice.scenario import default_scenario
 from edgeprice.verification import random_scenario
 
@@ -73,7 +73,7 @@ def test_time_additivity_bit_exact(defaults):
 
 
 def test_energy_breakdown_frozen_values(defaults):
-    e = energy_breakdown(defaults, CORNER)
+    e = energy_from_times(defaults, time_breakdown(defaults, CORNER))
     assert e.e_local == pytest.approx(0.1081344, rel=1e-12)
     assert e.e_up == pytest.approx(0.09325373386627195, rel=1e-9)
     assert e.e_d == pytest.approx(0.1653547717280562, rel=1e-9)
@@ -81,12 +81,14 @@ def test_energy_breakdown_frozen_values(defaults):
 
 
 def test_energy_zero_workload(defaults):
-    e = energy_breakdown(dataclasses.replace(defaults, q=0.0), CORNER)
+    s = dataclasses.replace(defaults, q=0.0)
+    e = energy_from_times(s, time_breakdown(s, CORNER))
     assert (e.e_local, e.e_up, e.e_d, e.e_save) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_energy_no_compute_energy_when_k_zero(defaults):
-    e = energy_breakdown(dataclasses.replace(defaults, k=0.0), CORNER)
+    s = dataclasses.replace(defaults, k=0.0)
+    e = energy_from_times(s, time_breakdown(s, CORNER))
     assert e.e_local == 0.0
     assert e.e_save == -(e.e_up + e.e_d) <= 0.0
 
@@ -97,7 +99,7 @@ def test_energy_closed_form_equivalence():
     for _ in range(1000):
         s = random_scenario(rng)
         alloc = random_allocation(rng, s)
-        e = energy_breakdown(s, alloc)
+        e = energy_from_times(s, time_breakdown(s, alloc))
         r_u, r_d = link_rates(s, alloc.b)
         closed = s.q * (s.k * s.c * s.f_local**2 - s.p_u / r_u - s.p_d * s.alpha / r_d)
         assert closed == pytest.approx(e.e_save, rel=1e-12, abs=1e-15 * e.e_local)
@@ -123,14 +125,15 @@ def test_monotonicity_in_resources(defaults):
     offload_times = [time_breakdown(defaults, Allocation(3e9, b)).t_offload for b in b_grid]
     assert all(b < a for a, b in zip(offload_times, offload_times[1:]))
 
-    savings = [energy_breakdown(defaults, Allocation(3e9, b)).e_save for b in b_grid]
+    savings = [energy_from_times(defaults, time_breakdown(defaults, Allocation(3e9, b))).e_save
+               for b in b_grid]
     assert all(b > a for a, b in zip(savings, savings[1:]))
 
 
 def test_breakdowns_linear_in_q(defaults):
     doubled = dataclasses.replace(defaults, q=2 * defaults.q)
     t1, t2 = time_breakdown(defaults, CORNER), time_breakdown(doubled, CORNER)
-    e1, e2 = energy_breakdown(defaults, CORNER), energy_breakdown(doubled, CORNER)
+    e1, e2 = energy_from_times(defaults, t1), energy_from_times(doubled, t2)
     for a, b in (
         (t1.t_u, t2.t_u), (t1.t_p, t2.t_p), (t1.t_d, t2.t_d),
         (t1.t_offload, t2.t_offload), (t1.t_save, t2.t_save),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from edgeprice.offload import Allocation, energy_breakdown, time_breakdown
+from edgeprice.offload import Allocation, energy_from_times, time_breakdown
 from edgeprice.pricing import (
     PriceCoefficients,
     chi,
@@ -211,8 +211,9 @@ def test_eu_path_equivalence_linear_mode():
         s = random_scenario(rng)
         alloc = random_allocation(rng, s)
         pc = derive_coefficients(s, rng.uniform(*s.f_range), rng.uniform(*s.b_range))
-        e_save = energy_breakdown(s, alloc).e_save
-        t_save = time_breakdown(s, alloc).t_save
+        times = time_breakdown(s, alloc)
+        e_save = energy_from_times(s, times).e_save
+        t_save = times.t_save
         price = linear_price(pc, alloc)
         direct = s.w1 * e_save + s.w2 * t_save - price
         scale = s.w1 * abs(e_save) + s.w2 * abs(t_save) + price
