@@ -245,9 +245,19 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
     return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, rows)]
 
 
+_PIECE = 1 << 16  # characters encoded per write: 64 KiB of ASCII, below glibc's 128 KiB mmap threshold
+
+
 def _write(text: str, path: str | Path) -> None:
-    """The one file writer of CSV and SVG output: UTF-8, line ends as given."""
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    """The one file writer of CSV and SVG output: UTF-8, line ends as given.
+
+    The path is opened as ``"wb"`` opens it (truncated, or created with mode
+    0o666 less the umask) and the text is encoded and written 64 Ki
+    characters at a time, so no document-sized bytes buffer is made.
+    """
+    with open(path, "wb") as out:
+        for start in range(0, len(text), _PIECE):
+            out.write(text[start:start + _PIECE].encode("utf-8"))
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:

@@ -20,6 +20,7 @@ the 9-digit format of the CSV and CLI numbers is ``harness.NUMBER_FORMAT``.
 from __future__ import annotations
 
 import math
+from itertools import filterfalse
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,10 @@ def _escape(text: str) -> str:
 
 
 def _span(values: Sequence[float], what: str) -> tuple[float, float]:
+    """An axis's (lo, hi): every value finite, since ``min`` and ``max`` skip a NaN that is not first."""
+    bad = next(filterfalse(math.isfinite, values), None)
+    if bad is not None:
+        raise ValueError(f"{what} must be finite, got {float(bad)!r}")
     lo, hi = float(min(values)), float(max(values))
     if lo == hi:  # degenerate axis: pad so the scale stays invertible
         pad = abs(lo) * 0.05 or 1.0

@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import hashlib
+import os
 import re
+import stat
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -429,6 +432,86 @@ def test_comparison_csv_deterministic(defaults, tmp_path):
     assert len(parsed) == 1 + 4 * 3
 
 
+# ---------------------------------------------------------------- the one writer
+
+@pytest.mark.parametrize("old_size", [0, 3, 100, 300_000])  # empty, shorter, and longer than the CSV
+def test_rewriting_a_path_leaves_exactly_the_new_bytes(defaults, tmp_path, old_size):
+    rows = _rows(defaults)
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    emit_csv(rows, fresh)
+    path.write_bytes(b"x" * old_size)
+    inode = path.stat().st_ino
+    emit_csv(rows, path)
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == inode  # rewritten, not replaced by a new file
+
+
+def test_a_symlink_stays_a_symlink_and_its_target_gets_the_bytes(defaults, tmp_path):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"y" * 5000)
+    link.symlink_to(target)
+    emit_csv(_rows(defaults), link)
+    emit_csv(_rows(defaults), tmp_path / "fresh.csv")
+    assert link.is_symlink() and link.readlink() == target
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_a_new_file_gets_the_mode_of_a_write_text_file(tmp_path):
+    old = os.umask(0o027)
+    try:
+        harness._write("a,b\r\n", tmp_path / "written.csv")
+        (tmp_path / "reference.csv").write_text("a,b\r\n", encoding="utf-8")
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("written.csv", "reference.csv")}
+    assert modes == {0o640}
+
+
+def test_a_document_of_several_pieces_reads_back_as_its_utf8_bytes(tmp_path):
+    # a three-byte and a four-byte character on each side of the first two piece boundaries
+    piece = harness._PIECE
+    wide = "\u00e9\u20ac\U0001f600"
+    text = "a" * (piece - 2) + wide + "b" * (piece - 3) + wide + "c" * 10
+    assert text[piece - 1:piece + 1] == text[2 * piece - 1:2 * piece + 1] == "\u20ac\U0001f600"
+    path = tmp_path / "long.svg"
+    path.write_bytes(b"z" * (3 * len(text)))
+    harness._write(text, path)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_the_writer_makes_no_document_sized_buffer(tmp_path):
+    text = "x" * 2_000_000  # larger than a 150x150 heatmap
+    path = tmp_path / "big.svg"
+    tracemalloc.start()
+    try:
+        harness._write(text, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * harness._PIECE  # a piece, its bytes and the file buffer; not 2 MB
+    assert path.stat().st_size == len(text)
+
+
+def test_emit_csv_to_dev_null_succeeds(defaults):
+    emit_csv(_rows(defaults), os.devnull)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd on this system")
+def test_emit_csv_to_a_pipe_writes_the_csv_bytes(defaults, tmp_path):
+    # a pipe has no position: the writer must not tell() or seek it
+    rows = _rows(defaults)
+    emit_csv(rows, tmp_path / "fresh.csv")
+    expected = (tmp_path / "fresh.csv").read_bytes()
+    assert len(expected) < 64 * 1024  # the pipe buffer holds it, so nothing blocks
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as pipe:
+        try:
+            emit_csv(rows, f"/dev/fd/{write_end}")
+        finally:
+            os.close(write_end)
+        assert pipe.read() == expected
+
+
 # ---------------------------------------------------------------- plots
 
 def test_line_plot_has_one_marker_per_point(defaults, tmp_path):
@@ -553,6 +636,34 @@ def test_heatmap_refuses_a_span_that_overflows():
             svgplot.heatmap([1.0, 2.0], [1.0], np.array([[-1.5e308], [1.5e308]]), **labels)
         with pytest.raises(ValueError, match=r"^x values span -1.5e\+308 to 1.5e\+308, wider"):
             svgplot.heatmap([-1.5e308, 1.5e308], [1.0], [[1.0], [2.0]], **labels)
+
+
+_BAD = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("writer", [svgplot.line_plot, svgplot.scatter_plot])
+def test_point_plots_refuse_a_non_finite_value_anywhere(writer, axis, where, bad):
+    points = [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0]]
+    points[where][axis == "y"] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{axis} values must be finite, got {bad!r}$"):
+            writer([tuple(p) for p in points], x_label="x", y_label="y", title="t")
+
+
+@pytest.mark.parametrize("bad", _BAD, ids=repr)
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_heatmap_refuses_a_non_finite_axis_value_anywhere(axis, where, bad):
+    values = {"x": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]}
+    values[axis][where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{axis} values must be finite, got {bad!r}$"):
+            svgplot.heatmap(values["x"], values["y"], np.ones((3, 3)), x_label="x", y_label="y", title="t")
 
 
 def test_plot_labels_are_xml_escaped():
