@@ -87,8 +87,14 @@ def corner_allocation(s: Scenario) -> Allocation:
 
 
 def box_maximum_utility(s: Scenario) -> float:
-    """Dynamic-mode utility at the box corner (the search's gap reference)."""
-    return dynamic_utility_objective(checked(s))(corner_allocation(s))
+    """Dynamic-mode utility at the box corner (the search's gap reference).
+
+    Like ``run_sweep``, it overflows to inf silently; an inf or NaN raises ``ValueError``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_max = dynamic_utility_objective(checked(s))(corner_allocation(s))
+    _require_finite("gap reference", u_max)
+    return u_max
 
 
 def _require_one_scenario(s: Scenario, entry: str) -> None:

@@ -270,39 +270,33 @@ def _flat_rows(index: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Searcher:
-    """A searcher: its name, and its state, proposal and acceptance over a batch of T trials.
+    """A searcher: its name, a proposal rule and an acceptance rule over a batch of T trials.
 
     Calling it, ``searcher(s, objective, u_max, cfg)``, is the single run
     seeded by ``cfg.seed``: a batch of one trial. ``replicate`` runs many.
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
-    per trial; values are (T, k). ``init(pop)`` gives the rule state, a
-    tuple of arrays whose trial axis is second to last, sharing no memory
-    with ``pop``: for the swarms the (2, T, p_n) positions and velocities
-    and the (R, 2, 2, T, p_n) block of draws left for the next R rounds.
-    ``propose(cfg, round, rngs, box, pop, values, p_gb, state)`` gives new
-    candidate and state arrays inside ``box``, the scenario's ``_Box`` for
-    the p_n - ``elite`` candidates proposed per trial, drawing from each
-    trial's generator in ``rngs``; ``p_gb`` holds the (2, T, p_n) global
-    bests, each trial's repeated along its row. ``accept(pop, values,
-    candidates, candidate_values)`` gives the next (pop, values), updating
-    the search's own ``pop`` and ``values`` in place; it only reads the
-    candidates and the objective's values. ``elite`` counts the rows a
+    per trial; values are (T, k). ``propose(cfg, round, rngs, box, pop,
+    values, p_gb, state)`` gives the new candidates and the next state,
+    inside ``box``, the scenario's ``_Box`` for the p_n - ``elite``
+    candidates proposed per trial, drawing from each trial's generator in
+    ``rngs``; ``p_gb`` holds the (2, T, p_n) global bests, each trial's
+    repeated along its row. The state is ``()`` until a searcher returns
+    its own: a tuple of arrays whose trial axis is second to last, sharing
+    no memory with ``pop``. ``accept(pop, values, candidates,
+    candidate_values)`` writes the next generation into the search's own
+    ``pop`` and ``values``, in place, and returns nothing; it only reads
+    the candidates and the objective's values. ``elite`` counts the rows a
     generation keeps without proposing them: the GA's one elite. A
     searcher keeps no state of its own, so one instance serves every run.
     """
 
     name: str
-    init: Callable[[np.ndarray], tuple[np.ndarray, ...]] = field(repr=False)
     propose: Callable[..., tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(repr=False)
-    accept: Callable[..., tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    accept: Callable[..., None] = field(repr=False)
     elite: int = 0
 
     def __call__(self, s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
         return _search(s, objective, u_max, (cfg.seed,), cfg, self)[0]
-
-
-def _stateless(pop: np.ndarray) -> tuple[np.ndarray, ...]:
-    return ()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -330,7 +324,7 @@ def _search(
     box = _search_box(s, cfg.p_n - searcher.elite)
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
     values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
-    state = searcher.init(pop)
+    state: tuple[np.ndarray, ...] = ()
     # each trial's global best repeated along its row: the swarm's p_gb - x then needs no broadcast
     s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, cfg.p_n)), [False] * n
     for t in _track_best(s_gb, p_gb, pop, values):
@@ -360,7 +354,7 @@ def _search(
         candidate_values = _evaluate_population(objective, n, trials, hi, candidates, n_f)
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
-        pop, values = searcher.accept(pop, values, candidates, candidate_values)
+        searcher.accept(pop, values, candidates, candidate_values)
         n_f += 1
 
 
@@ -370,7 +364,6 @@ def _replace_where(better: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Ca
         keep = better(candidate_values, values)
         np.copyto(pop, candidates, where=keep)
         np.copyto(values, candidate_values, where=keep)
-        return pop, values
     return accept
 
 
@@ -401,11 +394,9 @@ def _swarm(name: str, enhanced: bool) -> _Searcher:
     ``enhanced`` adds disc_pso's decaying inertia and velocity floor to the plain swarm.
     """
 
-    def init(pop):
-        return pop.copy(), np.zeros(pop.shape), np.empty((0, 2, 2, *pop.shape[1:]))
-
     def propose(cfg, n_f, rngs, box, best_position, best_values, p_gb, state):
-        position, velocity, draws = state
+        # round 0 starts the particles at their personal bests, at rest, with no draws yet
+        position, velocity, draws = state or (best_position.copy(), np.zeros(best_position.shape), ())
         if not len(draws):
             draws = _learning_draws(rngs, cfg, n_f)
         r, draws = draws[0], draws[1:]
@@ -423,7 +414,7 @@ def _swarm(name: str, enhanced: bool) -> _Searcher:
         position = (position + velocity).clip(box.lo, box.hi)
         return position, (position, velocity, draws)
 
-    return _Searcher(name, init, propose, _replace_where(np.greater))
+    return _Searcher(name, propose, _replace_where(np.greater))
 
 
 def _ga() -> _Searcher:
@@ -456,9 +447,8 @@ def _ga() -> _Searcher:
         pop[..., 1:] = children
         values[:, 0] = values.take(elite)
         values[:, 1:] = child_values
-        return pop, values
 
-    return _Searcher("ga", _stateless, propose, accept, elite=1)
+    return _Searcher("ga", propose, accept, elite=1)
 
 
 def _de() -> _Searcher:
@@ -483,7 +473,7 @@ def _de() -> _Searcher:
         np.copyto(mutant, pop, where=keep)
         return mutant, state
 
-    return _Searcher("de", _stateless, propose, _replace_where(np.greater_equal))
+    return _Searcher("de", propose, _replace_where(np.greater_equal))
 
 
 #: Swarm search with inertia decaying 0.9 -> 0.4 and velocity floors of 0.6 and 5/9 box widths.

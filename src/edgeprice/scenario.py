@@ -170,11 +170,21 @@ def parse_setting(text: str) -> tuple[str, float | str]:
         raise ScenarioError(f"expected key=value, got {text!r}")
     if key not in _KEYS:
         raise ScenarioError(f"unknown key {key!r}")
+    return key, _typed(key, value)
+
+
+def _typed(key: str, value: object) -> float | str:
+    """A known ``key``'s value as a setting holds it: ``snr_mode`` a string, any other key a float.
+
+    A value of another kind raises :class:`ScenarioError` naming the key.
+    """
     if key in _STRING_KEYS:
-        return key, value
+        if isinstance(value, str):
+            return value
+        raise ScenarioError(f"non-string value {value!r} for key {key!r}")
     try:
-        return key, float(value)
-    except ValueError:
+        return float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
         raise ScenarioError(f"non-numeric value {value!r} for key {key!r}") from None
 
 
@@ -231,13 +241,17 @@ def load_scenario(*, overrides: Mapping[str, float | str] | None = None) -> Scen
     """Merge with defaults, convert to canonical units, and validate.
 
     Keys absent from ``overrides`` (config units, e.g. a :func:`parse_config`
-    mapping) take the built-in defaults. Raises :class:`ScenarioError` on an
-    unknown key or if the result violates any Scenario invariant.
+    mapping) take the built-in defaults. Each value is typed as
+    :func:`parse_setting` types it. Raises :class:`ScenarioError` on an
+    unknown key, a value of the wrong type, or if the result violates any
+    Scenario invariant.
     """
-    for key in overrides or ():
+    typed = {}
+    for key, value in (overrides or {}).items():
         if key not in _KEYS:
             raise ScenarioError(f"unknown override key {key!r}")
-    return checked(scenario_from_config({**DEFAULT_CONFIG, **(overrides or {})}))
+        typed[key] = _typed(key, value)
+    return checked(scenario_from_config({**DEFAULT_CONFIG, **typed}))
 
 
 def default_purchase(s: Scenario, config: Mapping[str, float | str]) -> tuple[float, float]:

@@ -48,7 +48,12 @@ def _escape(text: str) -> str:
 
 
 def _span(values: Sequence[float], what: str) -> tuple[float, float]:
-    """An axis's (lo, hi): every value finite, since ``min`` and ``max`` skip a NaN that is not first."""
+    """An axis's (lo, hi) over at least one value, every one finite.
+
+    Both are checked first: ``min`` names no axis on an empty one, and skips a NaN that is not first.
+    """
+    if not len(values):
+        raise ValueError(f"{what} must be non-empty")
     bad = next(filterfalse(math.isfinite, values), None)
     if bad is not None:
         raise ValueError(f"{what} must be finite, got {float(bad)!r}")

@@ -345,8 +345,8 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
     "argv, message",
     [
         (["surface", "--steps", "3", "--set", "f_local_ghz=1e295"], "non-finite surface cell"),
-        (["optimize", "--set", "f_local_ghz=1e295"], "non-finite objective"),
-        (["compare", "--trials", "2", "--set", "f_local_ghz=1e295"], "non-finite objective"),
+        (["optimize", "--set", "f_local_ghz=1e295"], "non-finite gap reference"),
+        (["compare", "--trials", "2", "--set", "f_local_ghz=1e295"], "non-finite gap reference"),
         (["sweep", "--param", "f_local", "--grid", "1e5,1e300"], "non-finite sweep value"),
     ],
 )
@@ -413,8 +413,8 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
         pytest.param(["optimize", "--p-n", "0"], "p_n=0: must be >= 4", id="argv4-p_n"),
         pytest.param(["optimize", "--algo", "de", "--p-n", "3"], "p_n=3: must be >= 4", id="argv5-p_n"),
         (["optimize", "--set", "snr_mode=db-to-linear", "--set", "snr_uplink=4000"], "snr_uplink"),
-        (["optimize", "--set", "k_coeff=1e300"], "non-finite objective"),
-        (["compare", "--trials", "2", "--set", "k_coeff=1e300"], "non-finite objective"),
+        (["optimize", "--set", "k_coeff=1e300"], "non-finite gap reference"),
+        (["compare", "--trials", "2", "--set", "k_coeff=1e300"], "non-finite gap reference"),
         (["surface", "--set", "k_coeff=1e300"], "non-finite surface cell"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "b_mbps=nan"], "b=nan"),
         (["sweep", "--param", "q", "--grid", "819200", "--set", "f_server_ghz=inf"], "f_server=inf"),
@@ -437,6 +437,7 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
         (["validate", "--trials", "0"], "n_trials must be >= 1"),
         (["compare", "--trials", "-1"], "error: n_trials must be >= 1"),
         (["compare", "--trials", "-1", "--randomize"], "error: n_trials must be >= 1"),
+        (["compare", "--trials", "2", "--randomize", "--set", "k_coeff=1e300"], "non-finite gap reference"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
@@ -586,6 +587,7 @@ def _wide_set_pairs(rng: np.random.Generator) -> list[str]:
     return _pairs({key: float(value) for key, value in values.items()}, snr_mode)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning ahead of the error line fails the draw
 def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(capsys):
     from edgeprice.verification import random_scenario
 
@@ -596,9 +598,11 @@ def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(caps
             pairs = draw(rng)
             param = list(_SWEEP_GRIDS)[i % len(_SWEEP_GRIDS)]
             commands = [["optimize", "--algo", algo, "--n-max", "5", "--seed", str(i)] for algo in ALGORITHMS]
+            # every other draw redraws (q, f_local) per trial, whose gap references are columns
+            compare = ["compare", "--trials", "2", "--n-max", "5", "--seed", str(i)] + ["--randomize"] * (i % 2)
             commands += [["surface", "--steps", "5"],
                          ["sweep", "--param", param, "--grid", _SWEEP_GRIDS[param]],
-                         ["compare", "--trials", "2", "--n-max", "5", "--seed", str(i)]]
+                         compare]
             for command in commands:
                 code = main([*command, *pairs])
                 captured = capsys.readouterr()

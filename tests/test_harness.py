@@ -320,6 +320,16 @@ def test_compare_u_max_reference(defaults):
     assert report.u_max_list == (report.u_max, report.u_max)
 
 
+@pytest.mark.parametrize("k", [1e300, np.array([[1e-27], [1e300]])], ids=["scalar", "column"])
+def test_gap_reference_refuses_an_overflowing_scenario_silently(k):
+    # a scenario that passes validate() can overflow the model: the reference used to be inf,
+    # and on (T, 1) columns numpy warned of the overflow first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^non-finite gap reference \(inf or NaN\)"):
+            box_maximum_utility(default_scenario(k=k))
+
+
 def test_compare_randomized_mode(defaults):
     report = compare_optimizers(defaults, SwarmConfig(seed=5), 3, randomize=True)
     assert len(set(report.u_max_list)) > 1  # scenarios differ per trial
@@ -664,6 +674,19 @@ def test_heatmap_refuses_a_non_finite_axis_value_anywhere(axis, where, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{axis} values must be finite, got {bad!r}$"):
             svgplot.heatmap(values["x"], values["y"], np.ones((3, 3)), x_label="x", y_label="y", title="t")
+
+
+@pytest.mark.parametrize("writer, args", [
+    (svgplot.line_plot, ([],)),
+    (svgplot.scatter_plot, ([],)),
+    (svgplot.heatmap, ([], [1.0], np.zeros((0, 1)))),
+    (svgplot.heatmap, ([1.0], [], np.zeros((1, 0)))),
+], ids=["line", "scatter", "heatmap-x", "heatmap-y"])
+def test_svg_writers_name_an_empty_axis(writer, args):
+    # min() of an empty axis used to raise "min() arg is an empty sequence", naming no axis
+    axis = "y" if writer is svgplot.heatmap and not args[1] else "x"
+    with pytest.raises(ValueError, match=rf"^{axis} values must be non-empty$"):
+        writer(*args, x_label="x", y_label="y", title="t")
 
 
 def test_plot_labels_are_xml_escaped():

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import edgeprice
+from edgeprice import optimizers
 
 _SOURCES = sorted(Path(edgeprice.__file__).parent.glob("*.py"))
 
@@ -111,3 +112,19 @@ def test_each_value_record_is_an_immutable_named_tuple(name):
         with pytest.raises(AttributeError):
             setattr(record, field, -1.0)
     assert record == tuple(map(float, range(len(cls._fields))))
+
+
+def test_the_search_loop_reads_a_searchers_two_rules_and_elite_count_only():
+    # a searcher is its name, a proposal rule, an acceptance rule and an elite count: the loop starts
+    # every state as () and acceptance writes in place, so adding a searcher touches no loop code
+    fields = [f.name for f in dataclasses.fields(optimizers._Searcher)]
+    assert fields == ["name", "propose", "accept", "elite"]
+    tree = ast.parse(Path(optimizers.__file__).read_text(encoding="utf-8"))
+    (search,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_search"]
+    parents = {child: node for node in ast.walk(search) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(search) if isinstance(node, ast.Name) and node.id == "searcher"]
+    read = [getattr(parents[use], "attr", f"line {use.lineno}: the searcher itself") for use in uses]
+    assert sorted(set(read)) == ["accept", "elite", "propose"], read
+    # the acceptance call is a statement of its own: its result, if any, is not used
+    accepts = [use for use in uses if getattr(parents[use], "attr", None) == "accept"]
+    assert [type(parents[parents[parents[use]]]) for use in accepts] == [ast.Expr]

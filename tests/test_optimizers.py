@@ -230,6 +230,24 @@ def test_full_swarm_search_draws_in_doubling_blocks(setting, search, monkeypatch
     assert shapes == [(1, 30, 2)] + [(1, n, 30, 2, 2) for n in (1, 2, 4, 8, 16, 19)]
 
 
+@pytest.mark.parametrize("search", [disc_pso, baseline_pso], ids=_IDS.get)
+def test_swarm_round_zero_starts_its_own_particles(setting, search):
+    # the loop passes state (): the first proposal starts the particles at the personal bests, at rest
+    s, objective, _ = setting
+    cfg = SwarmConfig()
+    box = optimizers._search_box(s, cfg.p_n)
+    pop = box.lo + box.width * np.random.default_rng(0).random((2, 1, cfg.p_n))
+    values = objective(Allocation(pop[0], pop[1]))
+    p_gb = np.repeat(pop[:, :, values.argmax(axis=1)], cfg.p_n, axis=2)
+    before = pop.copy()
+    candidates, state = search.propose(cfg, 0, [np.random.default_rng(1)], box, pop, values, p_gb, ())
+    assert len(state) == 3 and not any(np.shares_memory(a, pop) for a in (candidates, *state))
+    assert np.array_equal(pop, before)
+    at_rest = (pop.copy(), np.zeros(pop.shape), ())
+    same, _ = search.propose(cfg, 0, [np.random.default_rng(1)], box, pop, values, p_gb, at_rest)
+    assert np.array_equal(candidates, same)
+
+
 def test_large_batch_draws_one_round_per_block(setting, monkeypatch):
     # one round of 2000 trials is more than the block cap, so no block holds a second round
     import edgeprice.optimizers as opt

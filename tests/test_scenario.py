@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,17 @@ def test_a_config_line_is_one_setting(key, quote):
 def test_override_unknown_key_rejected():
     with pytest.raises(ScenarioError, match="override"):
         load_scenario(overrides={"bogus": 1.0})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("q_kb", "abc", "non-numeric value 'abc' for key 'q_kb'"),
+    ("q_kb", None, "non-numeric value None for key 'q_kb'"),
+    ("snr_mode", 1.0, "non-string value 1.0 for key 'snr_mode'"),
+])
+def test_override_of_the_wrong_type_names_its_key(key, value, message):
+    # a bad value used to escape as float()'s bare ValueError or TypeError
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        load_scenario(overrides={key: value})
 
 
 def test_channel_spec_mode_validation():
