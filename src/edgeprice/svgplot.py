@@ -7,7 +7,7 @@ heatmap cell), which general plotting libraries do not guarantee.
 ``heatmap`` takes its cells as any array-like (an ndarray or nested lists
 give the same bytes). It colours the whole grid with a few numpy
 operations, in the same float64 steps a per-cell loop would take, and
-formats each distinct colour, column x, row y and the cell size once.
+formats each colour of the blend, column x, row y and the cell size once.
 Line and scatter plots format each coordinate once.
 
 Every plot is assembled the same way: each part of the document (an axes
@@ -37,6 +37,7 @@ _PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 _LOW_COLOR = (44, 123, 182)
 _HIGH_COLOR = (215, 25, 28)
+_PALETTE_SIZE = 1 + sum(abs(b - a) for a, b in zip(_LOW_COLOR, _HIGH_COLOR))  # 424
 
 
 _fmt = "%.6g".__mod__  # x -> f"{x:.6g}", with no Python frame per call
@@ -187,11 +188,17 @@ def heatmap(
         raise ValueError("heatmap cells must be finite")
     _check_span(v_lo, v_hi, "heatmap cells")
     frac = np.full_like(grid, 0.5) if v_hi == v_lo else (grid - v_lo) / (v_hi - v_lo)
-    rgb = 0.0
+    # each channel is monotone in frac, so a colour's steps from the low colour, summed over the
+    # channels, name that one colour: the key indexes a table of the blend's colours, -1 where unused
+    rgb, key = 0.0, 0.0
     for a, b in zip(_LOW_COLOR, _HIGH_COLOR):  # 0xrrggbb, exact in a float64
-        rgb = rgb * 256 + np.rint(a + frac * (b - a))
-    colors, which = _group(rgb.astype(np.int32))
-    fills = np.array([f'#{c:06x}"/>' for c in colors.tolist()], dtype=object)
+        channel = np.rint(a + frac * (b - a))
+        rgb = rgb * 256 + channel
+        key = key + np.abs(channel - a)
+    key = key.astype(np.intp)
+    colors = np.full(_PALETTE_SIZE, -1)
+    colors[key] = rgb
+    fills = np.array([f'#{c:06x}"/>' if c >= 0 else "" for c in colors.tolist()], dtype=object)
     cell_w = _PLOT_W / nx
     cell_h = _PLOT_H / ny
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
@@ -201,17 +208,8 @@ def heatmap(
                                dtype=object)[:, None]
     pieces[:, :, 1] = np.array([_fmt(MARGIN_TOP + (ny - 1 - j) * cell_h) + size for j in range(ny)],
                                dtype=object)
-    pieces[:, :, 2] = fills.take(which)
+    pieces[:, :, 2] = fills.take(key)
     parts = pieces.ravel().tolist()
     parts.extend(_axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title))
     return _document(parts)
 
-
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct keys, and each key's index among them (``np.unique``'s inverse)."""
-    ordered = np.sort(keys, axis=None)
-    first = np.empty(ordered.shape, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    distinct = ordered[first]
-    return distinct, np.searchsorted(distinct, keys)

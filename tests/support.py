@@ -1,4 +1,4 @@
-"""Shared test helpers: random valid allocations and conditioned comparisons."""
+"""Shared test helpers: random valid allocations, wide scenario draws and conditioned comparisons."""
 from __future__ import annotations
 
 import numpy as np
@@ -18,3 +18,25 @@ def rel_gap(a: float, b: float, scale: float) -> float:
     |a-b|/|a| is dominated by cancellation rather than by real disagreement.
     """
     return abs(a - b) / max(abs(a), abs(b), abs(scale))
+
+
+#: The keys validate() checks only for sign, with the canonical units per config unit.
+_WIDE_KEYS = {"q_kb": 8192.0, "c_cycles_per_bit": 1.0, "f_local_ghz": 1e9, "k_coeff": 1.0, "p_u_w": 1.0,
+              "p_d_w": 1.0, "alpha": 1.0, "w1": 1.0}
+#: log10 bounds of an SNR figure validate() accepts, per mode: 1 + snr > 1, and 10^(x/10) finite.
+_SNR_DECADES = {"raw": (-15.0, 300.0), "db-to-linear": (-300.0, 3.4)}
+
+
+def wide_settings(rng: np.random.Generator) -> dict[str, float | str]:
+    """A draw over what validate() accepts, as scenario settings in config units: log-uniform in
+    canonical units, each positive number over 1e-300..1e300, w2 and mu over 1e-300..1, each box's
+    bounds as two sorted such draws, and both SNR figures over ``_SNR_DECADES`` of either mode.
+    Many overflow the model."""
+    decades = rng.uniform(-300, 300, len(_WIDE_KEYS))
+    values = {key: 10.0 ** x / unit for (key, unit), x in zip(_WIDE_KEYS.items(), decades)}
+    values.update(zip(("w2", "mu"), 10.0 ** rng.uniform(-300, 0, 2)))
+    for (low, high), unit in ((("f_min_ghz", "f_max_ghz"), 1e9), (("b_min_mbps", "b_max_mbps"), 1e6)):
+        values.update(zip((low, high), 10.0 ** np.sort(rng.uniform(-300, 300, 2)) / unit))
+    snr_mode = ("raw", "db-to-linear")[rng.integers(2)]
+    values.update(zip(("snr_uplink", "snr_downlink"), 10.0 ** rng.uniform(*_SNR_DECADES[snr_mode], 2)))
+    return {**{key: float(value) for key, value in values.items()}, "snr_mode": snr_mode}

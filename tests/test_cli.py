@@ -18,6 +18,8 @@ from edgeprice.optimizers import SwarmConfig
 from edgeprice.pricing import dynamic_utility_objective
 from edgeprice.scenario import default_scenario
 
+from support import wide_settings
+
 SCENARIO_TEXT = """\
 # comparison defaults
 q_kb=500
@@ -90,6 +92,15 @@ def test_scenario_from_environment(tmp_path, monkeypatch, capsys):
     assert row.split(",")[2] == "0.315874062"  # the 100 KB price anchor
 
 
+@pytest.mark.parametrize("argv, rects", [(["--steps", "50"], 2502),
+                                         (["--steps", "40", "--series", "price"], 1602)])
+def test_surface_plot_is_one_rect_per_cell_plus_background_and_frame(argv, rects, tmp_path):
+    plot = tmp_path / "surface.svg"
+    assert main(["surface", *argv, "--plot", str(plot)]) == 0
+    text = plot.read_text(encoding="utf-8")
+    assert text.count("<rect ") == rects and text.endswith("\n</svg>\n")
+
+
 def test_optimize_deterministic_output(capsys):
     code = main(["optimize", "--algo", "disc-pso", "--seed", "7"])
     assert code == 0
@@ -99,7 +110,7 @@ def test_optimize_deterministic_output(capsys):
     assert "best value" in first
 
 
-@pytest.mark.parametrize("name", ["disc-pso", "pso", "ga", "de"])
+@pytest.mark.parametrize("name", tuple(ALGORITHMS))
 def test_optimize_prints_the_librarys_single_run(name, capsys):
     lines = _stdout(["optimize", "--algo", name, "--seed", "3"], capsys).splitlines()
     s = default_scenario()
@@ -211,6 +222,15 @@ def test_purchase_keys_give_one_sweep_from_set_or_file(tmp_path, capsys):
     from_file = _stdout([*argv, "--scenario", str(scenario)], capsys)
     from_set = _stdout([*argv, "--set", "f_server_ghz=3", "--set", "b_mbps=0.5"], capsys)
     assert from_set == from_file != _stdout(argv, capsys)
+
+
+def test_set_pair_overrides_the_scenario_files_line(tmp_path, capsys):
+    scenario = tmp_path / "s.conf"
+    scenario.write_text("q_kb=250\nb_mbps=0.5\n")
+    argv = ["sweep", "--param", "f_server", "--grid", "1e9,6e9"]
+    both = _stdout([*argv, "--scenario", str(scenario), "--set", "q_kb=300"], capsys)
+    assert both == _stdout([*argv, "--set", "q_kb=300", "--set", "b_mbps=0.5"], capsys)
+    assert len(both.splitlines()) == 3
 
 
 def test_scenario_file_with_byte_order_mark(tmp_path, capsys):
@@ -438,6 +458,7 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
         (["compare", "--trials", "-1"], "error: n_trials must be >= 1"),
         (["compare", "--trials", "-1", "--randomize"], "error: n_trials must be >= 1"),
         (["compare", "--trials", "2", "--randomize", "--set", "k_coeff=1e300"], "non-finite gap reference"),
+        (["optimize", "--algo", "bogus"], "argument --algo: invalid choice: 'bogus'"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
@@ -540,13 +561,16 @@ def test_compare_plots_the_searcher_named_by_plot_algo(tmp_path, capsys):
         plot = tmp_path / f"{name}.svg"
         assert main(["compare", "--trials", "5", "--plot", str(plot), "--plot-algo", name]) == 0
         distinct = {(p.f_server, p.b) for p in report.stats[name].position_list}
-        assert plot.read_text().count("<circle ") == len(distinct) == {"ga": 5, "disc-pso": 1}[name]
+        text = plot.read_text(encoding="utf-8")
+        assert text.count("<circle ") == len(distinct) == {"ga": 5, "disc-pso": 1}[name]
+        assert text.endswith("\n</svg>\n")
 
 
 # ---------------------------------------------------------------- the CLI over random scenarios
 # Every command that takes a scenario, run in process on random draws given as --set pairs: a draw
 # either runs (exit 0) or is refused with one error line (exit 2), and nothing the CLI prints is
-# inf or NaN. The draws are random_scenario's moderate ones, then draws over what validate() accepts.
+# inf or NaN. The draws are random_scenario's moderate ones, then support.wide_settings' draws over
+# what validate() accepts.
 
 _SWEEP_GRIDS = {"f_server": "1e9,3.5e9,6e9", "b": "1e5,5e5,1e6", "q": "819200,4096000",
                 "f_local": "1e8,5e8,1e9"}
@@ -557,34 +581,13 @@ def _set_pairs(s) -> list[str]:
     """``s`` as --set pairs in config units; the box keeps its default."""
     values = {"q_kb": s.q / 8192.0, "c_cycles_per_bit": s.c, "f_local_ghz": s.f_local / 1e9, "k_coeff": s.k,
               "p_u_w": s.p_u, "p_d_w": s.p_d, "alpha": s.alpha, "w1": s.w1, "w2": s.w2, "mu": s.mu,
-              "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink}
-    return _pairs(values, s.channel.snr_mode)
+              "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink,
+              "snr_mode": s.channel.snr_mode}
+    return _pairs(values)
 
 
-def _pairs(values: dict, snr_mode: str) -> list[str]:
-    pairs = [f"{key}={value!r}" for key, value in values.items()] + [f"snr_mode={snr_mode}"]
-    return [arg for pair in pairs for arg in ("--set", pair)]
-
-
-#: The keys validate() checks only for sign, with the canonical units per config unit.
-_WIDE_KEYS = {"q_kb": 8192.0, "c_cycles_per_bit": 1.0, "f_local_ghz": 1e9, "k_coeff": 1.0, "p_u_w": 1.0,
-              "p_d_w": 1.0, "alpha": 1.0, "w1": 1.0}
-#: log10 bounds of an SNR figure validate() accepts, per mode: 1 + snr > 1, and 10^(x/10) finite.
-_SNR_DECADES = {"raw": (-15.0, 300.0), "db-to-linear": (-300.0, 3.4)}
-
-
-def _wide_set_pairs(rng: np.random.Generator) -> list[str]:
-    """A draw over what validate() accepts, log-uniform in canonical units: each positive number
-    over 1e-300..1e300, w2 and mu over 1e-300..1, each box's bounds as two sorted such draws, and
-    both SNR figures over ``_SNR_DECADES`` of either mode. Many overflow the model."""
-    decades = rng.uniform(-300, 300, len(_WIDE_KEYS))
-    values = {key: 10.0 ** x / unit for (key, unit), x in zip(_WIDE_KEYS.items(), decades)}
-    values.update(zip(("w2", "mu"), 10.0 ** rng.uniform(-300, 0, 2)))
-    for (low, high), unit in ((("f_min_ghz", "f_max_ghz"), 1e9), (("b_min_mbps", "b_max_mbps"), 1e6)):
-        values.update(zip((low, high), 10.0 ** np.sort(rng.uniform(-300, 300, 2)) / unit))
-    snr_mode = ("raw", "db-to-linear")[rng.integers(2)]
-    values.update(zip(("snr_uplink", "snr_downlink"), 10.0 ** rng.uniform(*_SNR_DECADES[snr_mode], 2)))
-    return _pairs({key: float(value) for key, value in values.items()}, snr_mode)
+def _pairs(settings: dict) -> list[str]:
+    return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
 
 
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning ahead of the error line fails the draw
@@ -615,4 +618,4 @@ def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(caps
 
     codes = exit_codes(lambda rng: _set_pairs(random_scenario(rng)))
     assert codes.count(0) > 0.9 * len(codes)  # the draws are valid scenarios; most must run
-    assert 0 in exit_codes(_wide_set_pairs)  # most overflow the model and are refused; not all
+    assert 0 in exit_codes(lambda rng: _pairs(wide_settings(rng)))  # most overflow the model; not all

@@ -294,7 +294,7 @@ def test_surface_rejects_single_step(defaults):
 
 def test_compare_single_trial_has_four_rows(defaults):
     report = compare_optimizers(defaults, SwarmConfig(seed=3), 1)
-    assert set(report.stats) == {"disc-pso", "pso", "ga", "de"}
+    assert set(report.stats) == set(ALGORITHMS)
     assert all(len(st.value_list) == 1 for st in report.stats.values())
 
 

@@ -29,8 +29,10 @@ from edgeprice.pricing import (
     dynamic_utility_objective,
     linear_user_utility_value,
 )
-from edgeprice.scenario import default_scenario, validate
+from edgeprice.scenario import DEFAULT_CONFIG, default_scenario, scenario_from_config, validate
 from edgeprice.verification import _scenario_from_uniforms, random_scenario
+
+from support import wide_settings
 
 ALGORITHMS = (disc_pso, baseline_pso, baseline_ga, baseline_de)
 #: Each searcher's module attribute name: the id of its parametrized cases, kept stable.
@@ -444,6 +446,35 @@ def test_every_trial_is_finite_in_the_box_and_honest_on_random_workloads():
                     assert np.all(best <= u_max), where
                     assert np.all((u_max - best < epsilon * abs(best))[converged]), where
                     assert np.all(np.array(stats.iteration_list)[~converged] == cfg.n_max), where
+
+
+@pytest.mark.filterwarnings("error")  # the search overflows silently, as float arithmetic does
+def test_every_search_on_wide_draws_refuses_or_returns_the_objective_in_the_box():
+    # 250 draws over what validate() accepts, each with its own box, so one single run per searcher:
+    # each run raises ValueError or OptimizerError, or returns a finite best no higher than the corner,
+    # inside the box and the objective's value at the best position, and claims no gap it did not meet
+    rng = np.random.default_rng(9)
+    returned = 0
+    for i in range(250):
+        s = scenario_from_config({**DEFAULT_CONFIG, **wide_settings(rng)})
+        if validate(s):
+            continue
+        objective = dynamic_utility_objective(s)
+        cfg = SwarmConfig(seed=i)
+        for searcher in ALGORITHMS:
+            try:
+                u_max = box_maximum_utility(s)
+                result = searcher(s, objective, u_max, cfg)
+            except (ValueError, OptimizerError):
+                continue
+            returned += 1
+            f, b = result.best_position.f_server, result.best_position.b
+            where = (searcher.name, i, s)
+            assert math.isfinite(result.best_value) and result.best_value <= u_max, where
+            assert s.f_range[0] <= f <= s.f_range[1] and s.b_range[0] <= b <= s.b_range[1], where
+            assert result.best_value == objective(Allocation(np.array([[f]]), np.array([[b]])))[0, 0], where
+            assert not result.converged or u_max - result.best_value < cfg.epsilon * abs(result.best_value), where
+    assert returned > 0  # most draws overflow the model and are refused; not all
 
 
 @pytest.mark.parametrize(

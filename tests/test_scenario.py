@@ -98,6 +98,8 @@ def test_validation_report_one_entry_per_violation():
         ({"w2": 0.0}, "w2=0.0: must be strictly positive"),
         ({"f_range": (6e9, 1e9)}, "f_range=6000000000.0..1000000000.0: bounds must satisfy 0 < min < max"),
         ({"b_range": (0.0, 1e6)}, "b_range=0.0..1000000.0: bounds must satisfy 0 < min < max"),
+        ({"f_range": (3e9, 3e9)}, "f_range=3000000000.0..3000000000.0: bounds must satisfy 0 < min < max"),
+        ({"b_range": (5e5, 5e5)}, "b_range=500000.0..500000.0: bounds must satisfy 0 < min < max"),
     ],
 )
 def test_validation_message_of_each_range_check(fields, message):

@@ -109,3 +109,30 @@ def test_anchor_suite_refuses_bad_input_before_any_anchor(kwargs, message, monke
     monkeypatch.setattr(verification, "_f_server_sweep", fail)
     with pytest.raises(ValueError, match=message):
         verification.run_anchor_suite(**kwargs)
+
+
+def test_corner_maximality_anchor_evaluates_the_grid_its_name_states(monkeypatch):
+    shapes = []
+    surface_grid = verification.surface_grid
+
+    def recorded(s, f_steps, b_steps):
+        shapes.append((f_steps, b_steps))
+        return surface_grid(s, f_steps, b_steps)
+
+    monkeypatch.setattr(verification, "surface_grid", recorded)
+    check = verification._corner_maximality_anchor()
+    assert check.passed and check.name.startswith("100x100 grid ")
+    assert shapes == [(100, 100)]
+
+
+def test_anchor_suite_runs_fifty_paired_trials_by_default(monkeypatch):
+    # README's seed scan calls run_anchor_suite(seed=s) and relies on this default, not the CLI's
+    runs = []
+
+    def optimizer_anchors(cfg, n_trials):
+        runs.append((cfg.seed, n_trials))
+        return []
+
+    monkeypatch.setattr(verification, "_optimizer_anchors", optimizer_anchors)
+    verification.run_anchor_suite(seed=3)
+    assert runs == [(3, 50)]
