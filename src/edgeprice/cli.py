@@ -27,6 +27,7 @@ from .harness import (
     surface_grid,
     sweep_csv_lines,
     ALGORITHMS,
+    PLOT_SERIES,
     SWEEPABLE_PARAMETERS,
 )
 from .offload import Allocation
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", help="CSV destination (default: stdout)")
     p_sweep.add_argument("--plot", help="optional line-plot SVG destination")
     p_sweep.add_argument(
-        "--series", default="u_user", choices=("price", "u_user", "u_server"),
+        "--series", default="u_user", choices=PLOT_SERIES,
         help="series to plot",
     )
     p_sweep.set_defaults(handler=_cmd_sweep)
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_surface.add_argument("--steps", type=int, default=100)
     p_surface.add_argument("--plot", help="optional heatmap SVG destination")
     p_surface.add_argument(
-        "--series", default="u_user", choices=("price", "u_user", "u_server"),
+        "--series", default="u_user", choices=PLOT_SERIES,
     )
     p_surface.set_defaults(handler=_cmd_surface)
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from . import svgplot
 SWEEPABLE_PARAMETERS = ("f_server", "b", "q", "f_local")
 
 SWEEP_CSV_HEADER = ("param", "value", "price", "u_user", "u_server", "t_offload", "t_save", "e_save")
+PLOT_SERIES = ("price", "u_user", "u_server")  # what a sweep row and a surface can plot
 COMPARISON_CSV_HEADER = ("algorithm", "trial", "seed", "u_user_final", "iterations", "f_server_hz", "b_bps")
 
 
@@ -251,24 +252,28 @@ def sweep_csv_lines(rows: Sequence[SweepRow]) -> list[str]:
     return [",".join(SWEEP_CSV_HEADER), *map(_SWEEP_CSV_ROW.__mod__, rows)]
 
 
-_PIECE = 1 << 16  # characters encoded per write: 64 KiB of ASCII, below glibc's 128 KiB mmap threshold
-
-
-def _write(text: str, path: str | Path) -> None:
+def _write(pieces: Iterable[str], path: str | Path) -> None:
     """The one file writer of CSV and SVG output: UTF-8, line ends as given.
 
     The path is opened as ``"wb"`` opens it (truncated, or created with mode
-    0o666 less the umask) and the text is encoded and written 64 Ki
-    characters at a time, so no document-sized bytes buffer is made.
+    0o666 less the umask) and each str piece is encoded and written as it
+    comes, so the largest buffer is one piece's bytes. Every check of the
+    document runs before the call: a piece that raises would leave the file cut short.
     """
     with open(path, "wb") as out:
-        for start in range(0, len(text), _PIECE):
-            out.write(text[start:start + _PIECE].encode("utf-8"))
+        for piece in pieces:
+            out.write(piece.encode("utf-8"))
+
+
+def _sliced(text: str) -> Iterator[str]:
+    """A whole document as pieces of at most ``svgplot.PIECE_CHARS`` characters."""
+    size = svgplot.PIECE_CHARS
+    return (text[start:start + size] for start in range(0, len(text), size))
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep rows as CSV: header always present, numbers at 9 significant digits."""
-    _write("\r\n".join(sweep_csv_lines(rows)) + "\r\n", path)
+    _write(_sliced("\r\n".join(sweep_csv_lines(rows)) + "\r\n"), path)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
@@ -278,23 +283,31 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         records = zip(stats.seed_list, stats.value_list, stats.iteration_list, stats.position_list)
         lines.extend(_COMPARISON_CSV_ROW % (name, trial, seed, value, iterations, at.f_server, at.b)
                      for trial, (seed, value, iterations, at) in enumerate(records))
-    _write("\r\n".join(lines) + "\r\n", path)
+    _write(_sliced("\r\n".join(lines) + "\r\n"), path)
+
+
+def _check_series(series: str) -> None:
+    if series not in PLOT_SERIES:
+        raise ValueError(f"unknown series {series!r}; expected one of {PLOT_SERIES}")
 
 
 def emit_sweep_plot(rows: Sequence[SweepRow], path: str | Path, *, series: str = "u_user") -> None:
     """Sweep rows as a line-plot SVG of ``series`` against the swept value."""
+    _check_series(series)
     if not rows:
         raise ValueError("line plot needs at least one sweep row")
     points = [(row.value, getattr(row, series)) for row in rows]
-    _write(svgplot.line_plot(points, x_label=rows[0].parameter, y_label=series,
-                             title=f"{series} sweep"), path)
+    _write(_sliced(svgplot.line_plot(points, x_label=rows[0].parameter, y_label=series,
+                                     title=f"{series} sweep")), path)
 
 
 def emit_surface_plot(grid: SurfaceGrid, path: str | Path, *, series: str = "u_user") -> None:
     """One surface series as a heatmap SVG over the (f_server, b) box."""
-    _write(svgplot.heatmap(grid.f_values, grid.b_values, getattr(grid, series),
-                           x_label="f_server [Hz]", y_label="b [bit/s]",
-                           title=f"{series} surface"), path)
+    _check_series(series)
+    pieces = svgplot.heatmap_pieces(grid.f_values, grid.b_values, getattr(grid, series),
+                                    x_label="f_server [Hz]", y_label="b [bit/s]",
+                                    title=f"{series} surface")
+    _write(pieces, path)
 
 
 def emit_positions_plot(positions: Sequence[Allocation], path: str | Path) -> None:
@@ -302,5 +315,5 @@ def emit_positions_plot(positions: Sequence[Allocation], path: str | Path) -> No
     if not positions:
         raise ValueError("scatter plot needs at least one position")
     unique = list(dict.fromkeys((p.f_server, p.b) for p in positions))
-    _write(svgplot.scatter_plot(unique, x_label="f_server [Hz]", y_label="b [bit/s]",
-                                title="best positions"), path)
+    _write(_sliced(svgplot.scatter_plot(unique, x_label="f_server [Hz]", y_label="b [bit/s]",
+                                        title="best positions")), path)

@@ -4,24 +4,28 @@ Hand-rolled on purpose: the output must be byte-stable across runs and
 easy to inspect (one ``circle`` per plotted point, one ``rect`` per
 heatmap cell), which general plotting libraries do not guarantee.
 
-``heatmap`` takes its cells as any array-like (an ndarray or nested lists
-give the same bytes). It colours the whole grid with a few numpy
-operations, in the same float64 steps a per-cell loop would take, and
-formats each colour of the blend, column x, row y and the cell size once.
-Line and scatter plots format each coordinate once.
+``heatmap_pieces`` takes its cells as any array-like (an ndarray or nested
+lists give the same bytes). It checks them, colours a copy of the grid in
+place with a few numpy operations, in the same float64 steps a per-cell
+loop would take, and formats each colour of the blend, column x, row y and
+the cell size once. It then yields the document as pieces: the head, the
+cells in blocks of at most ``PIECE_CHARS`` characters, then the axes and
+``</svg>``, so its memory grows with the grid and not with the document;
+``heatmap`` joins them. Line and scatter plots format each coordinate once.
 
-Every plot is assembled the same way: each part of the document (an axes
+Every plot is laid out the same way: each part of the document (an axes
 element, an axis tick, the polyline, a marker, a heatmap cell) starts
-with its own newline, and ``_document`` puts the shared head before the
-parts and ``</svg>`` after them and joins the whole document once. Each
-axis tick, like each marker, is one row of a ``%`` template, at 6 digits;
-the 9-digit format of the CSV and CLI numbers is ``harness.NUMBER_FORMAT``.
+with its own newline, and the shared head comes before the parts and
+``</svg>`` after them; ``_document`` joins a line or scatter plot once.
+Each axis tick, like each marker, is one row of a ``%`` template, at 6
+digits; the 9-digit format of the CSV and CLI numbers is
+``harness.NUMBER_FORMAT``.
 """
 from __future__ import annotations
 
 import math
-from itertools import filterfalse
-from typing import Sequence
+from itertools import chain, filterfalse
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +42,9 @@ _PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 _LOW_COLOR = (44, 123, 182)
 _HIGH_COLOR = (215, 25, 28)
 _PALETTE_SIZE = 1 + sum(abs(b - a) for a, b in zip(_LOW_COLOR, _HIGH_COLOR))  # 424
+_FILL = '#%06x"/>'  # a heatmap cell's colour, closing its rect
+
+PIECE_CHARS = 1 << 16  # characters per written piece: 64 KiB of ASCII, under glibc's mmap threshold
 
 
 _fmt = "%.6g".__mod__  # x -> f"{x:.6g}", with no Python frame per call
@@ -119,12 +126,13 @@ _HEAD = (
     f'viewBox="0 0 {WIDTH} {HEIGHT}">\n'
     f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
 )
+_END = "\n</svg>\n"
 
 
 def _document(parts: list[str]) -> str:
     """The head, the parts and the end tag in one join; ``parts`` is the caller's and is extended."""
     parts.insert(0, _HEAD)
-    parts.append("\n</svg>\n")
+    parts.append(_END)
     return "".join(parts)
 
 
@@ -171,45 +179,101 @@ def heatmap(
     y_label: str,
     title: str,
 ) -> str:
+    """The document of ``heatmap_pieces`` as one str."""
+    return "".join(heatmap_pieces(x_values, y_values, cells, x_label=x_label, y_label=y_label,
+                                  title=title))
+
+
+def heatmap_pieces(
+    x_values: Sequence[float],
+    y_values: Sequence[float],
+    cells: np.ndarray | Sequence[Sequence[float]],
+    *,
+    x_label: str,
+    y_label: str,
+    title: str,
+) -> Iterator[str]:
     """One rect per cell; ``cells[i][j]`` belongs to (x_values[i], y_values[j]).
 
     Each cell's colour is the linear blend of the two end colours at the
     cell's position between the grid minimum and maximum (the midpoint on a
-    flat grid), rounded half to even per channel.
+    flat grid), rounded half to even per channel. Every check and the
+    colouring run in this call; the iterator it returns yields the head,
+    the cells in blocks of at most ``PIECE_CHARS`` characters, and the
+    axes with the end tag.
     """
     x_lo, x_hi = _span(x_values, "x values")
     y_lo, y_hi = _span(y_values, "y values")
     nx, ny = len(x_values), len(y_values)
-    grid = np.asarray(cells, dtype=float)
-    if grid.shape != (nx, ny):
-        raise ValueError(f"heatmap cells have shape {grid.shape}, expected {(nx, ny)}")
-    v_lo, v_hi = float(grid.min()), float(grid.max())
+    frac = np.array(cells, dtype=float)  # a copy: the grid is coloured in place
+    if frac.shape != (nx, ny):
+        raise ValueError(f"heatmap cells have shape {frac.shape}, expected {(nx, ny)}")
+    v_lo, v_hi = float(frac.min()), float(frac.max())
     if not (math.isfinite(v_lo) and math.isfinite(v_hi)):  # a NaN cell makes both NaN
         raise ValueError("heatmap cells must be finite")
     _check_span(v_lo, v_hi, "heatmap cells")
-    frac = np.full_like(grid, 0.5) if v_hi == v_lo else (grid - v_lo) / (v_hi - v_lo)
-    # each channel is monotone in frac, so a colour's steps from the low colour, summed over the
-    # channels, name that one colour: the key indexes a table of the blend's colours, -1 where unused
-    rgb, key = 0.0, 0.0
-    for a, b in zip(_LOW_COLOR, _HIGH_COLOR):  # 0xrrggbb, exact in a float64
-        channel = np.rint(a + frac * (b - a))
-        rgb = rgb * 256 + channel
-        key = key + np.abs(channel - a)
-    key = key.astype(np.intp)
-    colors = np.full(_PALETTE_SIZE, -1)
-    colors[key] = rgb
-    fills = np.array([f'#{c:06x}"/>' if c >= 0 else "" for c in colors.tolist()], dtype=object)
+    if v_hi == v_lo:
+        frac.fill(0.5)
+    else:
+        frac -= v_lo
+        frac /= v_hi - v_lo
+    key, colors = _colour_keys(frac)
+    fills = np.array([_FILL % c if c >= 0 else "" for c in colors], dtype=object)
     cell_w = _PLOT_W / nx
     cell_h = _PLOT_H / ny
     size = f'" width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" fill="'
-    # each cell is "\n" + x head + y tail + fill, laid out in document order (x-major)
-    pieces = np.empty((nx, ny, 3), dtype=object)
-    pieces[:, :, 0] = np.array([f'\n<rect x="{_fmt(MARGIN_LEFT + i * cell_w)}" y="' for i in range(nx)],
-                               dtype=object)[:, None]
-    pieces[:, :, 1] = np.array([_fmt(MARGIN_TOP + (ny - 1 - j) * cell_h) + size for j in range(ny)],
-                               dtype=object)
-    pieces[:, :, 2] = fills.take(key)
-    parts = pieces.ravel().tolist()
-    parts.extend(_axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title))
-    return _document(parts)
+    # each cell is "\n" + its column's x head + its row's y tail + its fill
+    heads = np.array([f'\n<rect x="{_fmt(MARGIN_LEFT + i * cell_w)}" y="' for i in range(nx)],
+                     dtype=object)
+    tails = np.array([_fmt(MARGIN_TOP + (ny - 1 - j) * cell_h) + size for j in range(ny)],
+                     dtype=object)
+    axes = _axes(x_lo, x_hi, y_lo, y_hi, x_label, y_label, title)
+    axes.append(_END)
+    return chain((_HEAD,), _cell_blocks(heads, tails, fills, key), ("".join(axes),))
 
+
+def _colour_keys(frac: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each cell's colour key, from its fraction, and the 0xrrggbb of each key (-1 where unused).
+
+    Each channel is ``rint(a + frac * (b - a))`` in float64, computed into one reused buffer, and
+    is monotone in frac: so a colour's steps from the low colour, summed over the channels, name
+    that one colour. ``frac`` is spent: its buffer comes back holding the keys.
+    """
+    channel = np.empty_like(frac)
+    rgb = np.zeros_like(frac)  # 0xrrggbb, exact in a float64
+    steps = np.zeros_like(frac)
+    for a, b in zip(_LOW_COLOR, _HIGH_COLOR):
+        np.multiply(frac, b - a, out=channel)
+        channel += a
+        np.rint(channel, out=channel)
+        rgb *= 256
+        rgb += channel
+        channel -= a
+        np.absolute(channel, out=channel)
+        steps += channel
+    del channel  # free before the cast below takes its buffer
+    key = frac.view(np.int64)
+    key[...] = steps
+    colors = np.full(_PALETTE_SIZE, -1)
+    colors[key] = rgb
+    return key, colors.tolist()
+
+
+def _cell_blocks(heads: np.ndarray, tails: np.ndarray, fills: np.ndarray,
+                 key: np.ndarray) -> Iterator[str]:
+    """The cells in document order (x-major), in blocks of at most ``PIECE_CHARS`` characters.
+
+    A block is whole columns where one column fits in a piece, else part of one column.
+    Its strings are laid out in one object array, made once and reused.
+    """
+    nx, ny = key.shape
+    per_block = PIECE_CHARS // (max(map(len, heads)) + max(map(len, tails)) + len(_FILL % 0))
+    cols, rows = (per_block // ny, ny) if per_block >= ny else (1, per_block)
+    block = np.empty((min(cols, nx), rows, 3), dtype=object)
+    for i in range(0, nx, cols):
+        for j in range(0, ny, rows):
+            part = block[:nx - i, :ny - j]  # a leading slice: still C-contiguous
+            part[:, :, 0] = heads[i:i + cols, None]
+            part[:, :, 1] = tails[j:j + rows]
+            part[:, :, 2] = fills.take(key[i:i + cols, j:j + rows])
+            yield "".join(part.ravel().tolist())

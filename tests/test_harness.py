@@ -469,7 +469,7 @@ def test_a_symlink_stays_a_symlink_and_its_target_gets_the_bytes(defaults, tmp_p
 def test_a_new_file_gets_the_mode_of_a_write_text_file(tmp_path):
     old = os.umask(0o027)
     try:
-        harness._write("a,b\r\n", tmp_path / "written.csv")
+        harness._write(["a,b\r\n"], tmp_path / "written.csv")
         (tmp_path / "reference.csv").write_text("a,b\r\n", encoding="utf-8")
     finally:
         os.umask(old)
@@ -479,13 +479,13 @@ def test_a_new_file_gets_the_mode_of_a_write_text_file(tmp_path):
 
 def test_a_document_of_several_pieces_reads_back_as_its_utf8_bytes(tmp_path):
     # a three-byte and a four-byte character on each side of the first two piece boundaries
-    piece = harness._PIECE
+    piece = svgplot.PIECE_CHARS
     wide = "\u00e9\u20ac\U0001f600"
     text = "a" * (piece - 2) + wide + "b" * (piece - 3) + wide + "c" * 10
     assert text[piece - 1:piece + 1] == text[2 * piece - 1:2 * piece + 1] == "\u20ac\U0001f600"
     path = tmp_path / "long.svg"
     path.write_bytes(b"z" * (3 * len(text)))
-    harness._write(text, path)
+    harness._write([text[:piece], text[piece:2 * piece], text[2 * piece:]], path)
     assert path.read_bytes() == text.encode("utf-8")
 
 
@@ -494,12 +494,54 @@ def test_the_writer_makes_no_document_sized_buffer(tmp_path):
     path = tmp_path / "big.svg"
     tracemalloc.start()
     try:
-        harness._write(text, path)
+        harness._write(harness._sliced(text), path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * harness._PIECE  # a piece, its bytes and the file buffer; not 2 MB
+    assert peak < 4 * svgplot.PIECE_CHARS  # a piece, its bytes and the file buffer; not 2 MB
     assert path.stat().st_size == len(text)
+
+
+def test_a_surface_plot_holds_less_than_half_its_file(defaults, tmp_path):
+    # the heatmap streams its cells: its memory grows with the grid, not with the document
+    grid = surface_grid(defaults, 150, 150)
+    path = tmp_path / "heat.svg"
+    emit_surface_plot(grid, path)  # first calls allocate caches of their own
+    tracemalloc.start()
+    try:
+        emit_surface_plot(grid, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+def _bad_surface(defaults, what):
+    grid = surface_grid(defaults, 3, 2)
+    cells = {"nan": np.array([[1.0, 2.0], [float("nan"), 3.0], [4.0, 5.0]]),
+             "shape": np.ones((2, 3)),
+             "span": np.array([[-1.5e308, 0.0], [0.0, 0.0], [0.0, 1.5e308]])}.get(what, grid.u_user)
+    return grid._replace(u_user=cells)
+
+
+@pytest.mark.parametrize("what, message", [
+    ("nan", "must be finite"),
+    ("shape", "shape"),
+    ("span", "wider than the largest float"),
+    ("series", "unknown series 'bogus'"),
+])
+def test_a_refused_plot_leaves_an_existing_file_as_it_was(defaults, tmp_path, what, message):
+    path = tmp_path / "old.svg"
+    path.write_bytes(b"old bytes")
+    series = "bogus" if what == "series" else "u_user"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            emit_surface_plot(_bad_surface(defaults, what), path, series=series)
+    if what == "series":
+        with pytest.raises(ValueError, match=message):
+            emit_sweep_plot(_rows(defaults), path, series=series)
+    assert path.read_bytes() == b"old bytes"
 
 
 def test_emit_csv_to_dev_null_succeeds(defaults):
@@ -594,6 +636,67 @@ def test_flat_heatmap_bytes_are_pinned():
                            x_label="x", y_label="y", title="flat")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == "ee95dda5d29e7f584ccdfaec10301af0891485b52b023cc1515e522fc1d1edbc"
+
+
+def _fold_cells(nx, ny, flat=False):
+    """Exactly representable, varied cell values: no draw whose stream may change with numpy."""
+    if flat:
+        return [[5.0] * ny for _ in range(nx)]
+    return [[((i * 7919 + j * 104729) % 1000) / 7 for j in range(ny)] for i in range(nx)]
+
+
+# documents of the joined heatmap writer, before it streamed: a 1000-cell column is longer
+# than one piece, and 151 columns are not a whole number of blocks
+_SHAPED_HEATMAP_SHA256 = {
+    (1, 1000, False): "2da6defc30227a32f0e1d4872b7cb0970937baee43c214a394290e5e45a32ee8",
+    (1000, 1, False): "66e484440a1e2b30fd1578e5351f9f5c7e1e371837ee575d4abdaa35e5b32d81",
+    (151, 150, False): "093f8ff1a4ea1b29f28332992f56a75212881ba75a89d7afb64e6815663184ea",
+    (2, 1000, True): "3fb65b2ff72dc9227f0b8ace112289e3a1b017647e9002dd8dceab5c749575e0",
+}
+
+
+def _pieces_and_text(x_values, y_values, cells, x_label="x", y_label="y", title="t"):
+    labels = dict(x_label=x_label, y_label=y_label, title=title)
+    pieces = list(svgplot.heatmap_pieces(x_values, y_values, cells, **labels))
+    assert "".join(pieces) == svgplot.heatmap(x_values, y_values, cells, **labels)
+    return pieces, "".join(pieces)
+
+
+def _assert_whole_cells(blocks, bound, n_cells):
+    assert all(len(block) <= bound for block in blocks)
+    assert all(block.startswith("\n<rect x=") and block.endswith('"/>') for block in blocks)
+    assert sum(block.count("<rect") for block in blocks) == n_cells
+
+
+@pytest.mark.parametrize("nx, ny, flat", list(_SHAPED_HEATMAP_SHA256))
+def test_heatmap_pieces_join_to_the_pinned_document_within_the_bound(nx, ny, flat):
+    pieces, text = _pieces_and_text([float(i) for i in range(nx)], [float(j) for j in range(ny)],
+                                    _fold_cells(nx, ny, flat))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _SHAPED_HEATMAP_SHA256[nx, ny, flat]
+    assert all(len(piece) <= svgplot.PIECE_CHARS for piece in pieces)
+    _assert_whole_cells(pieces[1:-1], svgplot.PIECE_CHARS, nx * ny)
+    assert len(pieces) > 3  # the cells take more than one piece
+
+
+@pytest.mark.parametrize("series", ["u_user", "price"])
+def test_surface_heatmap_pieces_join_to_the_pinned_file(defaults, series):
+    grid = surface_grid(defaults, 150, 150)
+    pieces, text = _pieces_and_text(grid.f_values, grid.b_values, getattr(grid, series),
+                                    "f_server [Hz]", "b [bit/s]", f"{series} surface")
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _HEATMAP_SHA256[150, series]
+    assert all(len(piece) <= svgplot.PIECE_CHARS for piece in pieces)
+    _assert_whole_cells(pieces[1:-1], svgplot.PIECE_CHARS, 150 * 150)
+
+
+@pytest.mark.parametrize("bound", [500, 2000], ids=["part-columns", "columns-not-dividing-nx"])
+def test_heatmap_blocks_hold_whole_cells_within_a_smaller_bound(monkeypatch, bound):
+    x_values, y_values, cells = [float(i) for i in range(7)], [float(j) for j in range(9)], _fold_cells(7, 9)
+    expected = svgplot.heatmap(x_values, y_values, cells, x_label="x", y_label="y", title="t")
+    monkeypatch.setattr(svgplot, "PIECE_CHARS", bound)
+    pieces, text = _pieces_and_text(x_values, y_values, cells)
+    assert text == expected
+    _assert_whole_cells(pieces[1:-1], bound, 7 * 9)
+    assert len(pieces) - 2 == {500: 14, 2000: 3}[bound]  # 7 columns of 7 + 2 rows; 3 + 3 + 1 columns
 
 
 def test_heatmap_takes_arrays_and_nested_lists_alike(defaults):
