@@ -2,10 +2,11 @@
 
 Four maximizers share one search loop (``_search``), which seeds the
 generators, samples the initial populations, tracks the global bests and
-stops a trial once its gap u_max - best falls below epsilon*|best|, or
+stops a trial once its gap u_max - best is at most epsilon*|best|, or
 after n_max update rounds. For best > 0 this is the relative gap
-(u_max - best)/best below epsilon; unlike that ratio, it keeps its
-meaning when the utility is negative. ``iterations_used`` counts
+(u_max - best)/best at most epsilon; unlike that ratio, it keeps its
+meaning when the utility is negative, and it holds at best == u_max even
+where epsilon*|best| underflows to 0. ``iterations_used`` counts
 completed update rounds, so a run whose initial sampling already
 satisfies the gap reports 0.
 
@@ -132,7 +133,7 @@ class TrialStats:
 
 
 def _gap_met(u_max: float, best: float, epsilon: float) -> bool:
-    return u_max - best < epsilon * abs(best)
+    return u_max - best <= epsilon * abs(best)
 
 
 def _with_min_magnitude(v: np.ndarray, floor: np.ndarray) -> np.ndarray:

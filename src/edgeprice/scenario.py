@@ -3,10 +3,13 @@
 Everything downstream works in one canonical unit system (bits, Hz, bit/s,
 seconds, Joules, Watts). Conversions happen at this boundary and nowhere
 else, which is why the config keys carry explicit unit suffixes (q_kb,
-f_local_ghz, b_min_mbps, ...). :func:`parse_setting` is the one reader of
-a ``key=value`` setting, whether it is a scenario-file line or a CLI
-``--set`` pair, and :func:`default_purchase` converts the optional
-``f_server_ghz``/``b_mbps`` purchase.
+f_local_ghz, b_min_mbps, ...). One table, ``_NUMBER_KEYS``, says which
+key, in which unit, sets each number field of a Scenario; a key's value
+is a string where its default is one, and a float otherwise.
+:func:`parse_setting` is the one reader of a ``key=value`` setting,
+whether it is a scenario-file line or a CLI ``--set`` pair, and
+:func:`default_purchase` converts the optional ``f_server_ghz``/``b_mbps``
+purchase.
 
 The numeric fields of a Scenario may also hold equal-shape numpy arrays:
 every closed form of the model then evaluates one scenario per element.
@@ -152,9 +155,13 @@ ALLOCATION_KEYS = ("f_server_ghz", "b_mbps")
 #: Every key a setting may name: the scenario's, all with defaults, and the purchase's.
 _KEYS = frozenset((*DEFAULT_CONFIG, *ALLOCATION_KEYS))
 
-_STRING_KEYS = ("snr_mode",)
-
-_NUMBER_FIELDS = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
+#: Each Scenario number field, in declaration order: the config key that sets it, and that
+#: key's canonical units per config unit (x 1.0 is exact for every float).
+_NUMBER_KEYS = {"q": ("q_kb", BITS_PER_KB), "c": ("c_cycles_per_bit", 1.0),
+                "f_local": ("f_local_ghz", HZ_PER_GHZ), "k": ("k_coeff", 1.0), "p_u": ("p_u_w", 1.0),
+                "p_d": ("p_d_w", 1.0), "alpha": ("alpha", 1.0), "w1": ("w1", 1.0), "w2": ("w2", 1.0),
+                "mu": ("mu", 1.0)}
+_NUMBER_FIELDS = tuple(_NUMBER_KEYS)
 
 
 def parse_setting(text: str) -> tuple[str, float | str]:
@@ -174,11 +181,12 @@ def parse_setting(text: str) -> tuple[str, float | str]:
 
 
 def _typed(key: str, value: object) -> float | str:
-    """A known ``key``'s value as a setting holds it: ``snr_mode`` a string, any other key a float.
+    """A known ``key``'s value as a setting holds it: a string where the key's default is one
+    (``snr_mode``), otherwise a float, as for the purchase keys, which have no default.
 
     A value of another kind raises :class:`ScenarioError` naming the key.
     """
-    if key in _STRING_KEYS:
+    if isinstance(DEFAULT_CONFIG.get(key), str):
         if isinstance(value, str):
             return value
         raise ScenarioError(f"non-string value {value!r} for key {key!r}")
@@ -215,23 +223,9 @@ def scenario_from_config(config: Mapping[str, float | str]) -> Scenario:
     def num(key: str) -> float:
         return float(config[key])  # type: ignore[arg-type]
 
-    channel = ChannelSpec(
-        snr_uplink=num("snr_uplink"),
-        snr_downlink=num("snr_downlink"),
-        snr_mode=str(config["snr_mode"]),
-    )
     return Scenario(
-        q=num("q_kb") * BITS_PER_KB,
-        c=num("c_cycles_per_bit"),
-        f_local=num("f_local_ghz") * HZ_PER_GHZ,
-        k=num("k_coeff"),
-        p_u=num("p_u_w"),
-        p_d=num("p_d_w"),
-        alpha=num("alpha"),
-        w1=num("w1"),
-        w2=num("w2"),
-        mu=num("mu"),
-        channel=channel,
+        **{name: num(key) * unit for name, (key, unit) in _NUMBER_KEYS.items()},
+        channel=ChannelSpec(num("snr_uplink"), num("snr_downlink"), str(config["snr_mode"])),
         f_range=(num("f_min_ghz") * HZ_PER_GHZ, num("f_max_ghz") * HZ_PER_GHZ),
         b_range=(num("b_min_mbps") * BPS_PER_MBPS, num("b_max_mbps") * BPS_PER_MBPS),
     )

@@ -9,7 +9,7 @@ with its tolerance and a basis tag:
   statistical -- an ordering/convergence contract over seeded trials.
 
 Each anchor is one array evaluation of the closed forms it checks. The
-relative-gap anchor spells the stop test u_max - best < epsilon*|best|
+relative-gap anchor spells the stop test u_max - best <= epsilon*|best|
 itself over the (searchers, trials) results, so a fault in the
 searchers' own stop test cannot pass it.
 
@@ -329,7 +329,7 @@ def _optimizer_anchors(cfg: SwarmConfig, n_trials: int) -> list[AnchorCheck]:
     ]
     values = np.array([stats.value_list for stats in report.stats.values()])  # (searchers, trials)
     converged = np.array([stats.converged_list for stats in report.stats.values()])
-    gap_met = report.u_max - values < cfg.epsilon * abs(values)
+    gap_met = report.u_max - values <= cfg.epsilon * abs(values)
     counts = converged.sum(axis=1).tolist()
     checks.append(
         _check(

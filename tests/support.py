@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from edgeprice.offload import Allocation
-from edgeprice.scenario import Scenario
+from edgeprice.scenario import _NUMBER_KEYS, Scenario
 
 
 def random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
@@ -20,9 +20,9 @@ def rel_gap(a: float, b: float, scale: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), abs(scale))
 
 
-#: The keys validate() checks only for sign, with the canonical units per config unit.
-_WIDE_KEYS = {"q_kb": 8192.0, "c_cycles_per_bit": 1.0, "f_local_ghz": 1e9, "k_coeff": 1.0, "p_u_w": 1.0,
-              "p_d_w": 1.0, "alpha": 1.0, "w1": 1.0}
+#: The keys validate() checks only for sign, with the canonical units per config unit: every
+#: number field's but w2's and mu's, in field order.
+_WIDE_KEYS = dict(unit for name, unit in _NUMBER_KEYS.items() if name not in ("w2", "mu"))
 #: log10 bounds of an SNR figure validate() accepts, per mode: 1 + snr > 1, and 10^(x/10) finite.
 _SNR_DECADES = {"raw": (-15.0, 300.0), "db-to-linear": (-300.0, 3.4)}
 

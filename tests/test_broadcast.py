@@ -27,12 +27,10 @@ from edgeprice.pricing import (
     user_utility,
     user_utility_gradient,
 )
-from edgeprice.scenario import ChannelSpec, Scenario, default_scenario
+from edgeprice.scenario import _NUMBER_FIELDS, ChannelSpec, Scenario, default_scenario
 from edgeprice.verification import random_scenario
 
 from support import random_allocation
-
-NUMBER_FIELDS = ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1", "w2", "mu")
 
 
 def stack(scenarios: list[Scenario]) -> Scenario:
@@ -40,7 +38,7 @@ def stack(scenarios: list[Scenario]) -> Scenario:
     (mode,) = {s.channel.snr_mode for s in scenarios}
     links = [np.array([getattr(s.channel, name) for s in scenarios])
              for name in ("snr_uplink", "snr_downlink")]
-    fields = {name: np.array([getattr(s, name) for s in scenarios]) for name in NUMBER_FIELDS}
+    fields = {name: np.array([getattr(s, name) for s in scenarios]) for name in _NUMBER_FIELDS}
     return dataclasses.replace(scenarios[0], channel=ChannelSpec(*links, mode), **fields)
 
 

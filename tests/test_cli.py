@@ -272,6 +272,12 @@ def test_swarm_keys_are_set(capsys):
     assert [line[-15:] for line in table.splitlines()[2:]] == ["0.000       0/2"] * 4
 
 
+def test_a_search_at_a_subnormal_utility_converges(capsys):
+    # epsilon * |best| underflows to 0 here, and best == u_max still meets the stop test
+    out = _stdout(["optimize", "--set", "q_kb=1e-320"], capsys)
+    assert "best value: 1.02271589e-321\n" in out and "iterations: 1\nconverged: True\n" in out
+
+
 @pytest.mark.parametrize("command", [["surface", "--steps", "3"],
                                      ["sweep", "--param", "f_server", "--grid", "1e9,2e9"]])
 @pytest.mark.parametrize("option", [["--seed", "1"], ["--set", "p_n=40"], ["--set", "n_max=5"],

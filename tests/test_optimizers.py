@@ -70,6 +70,11 @@ def test_fixed_seed_determinism(setting, algorithm):
     assert algorithm(s, objective, u_max, cfg) == algorithm(s, objective, u_max, cfg)
 
 
+@pytest.mark.parametrize("u", [0.0, -0.0, 5e-324, 1e-320, -1e-320])
+def test_a_best_equal_to_u_max_meets_the_gap_where_epsilon_times_best_is_zero(u):
+    assert optimizers._gap_met(u, u, 1e-3)
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_vacuous_gap_converges_at_iteration_zero(setting, algorithm):
     s, objective, u_max = setting
@@ -455,17 +460,20 @@ def test_every_search_on_wide_draws_refuses_or_returns_the_objective_in_the_box(
     # inside the box and the objective's value at the best position, and claims no gap it did not meet
     rng = np.random.default_rng(9)
     returned = 0
+    de_alone_refuses = set()
     for i in range(250):
         s = scenario_from_config({**DEFAULT_CONFIG, **wide_settings(rng)})
         if validate(s):
             continue
         objective = dynamic_utility_objective(s)
         cfg = SwarmConfig(seed=i)
+        refused = []
         for searcher in ALGORITHMS:
             try:
                 u_max = box_maximum_utility(s)
                 result = searcher(s, objective, u_max, cfg)
-            except (ValueError, OptimizerError):
+            except (ValueError, OptimizerError) as exc:
+                refused.append((searcher.name, type(exc)))
                 continue
             returned += 1
             f, b = result.best_position.f_server, result.best_position.b
@@ -473,8 +481,13 @@ def test_every_search_on_wide_draws_refuses_or_returns_the_objective_in_the_box(
             assert math.isfinite(result.best_value) and result.best_value <= u_max, where
             assert s.f_range[0] <= f <= s.f_range[1] and s.b_range[0] <= b <= s.b_range[1], where
             assert result.best_value == objective(Allocation(np.array([[f]]), np.array([[b]])))[0, 0], where
-            assert not result.converged or u_max - result.best_value < cfg.epsilon * abs(result.best_value), where
+            assert not result.converged or u_max - result.best_value <= cfg.epsilon * abs(result.best_value), where
+        if refused == [("de", OptimizerError)]:
+            de_alone_refuses.add(i)
     assert returned > 0  # most draws overflow the model and are refused; not all
+    # where the objective is -inf on part of the box, DE's first generation can land there and DE refuses
+    # while the other three return (README Notes); a change to that, or to the draws, updates this set
+    assert de_alone_refuses == {17, 19, 30, 40, 81, 152, 216, 220}
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ from edgeprice.scenario import (
     ALLOCATION_KEYS,
     DEFAULT_CONFIG,
     SNR_MODES,
+    _NUMBER_KEYS,
     ChannelSpec,
+    Scenario,
     ScenarioError,
     default_scenario,
     exp10,
@@ -35,6 +37,13 @@ def test_defaults_are_canonical_units():
     assert s.f_range == (1e9, 6e9)
     assert s.b_range == (1e5, 1e6)
     assert s.channel.snr_mode == "raw"
+
+
+def test_the_number_table_sets_each_float_field_of_a_scenario_from_its_own_number_key():
+    assert list(_NUMBER_KEYS) == [f.name for f in dataclasses.fields(Scenario) if f.type == "float"]
+    keys = [key for key, _ in _NUMBER_KEYS.values()]
+    assert len(set(keys)) == len(keys)
+    assert all(type(DEFAULT_CONFIG[key]) is float for key in keys)
 
 
 def test_defaults_validate_clean():
