@@ -6,6 +6,10 @@ call, so a surface cell equals the sweep row at the same purchase bit for
 bit, and both are reproducible bit-exactly from the scenario and
 allocation that produced them. ``pricing.server_utility`` is the
 independent closed form they are checked against.
+
+Every model evaluation here runs on numpy operands under one rule,
+``np.errstate(all="ignore")``: an overflow, or a link rate that underflows
+to 0, gives inf or NaN silently, and ``_require_finite`` refuses it.
 """
 from __future__ import annotations
 
@@ -18,14 +22,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .offload import Allocation
-from .pricing import UtilitySummary, dynamic_utility_objective, user_utility
+from .pricing import dynamic_utility_objective, user_utility
 from .scenario import BITS_PER_KB, HZ_PER_GHZ, Scenario, checked, scenario_numbers
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
 SWEEPABLE_PARAMETERS = ("f_server", "b", "q", "f_local")
 
-SWEEP_CSV_HEADER = ("param", "value", "price", "u_user", "u_server", "t_offload", "t_save", "e_save")
 PLOT_SERIES = ("price", "u_user", "u_server")  # what a sweep row and a surface can plot
 COMPARISON_CSV_HEADER = ("algorithm", "trial", "seed", "u_user_final", "iterations", "f_server_hz", "b_bps")
 
@@ -51,6 +54,9 @@ class SweepRow(NamedTuple):
     t_offload: float
     t_save: float
     e_save: float
+
+
+SWEEP_CSV_HEADER = ("param", *SweepRow._fields[1:])
 
 
 class SurfaceGrid(NamedTuple):
@@ -87,13 +93,13 @@ def corner_allocation(s: Scenario) -> Allocation:
     return Allocation(checked(s).f_range[1], s.b_range[1])
 
 
+@np.errstate(all="ignore")
 def box_maximum_utility(s: Scenario) -> float:
     """Dynamic-mode utility at the box corner (the search's gap reference).
 
-    Like ``run_sweep``, it overflows to inf silently; an inf or NaN raises ``ValueError``.
+    Like ``run_sweep``, it gives inf or NaN silently; an inf or NaN raises ``ValueError``.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_max = dynamic_utility_objective(checked(s))(corner_allocation(s))
+    u_max = dynamic_utility_objective(checked(s))(corner_allocation(s))
     _require_finite("gap reference", u_max)
     return u_max
 
@@ -137,14 +143,16 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
         )
 
 
+@np.errstate(all="ignore")
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid value, dynamic pricing throughout.
 
     The grid becomes one array field, of the allocation (f_server, b) or
-    of the scenario (q, f_local), and is evaluated in one broadcast call;
-    each row equals the scalar ``user_utility`` call at its value, bit for
-    bit. Like float arithmetic, the call overflows to inf silently; any
-    inf or NaN in a row raises ``ValueError``.
+    of the scenario (q, f_local), and the purchase is broadcast to the
+    grid's shape, as ``surface_grid`` broadcasts its axes; each row equals
+    the scalar ``user_utility`` call at its value, bit for bit. Under the
+    module's one rule, an overflow or a zero link rate gives inf or NaN
+    silently, and any inf or NaN in a row raises ``ValueError``.
     """
     _check_sweep_spec(spec)
     grid = np.array(spec.grid, dtype=float)
@@ -153,24 +161,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         alloc = replace(alloc, **{spec.parameter: grid})
     else:
         s = replace(s, **{spec.parameter: grid})
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = user_utility(s, alloc)
-    columns = _sweep_columns(summary)
+    summary = user_utility(s, Allocation(*np.broadcast_arrays(alloc.f_server, alloc.b, grid)[:2]))
+    columns = (summary.price, summary.u_user, summary.u_server,
+               summary.time.t_offload, summary.time.t_save, summary.energy.e_save)
     _require_finite("sweep value", *columns)
-    values = (np.broadcast_to(c, grid.shape).tolist() for c in columns)
-    return list(map(SweepRow._make, zip(repeat(spec.parameter), spec.grid, *values)))
-
-
-def _sweep_columns(summary: UtilitySummary) -> tuple:
-    """The SweepRow fields after ``value``, in order."""
-    return (
-        summary.price,
-        summary.u_user,
-        summary.u_server,
-        summary.time.t_offload,
-        summary.time.t_save,
-        summary.energy.e_save,
-    )
+    return list(map(SweepRow._make, zip(repeat(spec.parameter), spec.grid, *(c.tolist() for c in columns))))
 
 
 def _require_finite(what: str, *arrays: object) -> None:
@@ -179,11 +174,12 @@ def _require_finite(what: str, *arrays: object) -> None:
         raise ValueError(f"non-finite {what} (inf or NaN): the scenario overflows the model")
 
 
+@np.errstate(all="ignore")
 def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     """Dense (f_server, b) grid over the search box, endpoints included.
 
-    Like ``run_sweep``, one ``user_utility`` call evaluates every cell;
-    the cells overflow to inf silently, and any inf or NaN cell raises
+    Like ``run_sweep``, one ``user_utility`` call evaluates every cell
+    under ``np.errstate(all="ignore")``, and any inf or NaN cell raises
     ``ValueError``.
     """
     if f_steps < 2 or b_steps < 2:
@@ -191,8 +187,7 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     _require_one_scenario(checked(s), "surface")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        summary = user_utility(s, Allocation(f_values[:, None], b_values[None, :]))
+    summary = user_utility(s, Allocation(f_values[:, None], b_values[None, :]))
     _require_finite("surface cell", summary.u_user, summary.price, summary.u_server)
     return SurfaceGrid(
         f_values=tuple(f_values.tolist()),

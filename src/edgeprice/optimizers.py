@@ -300,7 +300,7 @@ class _Searcher:
         return _search(s, objective, u_max, (cfg.seed,), cfg, self)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(all="ignore")
 def _search(
     s: Scenario, objective: Objective, u_max: float | np.ndarray, seeds: Sequence[int], cfg: SwarmConfig,
     searcher: _Searcher,
@@ -312,9 +312,9 @@ def _search(
     argmax, replaced only when strictly greater). All live trials have
     completed the same number of rounds; the finished ones are recorded
     and dropped from every per-trial array, whose trial axis is the second
-    to last, before the next round. Like float arithmetic, the objective
-    overflows to inf silently; a non-finite value raises. A scenario that
-    fails ``validate`` raises ``ScenarioError`` before any draw.
+    to last, before the next round. Under ``np.errstate(all="ignore")`` the
+    objective gives inf or NaN silently; a non-finite value raises. A
+    scenario that fails ``validate`` raises ``ScenarioError`` before any draw.
     """
     checked(s)
     n = len(seeds)

@@ -31,7 +31,10 @@ def wide_settings(rng: np.random.Generator) -> dict[str, float | str]:
     """A draw over what validate() accepts, as scenario settings in config units: log-uniform in
     canonical units, each positive number over 1e-300..1e300, w2 and mu over 1e-300..1, each box's
     bounds as two sorted such draws, and both SNR figures over ``_SNR_DECADES`` of either mode.
-    Many overflow the model."""
+    Many overflow the model. The draw starts at 1e-300, so subnormal inputs, which validate()
+    accepts, lie outside it, and no draw gives a link rate that underflows to 0: the tests named
+    ``..._link_rate_that_underflows_to_zero...`` in ``test_harness.py`` and ``test_cli.py`` cover
+    that case."""
     decades = rng.uniform(-300, 300, len(_WIDE_KEYS))
     values = {key: 10.0 ** x / unit for (key, unit), x in zip(_WIDE_KEYS.items(), decades)}
     values.update(zip(("w2", "mu"), 10.0 ** rng.uniform(-300, 0, 2)))

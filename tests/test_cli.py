@@ -367,6 +367,25 @@ def test_zero_rate_snr_is_usage_error(command, link, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["sweep", "--param", "f_server", "--grid", "3e9", "--set", "b_mbps=5e-316"],
+    ["sweep", "--param", "f_local", "--grid", "1e8", "--set", "b_mbps=5e-316"],
+    ["sweep", "--param", "q", "--grid", "819200"],
+    ["sweep", "--param", "b", "--grid", "5e-310"],
+    ["surface", "--steps", "3"],
+])
+def test_a_link_rate_that_underflows_to_zero_is_usage_error(command, capsys):
+    # b*log2(1 + 1e-15) on a subnormal b rounds to 0: a Python-float sweep raised ZeroDivisionError,
+    # and the numpy evaluations printed a divide-by-zero RuntimeWarning ahead of the error line
+    box = ["--set", "b_min_mbps=1e-316", "--set", "b_max_mbps=1e-315", "--set", "snr_uplink=1e-15"]
+    assert main([*command, *box]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "non-finite" in line
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

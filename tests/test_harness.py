@@ -228,6 +228,22 @@ def test_sweep_rejects_overflowing_model_values(defaults, parameter, grid):
         run_sweep(spec)
 
 
+@pytest.fixture
+def zero_rate(defaults):
+    """Passes validate(), but b*log2(1 + 1e-15) rounds to 0 on its subnormal bandwidth box."""
+    channel = dataclasses.replace(defaults.channel, snr_uplink=1e-15)
+    return dataclasses.replace(defaults, b_range=(1e-310, 1e-309), channel=channel)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("parameter, grid", [("f_server", (3e9,)), ("b", (5e-310,)), ("q", (819200.0,)),
+                                             ("f_local", (1e8,))])
+def test_sweep_refuses_a_link_rate_that_underflows_to_zero(zero_rate, parameter, grid):
+    spec = SweepSpec(parameter, grid, zero_rate, Allocation(3e9, 5e-310))
+    with pytest.raises(ValueError, match="non-finite"):
+        run_sweep(spec)
+
+
 def test_sweep_rejects_unknown_parameter(defaults):
     spec = SweepSpec("power", (1.0, 2.0), defaults, Allocation(6 * GHZ, 1 * MBPS))
     with pytest.raises(ValueError, match="unknown sweep parameter"):
@@ -283,6 +299,12 @@ def test_surface_price_monotone(defaults):
 def test_surface_rejects_overflowing_model_values(defaults):
     with pytest.raises(ValueError, match="non-finite surface cell"):
         surface_grid(dataclasses.replace(defaults, k=1e300), 5, 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_surface_refuses_a_link_rate_that_underflows_to_zero(zero_rate):
+    with pytest.raises(ValueError, match="non-finite"):
+        surface_grid(zero_rate, 3, 3)
 
 
 def test_surface_rejects_single_step(defaults):
