@@ -27,10 +27,10 @@ When the objective fails, the
 ``OptimizerError`` names the lowest-index trial among those that fail in
 the earliest failing round.
 
-The search box is made once per ``Scenario`` instance and candidate
-count k: read-only (2, 1, k) planes of lo, hi, the width, the GA's
-mutation scale and disc_pso's velocity floor, each the shape of one
-trial's candidates. Each searcher is one ``_Searcher`` object: its name,
+A search reads one box, made once per ``Scenario`` instance and p_n:
+read-only (2, 1, p_n) planes of lo, hi, the width, the GA's mutation
+scale and disc_pso's velocity floor, each the shape of one trial's
+candidates. Each searcher is one ``_Searcher`` object: its name,
 a proposal rule and an acceptance rule over these arrays, and its fixed
 settings. Calling it is one seeded run. ``ALGORITHMS`` lists the four by
 name; the harness, the CLI and ``replicate`` all read that one table. A
@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .offload import Allocation
-from .scenario import Scenario, checked
+from .scenario import Scenario, checked, kept
 
 #: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
@@ -243,20 +243,17 @@ class _Box(NamedTuple):
 
 
 def _search_box(s: Scenario, k: int) -> _Box:
-    """The box of ``s`` for k candidates per trial, made once per ``Scenario`` instance and k.
+    """The box of ``s`` for k candidates per trial, made once per instance and k: see ``kept``."""
 
-    It is kept in the instance's ``__dict__``, as ``pricing`` keeps the
-    scenario's factors, so a ``dataclasses.replace``d scenario gets its own.
-    """
-    boxes = s.__dict__.setdefault("_search_boxes", {})
-    box = boxes.get(k)
-    if box is None:
+    def make(s: Scenario) -> _Box:
         lo, hi = np.array([s.f_range, s.b_range]).T[..., None, None].repeat(k, axis=-1)
         width = hi - lo
-        box = boxes[k] = _Box(lo, hi, width, 0.05 * width, _FLOOR_SHARE * width)
+        box = _Box(lo, hi, width, 0.05 * width, _FLOOR_SHARE * width)
         for plane in box:
             plane.flags.writeable = False
-    return box
+        return box
+
+    return kept(s, f"_search_box{k}", make)
 
 
 def _flat_rows(index: np.ndarray, k: int) -> np.ndarray:
@@ -278,23 +275,21 @@ class _Searcher:
     Positions are (2, T, k) arrays, the f_server and b planes of k rows
     per trial; values are (T, k). ``propose(cfg, round, rngs, box, pop,
     values, p_gb, state)`` gives the new candidates and the next state,
-    inside ``box``, the scenario's ``_Box`` for the p_n - ``elite``
-    candidates proposed per trial, drawing from each trial's generator in
-    ``rngs``; ``p_gb`` holds the (2, T, p_n) global bests, each trial's
-    repeated along its row. The state is ``()`` until a searcher returns
-    its own: a tuple of arrays whose trial axis is second to last, sharing
-    no memory with ``pop``. ``accept(pop, values, candidates,
-    candidate_values)`` writes the next generation into the search's own
-    ``pop`` and ``values``, in place, and returns nothing; it only reads
-    the candidates and the objective's values. ``elite`` counts the rows a
-    generation keeps without proposing them: the GA's one elite. A
+    inside ``box``, the scenario's ``_Box`` for p_n candidates per trial
+    (the GA's p_n - 1 children read its last p_n - 1 columns), drawing
+    from each trial's generator in ``rngs``; ``p_gb`` holds the (2, T,
+    p_n) global bests, each trial's repeated along its row. The state is
+    ``()`` until a searcher returns its own: a tuple of arrays whose trial
+    axis is second to last, sharing no memory with ``pop``. ``accept(pop,
+    values, candidates, candidate_values)`` writes the next generation
+    into the search's own ``pop`` and ``values``, in place, and returns
+    nothing; it only reads the candidates and the objective's values. A
     searcher keeps no state of its own, so one instance serves every run.
     """
 
     name: str
     propose: Callable[..., tuple[np.ndarray, tuple[np.ndarray, ...]]] = field(repr=False)
     accept: Callable[..., None] = field(repr=False)
-    elite: int = 0
 
     def __call__(self, s: Scenario, objective: Objective, u_max: float, cfg: SwarmConfig) -> RunResult:
         return _search(s, objective, u_max, (cfg.seed,), cfg, self)[0]
@@ -320,11 +315,10 @@ def _search(
     n = len(seeds)
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
-    lo, hi, width = _search_box(s, cfg.p_n)[:3]
-    pop = lo + width * _planes(_draws(rngs, (cfg.p_n, 2)))
-    box = _search_box(s, cfg.p_n - searcher.elite)
+    box = _search_box(s, cfg.p_n)
+    pop = box.lo + box.width * _planes(_draws(rngs, (cfg.p_n, 2)))
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
-    values = _evaluate_population(objective, n, trials, hi, pop, None).copy()
+    values = _evaluate_population(objective, n, trials, box.hi, pop, None).copy()
     state: tuple[np.ndarray, ...] = ()
     # each trial's global best repeated along its row: the swarm's p_gb - x then needs no broadcast
     s_gb, p_gb, converged = [-math.inf] * n, np.empty((2, n, cfg.p_n)), [False] * n
@@ -352,7 +346,7 @@ def _search(
             )
 
         candidates, state = searcher.propose(cfg, n_f, rngs, box, pop, values, p_gb, state)
-        candidate_values = _evaluate_population(objective, n, trials, hi, candidates, n_f)
+        candidate_values = _evaluate_population(objective, n, trials, box.hi, candidates, n_f)
         for t in _track_best(s_gb, p_gb, candidates, candidate_values):
             converged[t] = _gap_met(u_max[t], s_gb[t], cfg.epsilon)
         searcher.accept(pop, values, candidates, candidate_values)
@@ -439,8 +433,8 @@ def _ga() -> _Searcher:
         mutate = _planes(u[:, 2 * n :].reshape(-1, n, 2)) < 0.1
         # child + (0.0 + sigma * z), 0.0 + sigma * z being rng.normal(0.0, sigma) bit for bit:
         # the 0.0 only turns -0.0 into 0.0, which adds nothing to a child >= lo > 0
-        np.add(child, box.sigma * _planes(noise), out=child, where=mutate)
-        return child.clip(box.lo, box.hi, out=child), state
+        np.add(child, box.sigma[..., 1:] * _planes(noise), out=child, where=mutate)
+        return child.clip(box.lo[..., 1:], box.hi[..., 1:], out=child), state
 
     def accept(pop, values, children, child_values):
         elite = _flat_rows(values.argmax(axis=1), values.shape[1])
@@ -449,7 +443,7 @@ def _ga() -> _Searcher:
         values[:, 0] = values.take(elite)
         values[:, 1:] = child_values
 
-    return _Searcher("ga", propose, accept, elite=1)
+    return _Searcher("ga", propose, accept)
 
 
 def _de() -> _Searcher:

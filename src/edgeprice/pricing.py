@@ -17,9 +17,9 @@ The per-bit factors:
 In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
 minus the price; the dynamic price is q*w2*c/f_server + q*upsilon/b. The
 scenario factors q*chi, q*w2*c and q*upsilon are said once, in
-``_scenario_factors``, and evaluated once per ``Scenario`` instance, as
-the channel's log2(1 + snr) pair is once per ``ChannelSpec``; the
-closed forms below then do only the allocation arithmetic.
+``_scenario_factors``, and kept once per ``Scenario`` instance by
+``scenario.kept``, as the channel's log2(1 + snr) pair is once per
+``ChannelSpec``; the closed forms below do only the allocation arithmetic.
 Every closed form here broadcasts: an ``Allocation`` or a ``Scenario``
 whose numeric fields hold broadcastable numpy arrays is evaluated in one
 call, one result per element. Arithmetic operators are IEEE-exact in
@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_times, time_breakdown
-from .scenario import Scenario, libm
+from .scenario import Scenario, kept, libm
 
 
 class PriceCoefficients(NamedTuple):
@@ -113,14 +113,8 @@ def data_revenue(s: Scenario) -> float:
 
 
 def _scenario_factors(s: Scenario) -> tuple[float, float, float]:
-    """(q*chi, q*w2*c, q*upsilon), kept in the instance's ``__dict__`` as a ``cached_property`` is.
-
-    ``dataclasses.replace`` makes a new instance, which gets its own factors.
-    """
-    factors = s.__dict__.get("_scenario_factors")
-    if factors is None:
-        factors = s.__dict__["_scenario_factors"] = (s.q * chi(s), s.q * s.w2 * s.c, s.q * upsilon(s))
-    return factors
+    """(q*chi, q*w2*c, q*upsilon), made once per instance: see :func:`~edgeprice.scenario.kept`."""
+    return kept(s, "_scenario_factors", lambda s: (s.q * chi(s), s.q * s.w2 * s.c, s.q * upsilon(s)))
 
 
 def linear_user_utility_value(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> float:

@@ -280,17 +280,28 @@ def _every(ok) -> bool:
     return ok.all() if type(ok) is _ndarray else ok
 
 
+def kept(s: Scenario, key: str, make: Callable[[Scenario], object]):
+    """``make(s)``, made once per instance and kept under ``key`` in its ``__dict__``.
+
+    The one memo of what a Scenario derives: :func:`checked`'s report, ``pricing``'s
+    factors, ``optimizers``' box per candidate count. It keeps a value as a ``cached_property``
+    does: a hit is one dict lookup, and a ``dataclasses.replace`` copy makes its own.
+    """
+    try:
+        return s.__dict__[key]
+    except KeyError:
+        return s.__dict__.setdefault(key, make(s))
+
+
 def checked(s: Scenario) -> Scenario:
     """``s`` if it passes :func:`validate`, else :class:`ScenarioError` naming each failing field.
 
-    The pass is kept in the instance's ``__dict__``, as ``pricing`` keeps its
-    factors: each instance is validated once, a ``dataclasses.replace`` copy anew.
+    The report is :func:`kept`: each instance is validated once, and an
+    invalid one raises the same error on every call.
     """
-    if "_checked" not in s.__dict__:
-        report = validate(s)
-        if report:
-            raise ScenarioError("invalid scenario: " + "; ".join(report))
-        s.__dict__["_checked"] = True
+    report = kept(s, "_validation_report", lambda s: validate(s))
+    if report:
+        raise ScenarioError("invalid scenario: " + "; ".join(report))
     return s
 
 

@@ -76,7 +76,7 @@ def _classes() -> dict[str, type]:
 
 
 #: The records that keep ``dataclasses.replace`` or per-instance state: Scenario and ChannelSpec
-#: cache in ``__dict__``, SwarmConfig checks itself in ``__post_init__``, and the rest are replaced
+#: keep what they derive, SwarmConfig checks itself in ``__post_init__``, and the rest are replaced
 #: by callers (or, like the searcher, are objects rather than values).
 _DATACLASSES = {
     "harness.ComparisonReport", "harness.SweepSpec", "offload.Allocation", "optimizers.RunResult",
@@ -114,17 +114,37 @@ def test_each_value_record_is_an_immutable_named_tuple(name):
     assert record == tuple(map(float, range(len(cls._fields))))
 
 
-def test_the_search_loop_reads_a_searchers_two_rules_and_elite_count_only():
-    # a searcher is its name, a proposal rule, an acceptance rule and an elite count: the loop starts
-    # every state as () and acceptance writes in place, so adding a searcher touches no loop code
+def _function(module, name: str) -> ast.FunctionDef:
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    (function,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return function
+
+
+def test_the_search_loop_reads_a_searchers_two_rules_only():
+    # a searcher is its name, a proposal rule and an acceptance rule: the loop starts every state as ()
+    # and acceptance writes in place, so adding a searcher touches no loop code
     fields = [f.name for f in dataclasses.fields(optimizers._Searcher)]
-    assert fields == ["name", "propose", "accept", "elite"]
-    tree = ast.parse(Path(optimizers.__file__).read_text(encoding="utf-8"))
-    (search,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_search"]
+    assert fields == ["name", "propose", "accept"]
+    search = _function(optimizers, "_search")
     parents = {child: node for node in ast.walk(search) for child in ast.iter_child_nodes(node)}
     uses = [node for node in ast.walk(search) if isinstance(node, ast.Name) and node.id == "searcher"]
     read = [getattr(parents[use], "attr", f"line {use.lineno}: the searcher itself") for use in uses]
-    assert sorted(set(read)) == ["accept", "elite", "propose"], read
+    assert sorted(set(read)) == ["accept", "propose"], read
     # the acceptance call is a statement of its own: its result, if any, is not used
     accepts = [use for use in uses if getattr(parents[use], "attr", None) == "accept"]
     assert [type(parents[parents[parents[use]]]) for use in accepts] == [ast.Expr]
+
+
+def test_a_search_reads_one_box():
+    # the initial sample, the padding corner and every proposal read the one box of (s, p_n)
+    calls = [node for node in ast.walk(_function(optimizers, "_search"))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_search_box"]
+    assert len(calls) == 1
+
+
+def test_only_the_memo_names_an_instance_dict():
+    # scenario.kept is the one memo of what a Scenario derives; every other module goes through it
+    named = [f"{path.stem} (line {node.lineno})" for path in _SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "__dict__" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None))]
+    assert {name.split(" ")[0] for name in named} == {"scenario"}, named

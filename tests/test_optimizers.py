@@ -282,8 +282,10 @@ def test_search_box_is_made_once_per_scenario_and_read_only(setting, monkeypatch
     assert not any(plane.flags.writeable for plane in box)
     baseline_de(s, objective, u_max, SwarmConfig(seed=1))
     assert opt._search_box(s, 30) is box
-    # the GA's children are p_n - 1 rows: its own box, kept beside the swarms'
+    # the GA reads the same box: its p_n - 1 children take its last p_n - 1 columns
     baseline_ga(s, objective, u_max, SwarmConfig(seed=1, n_max=2))
+    assert opt._search_box(s, 30) is box
+    # another candidate count is another box, kept beside the first
     assert opt._search_box(s, 29).lo.shape == (2, 1, 29) and opt._search_box(s, 30) is box
     # a replaced scenario is another instance: its own box, even with the same ranges
     same = dataclasses.replace(s)

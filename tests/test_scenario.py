@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from edgeprice import optimizers, pricing, scenario
 from edgeprice.scenario import (
     ALLOCATION_KEYS,
     DEFAULT_CONFIG,
@@ -14,8 +15,10 @@ from edgeprice.scenario import (
     ChannelSpec,
     Scenario,
     ScenarioError,
+    checked,
     default_scenario,
     exp10,
+    kept,
     libm,
     load_scenario,
     parse_config,
@@ -272,3 +275,45 @@ def test_libm_overflow_is_inf_as_in_float_products():
     assert libm(pow, 1e300, 2) == math.inf
     assert libm(exp10, 400.0) == math.inf
     assert libm(pow, np.array([2.0, 1e300, 3.0]), 2).tolist() == [4.0, math.inf, 9.0]
+
+
+def _report(s):
+    """The validation report ``checked`` keeps on ``s``."""
+    checked(s)
+    return kept(s, "_validation_report", lambda s: pytest.fail("checked kept no report"))
+
+
+#: Each value a Scenario derives: the instance that keeps it, and the value read off that instance.
+_DERIVED = {
+    "validation report": (lambda s: s, _report),
+    "pricing factors": (lambda s: s, pricing._scenario_factors),
+    "search box, p_n 4": (lambda s: s, lambda s: optimizers._search_box(s, 4)),
+    "search box, p_n 30": (lambda s: s, lambda s: optimizers._search_box(s, 30)),
+    "f_local_squared": (lambda s: s, lambda s: s.f_local_squared),
+    "spectral_efficiencies": (lambda s: s.channel, lambda channel: channel.spectral_efficiencies),
+}
+
+
+@pytest.mark.parametrize("q", [None, np.array([[1e5], [2e6], [4e6]])], ids=["default", "q-column"])
+@pytest.mark.parametrize("name", sorted(_DERIVED))
+def test_a_derived_value_is_made_once_per_instance_and_anew_for_a_replaced_copy(name, q):
+    owner_of, derive = _DERIVED[name]
+    owner = owner_of(default_scenario() if q is None else default_scenario(q=q))
+    value = derive(owner)
+    assert derive(owner) is value
+    copy = dataclasses.replace(owner)
+    assert derive(copy) is not value and derive(copy) is derive(copy)
+    np.testing.assert_equal(derive(copy), value)
+
+
+@pytest.mark.parametrize("fields", [{"mu": 2.0}, {"q": np.array([[1e5], [-1.0]])}], ids=["mu", "q-column"])
+def test_an_invalid_scenario_raises_the_same_error_on_every_checked_call(fields, monkeypatch):
+    s = default_scenario(**fields)
+    message = "invalid scenario: " + "; ".join(validate(s))
+    calls = []
+    monkeypatch.setattr(scenario, "validate", lambda s: calls.append(s) or validate(s))
+    for _ in range(3):
+        with pytest.raises(ScenarioError) as refused:
+            checked(s)
+        assert str(refused.value) == message
+    assert calls == [s]
