@@ -6,14 +6,18 @@ additivity identities hold bit-exactly by construction. The allocation
 and the scenario fields enter only through arithmetic operators and
 :func:`~edgeprice.scenario.libm`, so an ``Allocation`` or a ``Scenario``
 holding broadcastable numpy arrays yields breakdowns of arrays, element
-for element equal to the scalar results.
+for element equal to the scalar results. The upload and download times
+divide by a link rate through :func:`~edgeprice.scenario.quotient`: a rate
+that underflows to 0 gives an infinite time on floats as on arrays, which
+``harness._require_finite`` and a search's ``_evaluate_population`` refuse
+by name.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .scenario import Scenario
+from .scenario import Scenario, quotient
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,9 @@ def local_exec_time(s: Scenario) -> float:
 
 def time_breakdown(s: Scenario, alloc: Allocation) -> TimeBreakdown:
     r_u, r_d = link_rates(s, alloc.b)
-    t_u = s.q / r_u
+    t_u = quotient(s.q, r_u)
     t_p = s.q * s.c / alloc.f_server
-    t_d = s.alpha * s.q / r_d
+    t_d = quotient(s.alpha * s.q, r_d)
     t_offload = t_u + t_p + t_d
     t_local = local_exec_time(s)
     return TimeBreakdown(

@@ -95,6 +95,8 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, (bool, np.bool_)):  # a bool is an Integral, and abs(True) is 1
+                raise ValueError(f"{f.name}={value!r}: must be a number, not a bool")
             if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{f.name}={value!r}: must be an integer")
             if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:  # NaN too
@@ -150,7 +152,10 @@ def _draws(
 
     ``kind`` is "random", "standard_normal" or "integers", the last drawing
     from [0, high). A single trial makes one call with a leading axis of 1,
-    which gives the same numbers; a batch makes one call per trial.
+    which gives the same numbers; a batch makes one call per trial. The
+    single-trial branches also save time: without them (and ``_flat_rows``'),
+    one interior-search round took 43-47 against 37-41 us for the GA and
+    40-43 against 35-37 us for DE (2 CPUs, Python 3.11, numpy 2.4).
     """
     if kind == "integers":  # the one kind without out=
         if len(rngs) == 1:
@@ -259,7 +264,8 @@ def _search_box(s: Scenario, k: int) -> _Box:
 def _flat_rows(index: np.ndarray, k: int) -> np.ndarray:
     """The (T, ...) per-trial row indices ``index`` made flat indices into a (T, k) batch, in place.
 
-    A single trial's row indices are already flat, so it adds no offsets.
+    A single trial's row indices are already flat, so it adds no offsets,
+    which saves a GA or DE round time as ``_draws``' single-trial branches do.
     """
     if len(index) > 1:
         index += np.arange(0, len(index) * k, k).reshape(-1, *[1] * (index.ndim - 1))

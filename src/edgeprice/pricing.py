@@ -26,9 +26,16 @@ call, one result per element. Arithmetic operators are IEEE-exact in
 numpy as in Python; every log2, power and square root goes through
 :func:`~edgeprice.scenario.libm`, the C library's function applied per
 element, because numpy's own versions can differ from it in the last
-bit. So array results equal the scalar calls bit for bit;
-``harness.surface_grid``, ``harness.run_sweep`` and the anchor suite's
-random draws work so.
+bit. Each division by a computed value (a power of a purchase coordinate,
+a price coefficient) goes through :func:`~edgeprice.scenario.quotient`:
+where that divisor is 0, a float call returns inf, -inf or NaN, as the
+one-element array call does, not ``ZeroDivisionError``. So array results
+equal the scalar calls bit for bit; ``harness.surface_grid``,
+``harness.run_sweep`` and the anchor suite's random draws work so. No
+command prints such an inf or NaN: ``harness._require_finite`` refuses it
+by name, and a search's ``_evaluate_population`` does. A division by a
+purchase coordinate stays ``/``, because every valid box has a positive
+lower bound, so a coordinate of 0 lies outside it.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_times, time_breakdown
-from .scenario import Scenario, kept, libm
+from .scenario import Scenario, kept, libm, quotient
 
 
 class PriceCoefficients(NamedTuple):
@@ -166,15 +173,15 @@ def user_utility_gradient(
 ) -> tuple[float, float]:
     """First partials of the linear-priced user utility w.r.t. (f_server, b)."""
     _, q_w2c, q_ups = _scenario_factors(s)
-    grad_f = q_w2c / libm(pow, alloc.f_server, 2) - pc.a
-    grad_b = q_ups / libm(pow, alloc.b, 2) - pc.b_coef
+    grad_f = quotient(q_w2c, libm(pow, alloc.f_server, 2)) - pc.a
+    grad_b = quotient(q_ups, libm(pow, alloc.b, 2)) - pc.b_coef
     return grad_f, grad_b
 
 
 def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:
     """Stationary point of the linear-priced utility: (sqrt(q*w2*c/a), sqrt(q*upsilon/b_coef))."""
     _, q_w2c, q_ups = _scenario_factors(s)
-    return Allocation(f_server=libm(math.sqrt, q_w2c / pc.a), b=libm(math.sqrt, q_ups / pc.b_coef))
+    return Allocation(libm(math.sqrt, quotient(q_w2c, pc.a)), libm(math.sqrt, quotient(q_ups, pc.b_coef)))
 
 
 def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> CurvatureReport:
@@ -185,8 +192,8 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
     negative, which holds for every valid input.
     """
     _, q_w2c, q_ups = _scenario_factors(s)
-    lambda1 = -2.0 * q_w2c / libm(pow, alloc.f_server, 3)
-    lambda2 = -2.0 * q_ups / libm(pow, alloc.b, 3)
+    lambda1 = quotient(-2.0 * q_w2c, libm(pow, alloc.f_server, 3))
+    lambda2 = quotient(-2.0 * q_ups, libm(pow, alloc.b, 3))
     crit = critical_point(s, pc)
     return CurvatureReport(
         lambda1=lambda1,
@@ -200,7 +207,7 @@ def curvature_report(s: Scenario, pc: PriceCoefficients, alloc: Allocation) -> C
 def derive_coefficients(s: Scenario, f_target: float, b_target: float) -> PriceCoefficients:
     """Price coefficients whose critical point lands on the given targets."""
     _, q_w2c, q_ups = _scenario_factors(s)
-    return PriceCoefficients(a=q_w2c / libm(pow, f_target, 2), b_coef=q_ups / libm(pow, b_target, 2))
+    return PriceCoefficients(quotient(q_w2c, libm(pow, f_target, 2)), quotient(q_ups, libm(pow, b_target, 2)))
 
 
 def quadratic_gap(
@@ -210,15 +217,16 @@ def quadratic_gap(
 
     The Hessian is diagonal, so the eigen-directions are the coordinate
     axes and the displacement coefficients (c1, c2) displace f_server and b
-    directly. The displaced point must stay strictly positive.
+    directly. The utility divides by both coordinates of the critical and
+    the displaced point, so both must stay strictly positive: a critical
+    coordinate is 0 where a coefficient is inf or a factor is 0.
     """
     c1, c2 = displacement
     crit = critical_point(s, pc)
     displaced = Allocation(f_server=crit.f_server + c1, b=crit.b + c2)
-    if np.any(displaced.f_server <= 0.0) or np.any(displaced.b <= 0.0):
-        raise ValueError(
-            f"displaced point ({displaced.f_server}, {displaced.b}) leaves the positive domain"
-        )
+    for what, point in (("critical point", crit), ("displaced point", displaced)):
+        if np.any(point.f_server <= 0.0) or np.any(point.b <= 0.0):
+            raise ValueError(f"{what} ({point.f_server}, {point.b}) leaves the positive domain")
     report = curvature_report(s, pc, crit)
     predicted = 0.5 * (abs(report.lambda1) * c1**2 + abs(report.lambda2) * c2**2)
     u_max = linear_user_utility_value(s, pc, crit)

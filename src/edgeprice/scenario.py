@@ -14,7 +14,8 @@ purchase.
 The numeric fields of a Scenario may also hold equal-shape numpy arrays:
 every closed form of the model then evaluates one scenario per element.
 Each transcendental step (log2, a power, a square root) goes through
-:func:`libm`, so an array result equals the scalar calls bit for bit;
+:func:`libm`, and each division by a computed value through
+:func:`quotient`, so an array result equals the scalar calls bit for bit;
 the channel's log2(1 + snr) pair is evaluated once per ChannelSpec, and
 f_local^2 once per Scenario.
 """
@@ -57,6 +58,22 @@ def libm(fn: Callable[..., float], x, y=None):
     except OverflowError:
         out = [libm(fn, v, y) for v in values]
     return np.array(out, dtype=float).reshape(x.shape)
+
+
+def quotient(n, d):
+    """``n / d``, or numpy's quotient as a float where ``n`` and ``d`` are numbers and ``d`` is 0.
+
+    Python raises ``ZeroDivisionError`` there, where an array divisor of 0
+    gives inf, -inf or NaN, so the model divides by each computed value (a
+    power, a coefficient, a link rate) through here, and a float call returns
+    the bits of its one-element array call. numpy's ``RuntimeWarning`` fires
+    under the caller's ``np.errstate``. An allocation coordinate is positive
+    in every valid box, so a division by one stays ``/``.
+    """
+    try:
+        return n / d
+    except ZeroDivisionError:
+        return float(np.divide(n, d))
 
 
 #: 10**x through the C library's pow, for :func:`libm`.

@@ -1,14 +1,35 @@
-"""Shared test helpers: random valid allocations, wide scenario draws and conditioned comparisons."""
+"""Shared test helpers: random valid allocations, wide scenario draws, array scenarios, result
+leaves and conditioned comparisons."""
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from edgeprice.offload import Allocation
-from edgeprice.scenario import _NUMBER_KEYS, Scenario
+from edgeprice.scenario import _NUMBER_FIELDS, _NUMBER_KEYS, ChannelSpec, Scenario
 
 
 def random_allocation(rng: np.random.Generator, s: Scenario) -> Allocation:
     return Allocation(rng.uniform(*s.f_range), rng.uniform(*s.b_range))
+
+
+def stack(scenarios: list[Scenario]) -> Scenario:
+    """One array Scenario whose element i is ``scenarios[i]``; all share one SNR mode."""
+    (mode,) = {s.channel.snr_mode for s in scenarios}
+    links = [np.array([getattr(s.channel, name) for s in scenarios])
+             for name in ("snr_uplink", "snr_downlink")]
+    fields = {name: np.array([getattr(s, name) for s in scenarios]) for name in _NUMBER_FIELDS}
+    return dataclasses.replace(scenarios[0], channel=ChannelSpec(*links, mode), **fields)
+
+
+def leaves(result) -> list:
+    """The numbers of a result (a dataclass, a tuple or a number), nested ones included."""
+    if dataclasses.is_dataclass(result):
+        result = dataclasses.astuple(result)
+    if isinstance(result, tuple):
+        return [leaf for part in result for leaf in leaves(part)]
+    return [result]
 
 
 def rel_gap(a: float, b: float, scale: float) -> float:
@@ -34,7 +55,8 @@ def wide_settings(rng: np.random.Generator) -> dict[str, float | str]:
     Many overflow the model. The draw starts at 1e-300, so subnormal inputs, which validate()
     accepts, lie outside it, and no draw gives a link rate that underflows to 0: the tests named
     ``..._link_rate_that_underflows_to_zero...`` in ``test_harness.py`` and ``test_cli.py`` cover
-    that case."""
+    that case, and ``test_float_rule.py`` adds it, with boxes whose squares or cubes underflow, to
+    these draws."""
     decades = rng.uniform(-300, 300, len(_WIDE_KEYS))
     values = {key: 10.0 ** x / unit for (key, unit), x in zip(_WIDE_KEYS.items(), decades)}
     values.update(zip(("w2", "mu"), 10.0 ** rng.uniform(-300, 0, 2)))

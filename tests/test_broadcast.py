@@ -27,28 +27,10 @@ from edgeprice.pricing import (
     user_utility,
     user_utility_gradient,
 )
-from edgeprice.scenario import _NUMBER_FIELDS, ChannelSpec, Scenario, default_scenario
+from edgeprice.scenario import ChannelSpec, default_scenario
 from edgeprice.verification import random_scenario
 
-from support import random_allocation
-
-
-def stack(scenarios: list[Scenario]) -> Scenario:
-    """One array Scenario whose element i is ``scenarios[i]``; all share one SNR mode."""
-    (mode,) = {s.channel.snr_mode for s in scenarios}
-    links = [np.array([getattr(s.channel, name) for s in scenarios])
-             for name in ("snr_uplink", "snr_downlink")]
-    fields = {name: np.array([getattr(s, name) for s in scenarios]) for name in _NUMBER_FIELDS}
-    return dataclasses.replace(scenarios[0], channel=ChannelSpec(*links, mode), **fields)
-
-
-def leaves(result) -> list:
-    """The numbers of a result (a dataclass, a tuple or a number), nested ones included."""
-    if dataclasses.is_dataclass(result):
-        result = dataclasses.astuple(result)
-    if isinstance(result, tuple):
-        return [leaf for part in result for leaf in leaves(part)]
-    return [result]
+from support import leaves, random_allocation, stack
 
 
 def assert_elementwise(array_result, scalar_results: list) -> None:

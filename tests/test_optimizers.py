@@ -508,6 +508,10 @@ def test_every_search_on_wide_draws_refuses_or_returns_the_objective_in_the_box(
         {"n_max": 2.0},
         {"seed": 1.5},
         {"seed": -1},
+        {"seed": True},
+        {"n_max": False},
+        {"epsilon": True},
+        {"p_n": np.True_},
     ],
 )
 def test_swarm_config_rejects_bad_fields(fields):
@@ -791,9 +795,14 @@ def _seeded_results():
             yield repr(report).replace("n_trials=20, ", echo, 1)
 
 
+#: Each digest's failure message: what else a moved digest can mean.
+_CANARIES = ("if tests/test_canaries.py fails too, a dependency moved (a numpy Generator stream, the C "
+             "library's pow or log2, or a record's repr) and its canary names it; if not, the program did")
+
+
 def test_seeded_results_digest_is_pinned():
     text = "\n".join(r if isinstance(r, str) else repr(r) for r in _seeded_results())
-    assert hashlib.sha256(text.encode()).hexdigest() == _RESULTS_DIGEST
+    assert hashlib.sha256(text.encode()).hexdigest() == _RESULTS_DIGEST, _CANARIES
 
 
 # ---------------------------------------------------------------- block-boundary digest
@@ -824,7 +833,7 @@ def _block_boundary_results():
 
 def test_swarm_block_boundaries_are_pinned():
     text = "\n".join(map(repr, _block_boundary_results()))
-    assert hashlib.sha256(text.encode()).hexdigest() == _BLOCKS_DIGEST
+    assert hashlib.sha256(text.encode()).hexdigest() == _BLOCKS_DIGEST, _CANARIES
 
 
 # ---------------------------------------------------------------- small-population digest
@@ -849,4 +858,4 @@ def _small_population_results():
 
 def test_small_population_results_are_pinned():
     text = "\n".join(map(repr, _small_population_results()))
-    assert hashlib.sha256(text.encode()).hexdigest() == _SMALL_POPULATION_DIGEST
+    assert hashlib.sha256(text.encode()).hexdigest() == _SMALL_POPULATION_DIGEST, _CANARIES
