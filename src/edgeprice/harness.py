@@ -105,7 +105,7 @@ def box_maximum_utility(s: Scenario) -> float:
 
 
 def _require_one_scenario(s: Scenario, entry: str) -> None:
-    """No array in ``s``: a grid would broadcast against one, each cell a different scenario."""
+    """No array in ``s``: a grid, or a comparison's trial columns, would broadcast against one."""
     arrays = [name for name, value in scenario_numbers(s).items() if getattr(value, "ndim", 0)]
     if arrays:
         raise ValueError(f"a {entry} pins one scenario, but it holds arrays in {', '.join(arrays)}")
@@ -216,10 +216,12 @@ def compare_optimizers(
     mode every trial sees the scenario ``s``; the randomized mode redraws
     (q, f_local) per trial as (T, 1) scenario columns, with all four
     algorithms still seeing the same scenario and seed in a given trial.
+    Either way ``s`` pins one scenario, and an array in it raises ``ValueError`` naming it.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    u_max = box_maximum_utility(s)  # gates s itself, before randomize replaces q and f_local
+    _require_one_scenario(checked(s), "comparison")  # s itself, before randomize replaces q and f_local
+    u_max = box_maximum_utility(s)
     trial_s = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else s
     u_max_list = np.broadcast_to(np.ravel(box_maximum_utility(trial_s)), n_trials)
     batch = (trial_s, dynamic_utility_objective(trial_s), u_max_list, cfg, n_trials)

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .offload import Allocation
-from .scenario import Scenario, checked, kept
+from .scenario import Scenario, checked, kept, scenario_numbers
 
 #: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
@@ -308,7 +308,8 @@ def _search(
 ) -> list[RunResult]:
     """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
-    ``u_max`` is a float or a (T,) array of per-trial gap references. The
+    ``u_max`` and the numbers of ``s`` have the shapes ``replicate`` states,
+    or ``ValueError`` names them before any draw. The
     global best of a trial is the best candidate it ever evaluated (first
     argmax, replaced only when strictly greater). All live trials have
     completed the same number of rounds; the finished ones are recorded
@@ -319,6 +320,14 @@ def _search(
     """
     checked(s)
     n = len(seeds)
+    misfits = kept(s, f"_batch_misfits{n}", lambda s: [  # one value, or a (T, 1) column per trial
+        f"{name} has shape {np.shape(v)}" for name, v in scenario_numbers(s).items()
+        if np.size(v) != 1 and np.shape(v) != (n, 1)])
+    if type(u_max) is np.ndarray and u_max.size != 1 and u_max.shape != (n,):  # a float needs no test
+        misfits = [*misfits, f"u_max has shape {u_max.shape}"]
+    if misfits:
+        raise ValueError(f"a batch reads numbers, (T, 1) scenario columns and a float or (T,) u_max "
+                         f"for its T = {n} trials, but {', '.join(misfits)}")
     rngs = list(map(np.random.default_rng, seeds))
     trials, u_max = list(range(n)), np.full(n, u_max).tolist()
     box = _search_box(s, cfg.p_n)
@@ -532,10 +541,12 @@ def replicate(
 
     Trial i uses the i-th of ``trial_seeds(cfg.seed, n_trials)``, so
     algorithms run on the same arguments see paired seeds, and its result
-    equals the single run replayed from that seed. ``u_max`` is a float or
-    a (T,) array; a scenario with (T, 1) columns gives each trial its own
-    workload. An ``OptimizerError`` starts with ``trial i:``, where i is the
-    lowest index among the trials that fail in the earliest failing round.
+    equals the single run replayed from that seed. ``u_max`` is one value or
+    a (T,) array, and each number of ``s`` one value or a (T, 1) column, which
+    gives each trial its own workload; any other shape, a (T,) row included,
+    raises ``ValueError`` naming it. An ``OptimizerError`` starts with
+    ``trial i:``, where i is the lowest index among the trials that fail in
+    the earliest failing round.
     ``algorithm`` is one of the searchers in ``ALGORITHMS``; any other
     object, a ``dataclasses.replace`` copy under another name included,
     raises ``ValueError``.

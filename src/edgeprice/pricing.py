@@ -228,7 +228,7 @@ def quadratic_gap(
         if np.any(point.f_server <= 0.0) or np.any(point.b <= 0.0):
             raise ValueError(f"{what} ({point.f_server}, {point.b}) leaves the positive domain")
     report = curvature_report(s, pc, crit)
-    predicted = 0.5 * (abs(report.lambda1) * c1**2 + abs(report.lambda2) * c2**2)
+    predicted = 0.5 * (abs(report.lambda1) * libm(pow, c1, 2) + abs(report.lambda2) * libm(pow, c2, 2))
     u_max = linear_user_utility_value(s, pc, crit)
     actual = u_max - linear_user_utility_value(s, pc, displaced)
     return QuadraticGapEstimate(predicted_drop=predicted, actual_drop=actual)

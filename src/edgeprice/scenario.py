@@ -11,8 +11,9 @@ whether it is a scenario-file line or a CLI ``--set`` pair, and
 :func:`default_purchase` converts the optional ``f_server_ghz``/``b_mbps``
 purchase.
 
-The numeric fields of a Scenario may also hold equal-shape numpy arrays:
-every closed form of the model then evaluates one scenario per element.
+The number fields and SNR figures of a Scenario may also hold equal-shape
+numpy arrays, its box bounds numbers only: every closed form of the model
+then evaluates one scenario per element.
 Each transcendental step (log2, a power, a square root) goes through
 :func:`libm`, and each division by a computed value through
 :func:`quotient`, so an array result equals the scalar calls bit for bit;
@@ -114,10 +115,11 @@ class ChannelSpec:
 class Scenario:
     """One end-user / edge-server pair in canonical units.
 
-    Instances are immutable and safe for concurrent read-only use. Direct
-    construction performs no checking. :func:`checked` is the one gate: it
-    runs :func:`validate` once per instance and raises :class:`ScenarioError`,
-    a ``ValueError``, naming each failing field. Every library entry that
+    Instances are immutable and safe for concurrent read-only use. The number
+    fields and SNR figures may hold arrays, one scenario per element; the box
+    bounds are numbers. Direct construction performs no checking.
+    :func:`checked` is the one gate: it runs :func:`validate` once per instance
+    and raises :class:`ScenarioError`, a ``ValueError``, naming each failing field. Every library entry that
     takes a Scenario calls it: :func:`load_scenario`, ``run_sweep``,
     ``surface_grid``, ``corner_allocation``, ``box_maximum_utility``,
     ``compare_optimizers``, and the search loop behind the four searchers
@@ -300,9 +302,9 @@ def _every(ok) -> bool:
 def kept(s: Scenario, key: str, make: Callable[[Scenario], object]):
     """``make(s)``, made once per instance and kept under ``key`` in its ``__dict__``.
 
-    The one memo of what a Scenario derives: :func:`checked`'s report, ``pricing``'s
-    factors, ``optimizers``' box per candidate count. It keeps a value as a ``cached_property``
-    does: a hit is one dict lookup, and a ``dataclasses.replace`` copy makes its own.
+    The one memo of what a Scenario derives: :func:`checked`'s report, ``pricing``'s factors,
+    ``optimizers``' box per candidate count and shape check per trial count. It keeps a value
+    as a ``cached_property`` does: a hit is one dict lookup, and a ``replace`` copy makes its own.
     """
     try:
         return s.__dict__[key]
@@ -325,9 +327,9 @@ def checked(s: Scenario) -> Scenario:
 def validate(s: Scenario) -> list[str]:
     """Check every Scenario invariant; one report entry per violation.
 
-    Returns an empty list iff the scenario is valid. Never raises. An
-    array field fails a check, in one entry, if any element fails it.
-    Non-finite numbers are reported alone, before the range checks.
+    Returns an empty list iff the scenario is valid. Never raises. An array
+    field fails a check, in one entry, if any element fails it; a box bound
+    fails if it is one. Non-finite numbers are reported alone, before the range checks.
     """
     report = [f"{name}={value!r}: must be finite" for name, value in scenario_numbers(s).items()
               if not _every(abs(value) < math.inf)]  # NaN compares false
@@ -362,6 +364,8 @@ def validate(s: Scenario) -> list[str]:
             elif not _every(eff != 0):  # 1 + snr rounds to 1: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
-        if not _every((0 < lo) & (lo < hi)):
+        if np.ndim(lo) or np.ndim(hi):  # one box per scenario: a search, a sweep and a surface read one
+            report.append(f"{name}={lo!r}..{hi!r}: bounds must be numbers, not arrays")
+        elif not 0 < lo < hi:
             report.append(f"{name}={lo!r}..{hi!r}: bounds must satisfy 0 < min < max")
     return report

@@ -127,3 +127,13 @@ def test_a_float_call_returns_the_bits_of_its_one_element_array_call(name):
             if got != want:
                 differ.append((case[0], want, got))
     assert not differ, f"{name}: {len(differ)} array calls differ from the float call, e.g. {differ[0]}"
+
+
+@np.errstate(all="ignore")
+def test_a_displacement_whose_square_overflows_gives_inf_as_its_array_call_does():
+    # Python's float square of 1e200 raises OverflowError; libm's pow gives inf, as the array call does
+    s = default_scenario()
+    pc = pricing.derive_coefficients(s, 3.5e9, 5.5e5)
+    want = leaves(pricing.quadratic_gap(s, pc, (1e200, 1e4)))
+    assert want[0] == math.inf
+    assert _bits(leaves(pricing.quadratic_gap(stack([s]), pc, (1e200, 1e4)))) == _bits(want)

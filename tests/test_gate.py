@@ -31,6 +31,7 @@ _INVALID = [
     ({"mu": 2.0}, {"mu": 2.0}),
     ({"b_range": (0.0, 1e6)}, {"b_min_mbps": 0.0}),
     ({"mu": np.array([[0.8], [1.0]])}, None),  # fails in one element
+    ({"f_range": (np.array([[1e9], [2e9]]), np.array([[6e9], [7e9]]))}, None),  # a box of arrays
 ]
 
 

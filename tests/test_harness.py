@@ -175,7 +175,8 @@ def test_sweep_rejects_invalid_scenario(defaults):
     ],
 )
 def test_sweep_refuses_an_array_scenario_by_name(defaults, fields, message):
-    # a surface refuses it too, by the same message under its own name
+    # a surface and a comparison, plain or randomized, refuse it too, by the same message under their
+    # own name: a comparison's trials would otherwise read the array as their workload columns
     scenario = dataclasses.replace(defaults, **fields)
     spec = SweepSpec("f_server", (1e9, 2e9), scenario, Allocation(6 * GHZ, 1 * MBPS))
     with pytest.raises(ValueError, match=message) as sweep:
@@ -183,6 +184,10 @@ def test_sweep_refuses_an_array_scenario_by_name(defaults, fields, message):
     with pytest.raises(ValueError, match=message) as surface:
         surface_grid(scenario, 3, 3)
     assert str(surface.value) == str(sweep.value).replace("a sweep pins", "a surface pins")
+    for randomize in (False, True):
+        with pytest.raises(ValueError, match=message) as comparison:
+            compare_optimizers(scenario, SwarmConfig(p_n=4, n_max=2), 2, randomize=randomize)
+        assert str(comparison.value) == str(sweep.value).replace("a sweep pins", "a comparison pins")
 
 
 @pytest.mark.parametrize(

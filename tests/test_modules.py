@@ -148,3 +148,21 @@ def test_only_the_memo_names_an_instance_dict():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if "__dict__" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None))]
     assert {name.split(" ")[0] for name in named} == {"scenario"}, named
+
+
+def _powers(path: Path) -> list[str]:
+    """``file:line`` of each ``**`` power, binary or augmented, whose operands are not both constants."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(getattr(node, "op", None), ast.Pow):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if not all(isinstance(x, ast.Constant) for x in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_every_power_of_the_model_goes_through_libm():
+    # Python's float ** raises OverflowError where numpy's gives inf, and numpy's can differ from the C
+    # library in the last bit: scenario.libm(pow, x, y) gives inf and the C library's bits on both.
+    # A power of two constants, such as 2**16, and ** argument unpacking are no power of the model.
+    assert [power for path in _SOURCES for power in _powers(path)] == []

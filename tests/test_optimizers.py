@@ -691,6 +691,49 @@ def test_workload_columns_equal_replayed_single_runs(algo):
         assert _recorded(stats, i) == _replayed(_SEARCHERS[algo], s, objective, u_max[i], cfg, seed)
 
 
+#: Three trials' workloads as (3, 1) columns: a batch of 3 reads them, one of any other size does not.
+_COLUMNS3 = default_scenario(q=np.array([[4e6], [4.1e6], [4.2e6]]))
+_SHAPE_CFG = SwarmConfig(p_n=4, n_max=2)
+
+
+def _zeros(alloc):
+    return np.zeros(np.shape(alloc.f_server))
+
+
+@pytest.mark.parametrize(
+    "n_trials, s, u_max, misfit",
+    [
+        (2, _COLUMNS3, 1.0, r"2 trials, but q has shape \(3, 1\)$"),
+        (4, _COLUMNS3, 1.0, r"4 trials, but q has shape \(3, 1\)$"),
+        # a row, not a column: its elements would pair with the candidates, not the trials
+        (3, default_scenario(q=np.array([4e6, 4.1e6, 4.2e6])), 1.0, r"3 trials, but q has shape \(3,\)$"),
+        (2, default_scenario(), np.ones(3), r"2 trials, but u_max has shape \(3,\)$"),
+        # a single run is a batch of one, and a (1, 1) field is one value
+        (None, default_scenario(q=np.array([[4e6], [4.1e6]]), mu=np.array([[0.8]])), 1.0,
+         r"1 trials, but q has shape \(2, 1\)$"),
+    ],
+    ids=["columns-for-fewer-trials", "columns-for-more-trials", "row", "u_max", "single-run"],
+)
+def test_a_batch_refuses_by_name_a_shape_other_than_numbers_or_its_columns(n_trials, s, u_max, misfit):
+    # this objective scores rows of any shape, so only the search's own check can refuse the batch
+    with pytest.raises(ValueError, match=r"^a batch reads numbers, \(T, 1\) scenario columns and a float "
+                                         r"or \(T,\) u_max for its T = " + misfit):
+        if n_trials is None:
+            disc_pso(s, _zeros, u_max, _SHAPE_CFG)
+        else:
+            replicate(disc_pso, s, _zeros, u_max, _SHAPE_CFG, n_trials)
+
+
+@pytest.mark.parametrize("q", [np.array(4e6), np.float64(4e6), np.array([4e6]), np.array([[4e6]])])
+@pytest.mark.parametrize("u_max", [np.array(50.0), np.array([50.0]), np.array([[50.0]]), np.full(3, 50.0)])
+def test_a_batch_reads_one_value_of_any_shape_as_its_number(q, u_max):
+    # a 0-d, (1,) or (1, 1) value reads as the number, and a (T,) u_max as T equal ones
+    cfg, one = SwarmConfig(n_max=5, seed=2), default_scenario(q=4e6)
+    want = replicate(disc_pso, one, dynamic_utility_objective(one), 50.0, cfg, 3)
+    s = default_scenario(q=q)
+    assert replicate(disc_pso, s, dynamic_utility_objective(s), u_max, cfg, 3) == want
+
+
 def _read_only(objective):
     def wrapped(alloc):
         values = np.array(objective(alloc))
