@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .scenario import Scenario, quotient
+from .scenario import Scenario, f_local_squared, quotient, spectral_efficiencies
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class EnergyBreakdown(NamedTuple):
 
 def link_rates(s: Scenario, b: float) -> tuple[float, float]:
     """Shannon-style uplink/downlink rates for a purchased bandwidth b (bit/s)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies
+    eff_up, eff_down = spectral_efficiencies(s)
     return b * eff_up, b * eff_down
 
 
@@ -74,7 +74,7 @@ def time_breakdown(s: Scenario, alloc: Allocation) -> TimeBreakdown:
 
 def energy_from_times(s: Scenario, times: TimeBreakdown) -> EnergyBreakdown:
     """Energy accounting of an allocation whose time breakdown is already known."""
-    e_local = s.k * (s.q * s.c) * s.f_local_squared
+    e_local = s.k * (s.q * s.c) * f_local_squared(s)
     e_up = s.p_u * times.t_u
     e_d = s.p_d * times.t_d
     return EnergyBreakdown(e_local=e_local, e_up=e_up, e_d=e_d, e_save=e_local - e_up - e_d)

@@ -18,8 +18,8 @@ In both modes the user utility is q*chi - q*w2*c/f_server - q*upsilon/b
 minus the price; the dynamic price is q*w2*c/f_server + q*upsilon/b. The
 scenario factors q*chi, q*w2*c and q*upsilon are said once, in
 ``_scenario_factors``, and kept once per ``Scenario`` instance by
-``scenario.kept``, as the channel's log2(1 + snr) pair is once per
-``ChannelSpec``; the closed forms below do only the allocation arithmetic.
+``scenario.kept``, as the channel's log2(1 + snr) pair and f_local^2 are;
+the closed forms below do only the allocation arithmetic.
 Every closed form here broadcasts: an ``Allocation`` or a ``Scenario``
 whose numeric fields hold broadcastable numpy arrays is evaluated in one
 call, one result per element. Arithmetic operators are IEEE-exact in
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .offload import Allocation, EnergyBreakdown, TimeBreakdown, energy_from_times, time_breakdown
-from .scenario import Scenario, kept, libm, quotient
+from .scenario import Scenario, f_local_squared, kept, libm, quotient, spectral_efficiencies
 
 
 class PriceCoefficients(NamedTuple):
@@ -93,12 +93,12 @@ class Diagnostics(NamedTuple):
 
 def chi(s: Scenario) -> float:
     """Per-bit value of avoided local execution: w1*k*c*f_local^2 + w2*c/f_local."""
-    return s.w1 * s.k * s.c * s.f_local_squared + s.w2 * s.c / s.f_local
+    return s.w1 * s.k * s.c * f_local_squared(s) + s.w2 * s.c / s.f_local
 
 
 def upsilon(s: Scenario) -> float:
     """Per-bit transfer burden factor (multiplied by q/b in the utility)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies
+    eff_up, eff_down = spectral_efficiencies(s)
     up = (s.w1 * s.p_u + s.w2) / eff_up
     down = (s.w1 * s.p_d * s.alpha + s.w2 * s.alpha) / eff_down
     return up + down
@@ -236,7 +236,7 @@ def quadratic_gap(
 
 def _bandwidth_server_factor(s: Scenario) -> float:
     """Numerator of the bandwidth-dependent server-utility term (small, negative)."""
-    eff_up, eff_down = s.channel.spectral_efficiencies
+    eff_up, eff_down = spectral_efficiencies(s)
     return (s.w1 * s.p_u + s.w2 - 1.0) / eff_up + (
         s.w1 * s.p_d * s.alpha + s.w2 * s.alpha - s.alpha
     ) / eff_down

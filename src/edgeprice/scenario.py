@@ -16,15 +16,15 @@ numpy arrays, its box bounds numbers only: every closed form of the model
 then evaluates one scenario per element.
 Each transcendental step (log2, a power, a square root) goes through
 :func:`libm`, and each division by a computed value through
-:func:`quotient`, so an array result equals the scalar calls bit for bit;
-the channel's log2(1 + snr) pair is evaluated once per ChannelSpec, and
-f_local^2 once per Scenario.
+:func:`quotient`, so an array result equals the scalar calls bit for bit.
+:func:`kept` is the one memo of what a Scenario derives, the channel's
+log2(1 + snr) pair and f_local^2 among it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -104,12 +104,6 @@ class ChannelSpec:
             return libm(exp10, self.snr_uplink / 10.0), libm(exp10, self.snr_downlink / 10.0)
         return self.snr_uplink, self.snr_downlink
 
-    @cached_property
-    def spectral_efficiencies(self) -> tuple[float, float]:
-        """(uplink, downlink) log2(1 + snr), bit/s per Hz; evaluated once, a domain error for snr <= -1."""
-        snr_up, snr_down = self.effective_snrs()
-        return libm(math.log2, 1.0 + snr_up), libm(math.log2, 1.0 + snr_down)
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -140,11 +134,6 @@ class Scenario:
     channel: ChannelSpec
     f_range: tuple[float, float]  # purchasable CPU frequency box, Hz
     b_range: tuple[float, float]  # purchasable bandwidth box, bit/s
-
-    @cached_property
-    def f_local_squared(self) -> float:
-        """f_local^2, evaluated once: ``pricing.chi`` and the local energy both read it."""
-        return libm(pow, self.f_local, 2)
 
 
 #: Default configuration (key=value form, pre-conversion units).
@@ -302,14 +291,25 @@ def _every(ok) -> bool:
 def kept(s: Scenario, key: str, make: Callable[[Scenario], object]):
     """``make(s)``, made once per instance and kept under ``key`` in its ``__dict__``.
 
-    The one memo of what a Scenario derives: :func:`checked`'s report, ``pricing``'s factors,
-    ``optimizers``' box per candidate count and shape check per trial count. It keeps a value
-    as a ``cached_property`` does: a hit is one dict lookup, and a ``replace`` copy makes its own.
+    The one memo of what a Scenario derives: :func:`checked`'s report, ``pricing``'s factors, ``optimizers``'
+    box per candidate count and shape check per trial count, :func:`spectral_efficiencies` and
+    :func:`f_local_squared`. A hit is one dict lookup, and a ``replace`` copy makes its own.
     """
     try:
         return s.__dict__[key]
     except KeyError:
         return s.__dict__.setdefault(key, make(s))
+
+
+def spectral_efficiencies(s: Scenario) -> tuple[float, float]:
+    """(uplink, downlink) log2(1 + snr) of ``s.channel``, bit/s per Hz; a domain error for snr <= -1."""
+    return kept(s, "_spectral_efficiencies",
+                lambda s: tuple(libm(math.log2, 1.0 + snr) for snr in s.channel.effective_snrs()))
+
+
+def f_local_squared(s: Scenario) -> float:
+    """f_local^2, :func:`kept`: ``pricing.chi`` and the local energy both read it."""
+    return kept(s, "_f_local_squared", lambda s: libm(pow, s.f_local, 2))
 
 
 def checked(s: Scenario) -> Scenario:
@@ -348,20 +348,21 @@ def validate(s: Scenario) -> list[str]:
         report.append(f"w2={s.w2!r}: must be strictly positive")
     elif not _every(s.w2 < 1):
         report.append(f"w2={s.w2!r}: w2 < 1 required for ES trend")
-    if not _every(s.channel.snr_uplink > 0):
-        report.append(f"snr_uplink={s.channel.snr_uplink!r}: must be strictly positive")
-    if not _every(s.channel.snr_downlink > 0):
-        report.append(f"snr_downlink={s.channel.snr_downlink!r}: must be strictly positive")
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
         figures = (s.channel.snr_uplink, s.channel.snr_downlink)
-        snrs = s.channel.effective_snrs()  # the log2(1 + snr) pair is a domain error for snr <= -1
-        efficiencies = s.channel.spectral_efficiencies if all(_every(x > 0) for x in snrs) else (None, None)
-        for name, value, snr, eff in zip(("snr_uplink", "snr_downlink"), figures, snrs, efficiencies):
-            if not _every(snr < math.inf):
+        # a raw figure must be positive; a dB figure may be negative (-3 dB is an SNR of 0.50)
+        positive = [s.channel.snr_mode != "raw" or _every(x > 0) for x in figures]
+        # the log2(1 + snr) pair is a domain error for snr <= -1, and 10^(x/10) is never negative
+        efficiencies = spectral_efficiencies(s) if all(positive) else (None, None)
+        for name, value, ok, snr, eff in zip(("snr_uplink", "snr_downlink"), figures, positive,
+                                             s.channel.effective_snrs(), efficiencies):
+            if not ok:
+                report.append(f"{name}={value!r}: must be strictly positive")
+            elif not _every(snr < math.inf):
                 report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
-            elif not _every(eff != 0):  # 1 + snr rounds to 1: a zero rate
+            elif not _every(eff != 0):  # 1 + snr rounds to 1, or 10^(x/10) underflows to 0: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if np.ndim(lo) or np.ndim(hi):  # one box per scenario: a search, a sweep and a surface read one

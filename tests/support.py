@@ -1,5 +1,5 @@
-"""Shared test helpers: random valid allocations, wide scenario draws, array scenarios, result
-leaves and conditioned comparisons."""
+"""Shared test helpers: random valid allocations, wide scenario draws, negative dB figures, array
+scenarios, result leaves and conditioned comparisons."""
 from __future__ import annotations
 
 import dataclasses
@@ -65,3 +65,10 @@ def wide_settings(rng: np.random.Generator) -> dict[str, float | str]:
     snr_mode = ("raw", "db-to-linear")[rng.integers(2)]
     values.update(zip(("snr_uplink", "snr_downlink"), 10.0 ** rng.uniform(*_SNR_DECADES[snr_mode], 2)))
     return {**{key: float(value) for key, value in values.items()}, "snr_mode": snr_mode}
+
+
+def negative_db_figures(rng: np.random.Generator) -> dict[str, float | str]:
+    """Both SNR figures as negative dB settings that validate() accepts: -10^x dB for x uniform over
+    -300..2, an SNR between 1e-10 and 1, so 1 + snr > 1 and each link carries something."""
+    up, down = (-(10.0 ** rng.uniform(-300, 2, 2))).tolist()
+    return {"snr_uplink": up, "snr_downlink": down, "snr_mode": "db-to-linear"}

@@ -18,7 +18,7 @@ from edgeprice.optimizers import SwarmConfig
 from edgeprice.pricing import dynamic_utility_objective
 from edgeprice.scenario import default_scenario
 
-from support import wide_settings
+from support import negative_db_figures, wide_settings
 
 SCENARIO_TEXT = """\
 # comparison defaults
@@ -498,6 +498,23 @@ def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("settings, error", [
+    (["snr_mode=db-to-linear", "snr_uplink=-3"], None),
+    (["snr_mode=db-to-linear", "snr_uplink=-400"], "snr_uplink=-400.0: log2(1 + snr) is 0, so the link carries"),
+    (["snr_mode=db-to-linear", "snr_uplink=-5000"], "snr_uplink=-5000.0: log2(1 + snr) is 0, so the link carries"),
+    (["snr_uplink=-1"], "snr_uplink=-1.0: must be strictly positive"),
+])
+def test_a_negative_db_figure_runs_unless_its_link_carries_nothing(settings, error, capsys):
+    # -3 dB is an SNR of 0.50; 1 + 10^-40 rounds to 1, and 10^-500 underflows to 0; a raw figure stays positive
+    code = main(["optimize", *(arg for setting in settings for arg in ("--set", setting))])
+    captured = capsys.readouterr()
+    if error is None:
+        assert (code, captured.err) == (0, "") and "best value: 44.4672746\n" in captured.out
+    else:
+        assert (code, captured.out) == (2, "") and captured.err.startswith(f"error: invalid scenario: {error}")
+        assert len(captured.err.splitlines()) == 1 and ";" not in captured.err  # one entry
+
+
 @pytest.mark.parametrize("argv, entry", [
     (["surface", "--steps", "200000"], "surface_grid"),
     (["compare", "--trials", "20000000"], "compare_optimizers"),
@@ -602,13 +619,12 @@ _SWEEP_GRIDS = {"f_server": "1e9,3.5e9,6e9", "b": "1e5,5e5,1e6", "q": "819200,40
 _NON_FINITE = re.compile(r"(?i)\b(?:nan|inf(?:inity)?)\b")
 
 
-def _set_pairs(s) -> list[str]:
-    """``s`` as --set pairs in config units; the box keeps its default."""
-    values = {"q_kb": s.q / 8192.0, "c_cycles_per_bit": s.c, "f_local_ghz": s.f_local / 1e9, "k_coeff": s.k,
-              "p_u_w": s.p_u, "p_d_w": s.p_d, "alpha": s.alpha, "w1": s.w1, "w2": s.w2, "mu": s.mu,
-              "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink,
-              "snr_mode": s.channel.snr_mode}
-    return _pairs(values)
+def _settings(s) -> dict:
+    """``s`` as settings in config units; the box keeps its default."""
+    return {"q_kb": s.q / 8192.0, "c_cycles_per_bit": s.c, "f_local_ghz": s.f_local / 1e9, "k_coeff": s.k,
+            "p_u_w": s.p_u, "p_d_w": s.p_d, "alpha": s.alpha, "w1": s.w1, "w2": s.w2, "mu": s.mu,
+            "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink,
+            "snr_mode": s.channel.snr_mode}
 
 
 def _pairs(settings: dict) -> list[str]:
@@ -641,6 +657,9 @@ def test_every_command_exits_cleanly_with_finite_output_on_random_scenarios(caps
                 codes.append(code)
         return codes
 
-    codes = exit_codes(lambda rng: _set_pairs(random_scenario(rng)))
+    codes = exit_codes(lambda rng: _pairs(_settings(random_scenario(rng))))
     assert codes.count(0) > 0.9 * len(codes)  # the draws are valid scenarios; most must run
     assert 0 in exit_codes(lambda rng: _pairs(wide_settings(rng)))  # most overflow the model; not all
+    # the same valid scenarios at SNRs between 1e-10 and 1, given as negative dB figures
+    codes = exit_codes(lambda rng: _pairs({**_settings(random_scenario(rng)), **negative_db_figures(rng)}))
+    assert codes.count(0) > 0.9 * len(codes)

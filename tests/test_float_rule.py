@@ -5,9 +5,10 @@ floats, and on one-element arrays: the scenario's number fields and SNR
 figures and the purchase, with the price coefficients as floats and, for
 the forms that read them, as arrays too. Each array call must return the
 bits of the float call, NaN with NaN, or raise the same error. The cases
-are thousands of ``support.wide_settings`` draws, boxes whose squares or
-cubes underflow to 0, and bandwidth boxes whose low corner gives a link
-rate of 0, each at its box's low corner and centre. The price coefficients of a case are
+are thousands of ``support.wide_settings`` draws, a batch of such draws
+with negative dB SNR figures, boxes whose squares or cubes underflow to 0,
+and bandwidth boxes whose low corner gives a link rate of 0, each at its
+box's low corner and centre. The price coefficients of a case are
 made once by an array call at 0.6 of each box maximum. Both calls run
 under ``np.errstate(all="ignore")``, the rule of every caller in the
 package.
@@ -24,7 +25,7 @@ from edgeprice.offload import Allocation
 from edgeprice.pricing import PriceCoefficients
 from edgeprice.scenario import DEFAULT_CONFIG, ChannelSpec, default_scenario, scenario_from_config, validate
 
-from support import leaves, stack, wide_settings
+from support import leaves, negative_db_figures, stack, wide_settings
 
 #: Each public closed form, called as ``form(s, pc, alloc)``. quadratic_gap's displacement stays a
 #: pair of floats; it moves b down by a quarter of the purchase, which can leave the positive domain.
@@ -58,6 +59,8 @@ _READS_PC = {"linear_price", "linear_user_utility_value", "user_utility_gradient
 
 #: The wide draws of ``default_rng(0)``; every one passes validate().
 _N_WIDE = 2000
+#: The wide draws of ``default_rng(1)`` with ``support.negative_db_figures``; every one passes validate().
+_N_NEGATIVE_DB = 500
 
 
 def _special_scenarios():
@@ -76,8 +79,11 @@ def _cases():
     """(float call arguments, one-element array call arguments, with array price coefficients too)."""
     rng = np.random.default_rng(0)
     wide = (scenario_from_config({**DEFAULT_CONFIG, **wide_settings(rng)}) for _ in range(_N_WIDE))
+    rng_db = np.random.default_rng(1)
+    negative_db = (scenario_from_config({**DEFAULT_CONFIG, **wide_settings(rng_db), **negative_db_figures(rng_db)})
+                   for _ in range(_N_NEGATIVE_DB))
     cases = []
-    for s in (*wide, *_special_scenarios()):
+    for s in (*wide, *negative_db, *_special_scenarios()):
         assert validate(s) == [], s
         s1 = stack([s])
         pc1 = pricing.derive_coefficients(s1, 0.6 * s.f_range[1], 0.6 * s.b_range[1])

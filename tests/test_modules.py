@@ -75,9 +75,9 @@ def _classes() -> dict[str, type]:
     return classes
 
 
-#: The records that keep ``dataclasses.replace`` or per-instance state: Scenario and ChannelSpec
-#: keep what they derive, SwarmConfig checks itself in ``__post_init__``, and the rest are replaced
-#: by callers (or, like the searcher, are objects rather than values).
+#: The records that keep ``dataclasses.replace`` or per-instance state: Scenario keeps what it
+#: derives, SwarmConfig checks itself in ``__post_init__``, and the rest, ChannelSpec among them, are
+#: replaced by callers and keep nothing (or, like the searcher, are objects rather than values).
 _DATACLASSES = {
     "harness.ComparisonReport", "harness.SweepSpec", "offload.Allocation", "optimizers.RunResult",
     "optimizers.SwarmConfig", "optimizers.TrialStats", "optimizers._Searcher", "scenario.ChannelSpec",
@@ -148,6 +148,15 @@ def test_only_the_memo_names_an_instance_dict():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if "__dict__" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None))]
     assert {name.split(" ")[0] for name in named} == {"scenario"}, named
+
+
+def test_no_cached_property_keeps_a_second_memo():
+    # a cached_property writes the instance __dict__ itself, where the test above cannot see it
+    named = [f"{path.name}:{node.lineno}" for path in _SOURCES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if "cached_property" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                      getattr(node, "name", None))]
+    assert named == []
 
 
 def _powers(path: Path) -> list[str]:

@@ -18,11 +18,13 @@ from edgeprice.scenario import (
     checked,
     default_scenario,
     exp10,
+    f_local_squared,
     kept,
     libm,
     load_scenario,
     parse_config,
     parse_setting,
+    spectral_efficiencies,
     validate,
 )
 
@@ -237,9 +239,11 @@ def test_validate_never_raises_on_snr_figures(up, down, mode):
     # log2(1 + snr) is a domain error for snr <= -1: validate must not evaluate it there
     report = validate(default_scenario(channel=ChannelSpec(up, down, mode)))
     assert isinstance(report, list)
-    # a non-finite figure is reported alone, before the range checks
+    # a non-finite figure is reported alone, before the range checks; -1 dB is an SNR of 0.79
     for name, figure in (("snr_uplink", up), ("snr_downlink", down)):
-        if figure == -1.0 and math.isfinite(up) and math.isfinite(down):
+        if figure == -1.0 and mode == "db-to-linear":
+            assert not any(entry.startswith(f"{name}=") for entry in report), report
+        elif figure == -1.0 and math.isfinite(up) and math.isfinite(down):
             assert f"{name}=-1.0: must be strictly positive" in report
 
 
@@ -254,6 +258,14 @@ def test_validation_rejects_snr_with_zero_rate(link):
     # 1 + 2^-52 is the next float after 1, so that rate is accepted; 1 + 2^-53 ties back to 1
     assert validate(default_scenario(channel=channel(2.0**-52))) == []
     assert len(validate(default_scenario(channel=channel(2.0**-53)))) == 1
+
+
+@pytest.mark.parametrize("figure", [-3.0, -400.0, -5000.0, np.array([-3.0, -400.0, -5000.0])], ids=str)
+def test_a_db_figure_may_be_negative_unless_its_link_carries_nothing(figure):
+    # -3 dB is an SNR of 0.50; 1 + 10^-40 rounds to 1, and 10^-500 underflows to 0: one entry each
+    report = validate(default_scenario(channel=ChannelSpec(figure, 30.0, "db-to-linear")))
+    zero_rate = f"snr_uplink={figure!r}: log2(1 + snr) is 0, so the link carries nothing"
+    assert report == ([] if np.all(figure == -3.0) else [zero_rate])
 
 
 def test_libm_calls_the_function_once_on_a_scalar():
@@ -283,27 +295,40 @@ def _report(s):
     return kept(s, "_validation_report", lambda s: pytest.fail("checked kept no report"))
 
 
-#: Each value a Scenario derives: the instance that keeps it, and the value read off that instance.
+#: Each value a Scenario derives, read off the instance that keeps it.
 _DERIVED = {
-    "validation report": (lambda s: s, _report),
-    "pricing factors": (lambda s: s, pricing._scenario_factors),
-    "search box, p_n 4": (lambda s: s, lambda s: optimizers._search_box(s, 4)),
-    "search box, p_n 30": (lambda s: s, lambda s: optimizers._search_box(s, 30)),
-    "f_local_squared": (lambda s: s, lambda s: s.f_local_squared),
-    "spectral_efficiencies": (lambda s: s.channel, lambda channel: channel.spectral_efficiencies),
+    "validation report": _report,
+    "pricing factors": pricing._scenario_factors,
+    "search box, p_n 4": lambda s: optimizers._search_box(s, 4),
+    "search box, p_n 30": lambda s: optimizers._search_box(s, 30),
+    "f_local_squared": f_local_squared,
+    "spectral_efficiencies": spectral_efficiencies,
 }
 
 
 @pytest.mark.parametrize("q", [None, np.array([[1e5], [2e6], [4e6]])], ids=["default", "q-column"])
 @pytest.mark.parametrize("name", sorted(_DERIVED))
 def test_a_derived_value_is_made_once_per_instance_and_anew_for_a_replaced_copy(name, q):
-    owner_of, derive = _DERIVED[name]
-    owner = owner_of(default_scenario() if q is None else default_scenario(q=q))
+    derive = _DERIVED[name]
+    owner = default_scenario() if q is None else default_scenario(q=q)
     value = derive(owner)
     assert derive(owner) is value
     copy = dataclasses.replace(owner)
     assert derive(copy) is not value and derive(copy) is derive(copy)
     np.testing.assert_equal(derive(copy), value)
+
+
+def test_the_log2_pair_follows_the_scenario_not_its_channel():
+    s = default_scenario()
+    pair = spectral_efficiencies(s)
+    # a copy that keeps the channel shares it, yet makes its own pair
+    kept_channel = dataclasses.replace(s, q=2.0 * s.q)
+    assert kept_channel.channel is s.channel and spectral_efficiencies(kept_channel) is not pair
+    np.testing.assert_equal(spectral_efficiencies(kept_channel), pair)
+    # a copy with a new channel gets the new pair, and s keeps its own
+    new_channel = dataclasses.replace(s, channel=ChannelSpec(3.0, 7.0))
+    assert spectral_efficiencies(new_channel) == (2.0, 3.0)
+    assert spectral_efficiencies(s) is pair and pair == (math.log2(21.0), math.log2(31.0))
 
 
 @pytest.mark.parametrize("fields", [{"mu": 2.0}, {"q": np.array([[1e5], [-1.0]])}], ids=["mu", "q-column"])
