@@ -23,7 +23,7 @@ import numpy as np
 
 from .offload import Allocation
 from .pricing import dynamic_utility_objective, user_utility
-from .scenario import BITS_PER_KB, HZ_PER_GHZ, Scenario, checked, scenario_numbers
+from .scenario import Scenario, checked, number_fields, scenario_numbers
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
 from . import svgplot
 
@@ -111,12 +111,15 @@ def _require_one_scenario(s: Scenario, entry: str) -> None:
         raise ValueError(f"a {entry} pins one scenario, but it holds arrays in {', '.join(arrays)}")
 
 
-def _check_sweep_spec(spec: SweepSpec) -> None:
+def _check_sweep_spec(spec: SweepSpec) -> tuple[float, ...]:
     if spec.parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(
             f"unknown sweep parameter {spec.parameter!r}; expected one of {SWEEPABLE_PARAMETERS}"
         )
     _require_one_scenario(checked(spec.scenario), "sweep")
+    arrays = [name for name, value in vars(spec.allocation).items() if getattr(value, "ndim", 0)]
+    if arrays:  # the rule of _require_one_scenario: a 0-d array is one number
+        raise ValueError(f"a sweep pins one purchase, but allocation holds arrays in {', '.join(arrays)}")
     if not (0 < spec.allocation.f_server < np.inf and 0 < spec.allocation.b < np.inf):
         raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
     grid = tuple(spec.grid)
@@ -141,6 +144,7 @@ def _check_sweep_spec(spec: SweepSpec) -> None:
             f"sweep grid {grid[0]!r}..{grid[-1]!r} outside the valid {spec.parameter} "
             f"range [{lo!r}, {hi!r}]"
         )
+    return grid  # the tuple checked: a generator grid is read once
 
 
 @np.errstate(all="ignore")
@@ -154,8 +158,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     module's one rule, an overflow or a zero link rate gives inf or NaN
     silently, and any inf or NaN in a row raises ``ValueError``.
     """
-    _check_sweep_spec(spec)
-    grid = np.array(spec.grid, dtype=float)
+    grid = np.array(_check_sweep_spec(spec), dtype=float)
     s, alloc = spec.scenario, spec.allocation
     if spec.parameter in ("f_server", "b"):
         alloc = replace(alloc, **{spec.parameter: grid})
@@ -165,7 +168,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     columns = (summary.price, summary.u_user, summary.u_server,
                summary.time.t_offload, summary.time.t_save, summary.energy.e_save)
     _require_finite("sweep value", *columns)
-    return list(map(SweepRow._make, zip(repeat(spec.parameter), spec.grid, *(c.tolist() for c in columns))))
+    return list(map(SweepRow._make, zip(repeat(spec.parameter), grid.tolist(), *(c.tolist() for c in columns))))
 
 
 def _require_finite(what: str, *arrays: object) -> None:
@@ -199,11 +202,11 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
 
 
 def _draw_trial_scenarios(s: Scenario, seed: int, n_trials: int) -> Scenario:
-    """Randomized mode: q uniform in [100, 500] KB, f_local from 0.1..1 GHz, as (T, 1) columns."""
+    """Randomized mode: settings q_kb uniform in [100, 500] and f_local_ghz 0.1..1 by 0.1, as (T, 1) columns."""
     rng = np.random.default_rng([seed, 0x5CE1])
     draws = [(rng.uniform(100.0, 500.0), rng.integers(1, 11)) for _ in range(n_trials)]
     q_kb, f_local_tenths = np.array(draws).T[..., None]
-    return replace(s, q=q_kb * BITS_PER_KB, f_local=0.1 * f_local_tenths * HZ_PER_GHZ)
+    return replace(s, **number_fields({"q_kb": q_kb, "f_local_ghz": 0.1 * f_local_tenths}))
 
 
 def compare_optimizers(

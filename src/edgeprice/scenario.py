@@ -4,12 +4,12 @@ Everything downstream works in one canonical unit system (bits, Hz, bit/s,
 seconds, Joules, Watts). Conversions happen at this boundary and nowhere
 else, which is why the config keys carry explicit unit suffixes (q_kb,
 f_local_ghz, b_min_mbps, ...). One table, ``_NUMBER_KEYS``, says which
-key, in which unit, sets each number field of a Scenario; a key's value
-is a string where its default is one, and a float otherwise.
-:func:`parse_setting` is the one reader of a ``key=value`` setting,
-whether it is a scenario-file line or a CLI ``--set`` pair, and
-:func:`default_purchase` converts the optional ``f_server_ghz``/``b_mbps``
-purchase.
+key, in which unit, sets each number field of a Scenario, and
+:func:`number_fields` is the one converter by it, of parsed, default and
+drawn settings alike. A key's value is a string where its default is
+one, a float otherwise. :func:`parse_setting` is the one reader of a
+``key=value`` setting, a scenario-file line or a CLI ``--set`` pair, and
+:func:`default_purchase` converts the optional purchase.
 
 The number fields and SNR figures of a Scenario may also hold equal-shape
 numpy arrays, its box bounds numbers only: every closed form of the model
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -226,17 +226,18 @@ def parse_config(text: str) -> dict[str, float | str]:
     return parsed
 
 
-def scenario_from_config(config: Mapping[str, float | str]) -> Scenario:
-    """Build a canonical-unit Scenario from a (complete) config mapping."""
-    def num(key: str) -> float:
-        return float(config[key])  # type: ignore[arg-type]
+def number_fields(settings: Mapping[str, Any]) -> dict[str, Any]:
+    """``{field: settings[key] * unit}`` for each ``_NUMBER_KEYS`` key of ``settings``: numbers or arrays."""
+    return {name: settings[key] * unit for name, (key, unit) in _NUMBER_KEYS.items() if key in settings}
 
-    return Scenario(
-        **{name: num(key) * unit for name, (key, unit) in _NUMBER_KEYS.items()},
-        channel=ChannelSpec(num("snr_uplink"), num("snr_downlink"), str(config["snr_mode"])),
-        f_range=(num("f_min_ghz") * HZ_PER_GHZ, num("f_max_ghz") * HZ_PER_GHZ),
-        b_range=(num("b_min_mbps") * BPS_PER_MBPS, num("b_max_mbps") * BPS_PER_MBPS),
-    )
+
+def scenario_from_config(config: Mapping[str, Any]) -> Scenario:
+    """The canonical-unit Scenario of complete typed settings: the package's one ``Scenario(...)``
+    call. A number setting or SNR figure may be an array, the arrays of one shape."""
+    return Scenario(**number_fields(config),
+                    channel=ChannelSpec(config["snr_uplink"], config["snr_downlink"], config["snr_mode"]),
+                    f_range=(config["f_min_ghz"] * HZ_PER_GHZ, config["f_max_ghz"] * HZ_PER_GHZ),
+                    b_range=(config["b_min_mbps"] * BPS_PER_MBPS, config["b_max_mbps"] * BPS_PER_MBPS))
 
 
 def load_scenario(*, overrides: Mapping[str, float | str] | None = None) -> Scenario:

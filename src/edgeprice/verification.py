@@ -37,8 +37,8 @@ from .pricing import (
     user_utility,
     user_utility_gradient,
 )
-from .scenario import BITS_PER_KB as KB, BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ
-from .scenario import ChannelSpec, Scenario, default_scenario, exp10, libm
+from .scenario import BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ, DEFAULT_CONFIG, ChannelSpec, Scenario
+from .scenario import default_scenario, exp10, libm, number_fields, scenario_from_config
 from .harness import SweepSpec, compare_optimizers, corner_allocation, format_number, run_sweep, surface_grid
 from .optimizers import SwarmConfig
 
@@ -78,31 +78,26 @@ def _uniform(lo: float, hi: float, u: float) -> float:
     return lo + (hi - lo) * u
 
 
+#: The random scenario's 12 settings in draw order: each config key and its range in config
+#: units, k_coeff's of its log10. The SNR mode is drawn apart, and the box is the default one.
+_RANDOM_SETTINGS = {"q_kb": (100.0, 500.0), "c_cycles_per_bit": (100.0, 5000.0), "f_local_ghz": (0.1, 1.0),
+                    "k_coeff": (-28.0, -26.0), "p_u_w": (0.01, 1.0), "p_d_w": (0.1, 2.0), "alpha": (0.0, 1.0),
+                    "w1": (0.05, 0.95), "w2": (0.05, 0.95), "mu": (0.05, 0.95),
+                    "snr_uplink": (1.0, 40.0), "snr_downlink": (1.0, 40.0)}
+
+
 def _scenario_from_uniforms(mode: str, u) -> Scenario:
-    """The random scenario of 12 field uniforms ``u``: floats, or columns of arrays."""
-    return Scenario(
-        q=_uniform(100.0, 500.0, u[0]) * KB,
-        c=_uniform(100.0, 5000.0, u[1]),
-        f_local=_uniform(0.1, 1.0, u[2]) * GHZ,
-        k=libm(exp10, _uniform(-28.0, -26.0, u[3])),
-        p_u=_uniform(0.01, 1.0, u[4]),
-        p_d=_uniform(0.1, 2.0, u[5]),
-        alpha=_uniform(0.0, 1.0, u[6]),
-        w1=_uniform(0.05, 0.95, u[7]),
-        w2=_uniform(0.05, 0.95, u[8]),
-        mu=_uniform(0.05, 0.95, u[9]),
-        channel=ChannelSpec(_uniform(1.0, 40.0, u[10]), _uniform(1.0, 40.0, u[11]), mode),
-        f_range=(1.0 * GHZ, 6.0 * GHZ),
-        b_range=(0.1 * MBPS, 1.0 * MBPS),
-    )
+    """The random scenario of 12 setting uniforms ``u``: floats, or rows of equal-shape arrays."""
+    drawn = {key: _uniform(lo, hi, x) for (key, (lo, hi)), x in zip(_RANDOM_SETTINGS.items(), u)}
+    drawn.update(k_coeff=libm(exp10, drawn["k_coeff"]), snr_mode=mode)
+    return scenario_from_config({**DEFAULT_CONFIG, **drawn})
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:
-    """A random scenario satisfying every invariant, drawn over wide parameter ranges.
+    """A random scenario satisfying every invariant: its ``_RANDOM_SETTINGS``, drawn and converted.
 
-    One block of 13 uniforms: the SNR mode's, then one per field in order,
-    each mapped as ``rng.uniform`` maps its draw. The scenarios and the
-    generator state equal those of 13 scalar draws.
+    One block of 13 uniforms, the SNR mode's first, each mapped as ``rng.uniform`` maps its draw;
+    the scenarios and the generator state equal those of 13 scalar draws.
     """
     u_mode, *u = rng.random(13).tolist()
     return _scenario_from_uniforms("raw" if u_mode < 0.5 else "db-to-linear", u)
@@ -128,7 +123,8 @@ def _random_draw_groups(rng: np.random.Generator, n: int) -> list[tuple[Scenario
 
 def _price_anchors() -> list[AnchorCheck]:
     q_kbs = (100.0, 500.0)
-    prices = dynamic_price(default_scenario(q=np.array(q_kbs) * KB), Allocation(6.0 * GHZ, 1.0 * MBPS))
+    s = default_scenario(**number_fields({"q_kb": np.array(q_kbs)}))
+    prices = dynamic_price(s, Allocation(6.0 * GHZ, 1.0 * MBPS))
     return [
         _near(f"dynamic price at q={q_kb:g} KB, (6 GHz, 1 Mbps)", "reference", actual, expected, "1e-5")
         for q_kb, expected, actual in zip(q_kbs, (PRICE_AT_100KB, PRICE_AT_500KB), prices.tolist())

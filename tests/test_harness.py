@@ -191,6 +191,46 @@ def test_sweep_refuses_an_array_scenario_by_name(defaults, fields, message):
 
 
 @pytest.mark.parametrize(
+    "allocation, names",
+    [
+        (Allocation(np.array([6e9, 5e9]), 1e6), "f_server"),
+        (Allocation(6e9, np.array([[1e6]])), "b"),
+        (Allocation(np.array([6e9]), np.array([1e6])), "f_server, b"),
+    ],
+)
+def test_sweep_refuses_an_array_purchase_by_name(defaults, allocation, names):
+    # as an array scenario is refused, by the same ndim rule; the range check would otherwise raise
+    # numpy's "truth value of an array with more than one element is ambiguous"
+    spec = SweepSpec("q", (1e5,), defaults, allocation)
+    message = f"^a sweep pins one purchase, but allocation holds arrays in {names}$"
+    with pytest.raises(ValueError, match=message):
+        run_sweep(spec)
+
+
+def test_a_zero_dimensional_array_purchase_is_one_number(defaults):
+    rows = run_sweep(SweepSpec("q", (1e5, 2e5), defaults, Allocation(np.array(6e9), np.array(1e6))))
+    assert rows == run_sweep(SweepSpec("q", (1e5, 2e5), defaults, Allocation(6e9, 1e6)))
+
+
+@pytest.mark.parametrize(
+    "make_grid",
+    [
+        lambda: np.array([1e9, 2e9, 3e9]),
+        lambda: [1e9, 2e9, 3e9],
+        lambda: (1_000_000_000, 2_000_000_000, 3_000_000_000),
+        lambda: (f for f in (1e9, 2e9, 3e9)),
+    ],
+    ids=["ndarray", "list", "int-tuple", "generator"],
+)
+def test_a_sweep_row_value_is_a_float_whatever_the_grid(defaults, make_grid):
+    # every other column comes from .tolist(); a generator grid is read once, by the check
+    allocation = Allocation(6 * GHZ, 1 * MBPS)
+    rows = run_sweep(SweepSpec("f_server", make_grid(), defaults, allocation))
+    assert rows == run_sweep(SweepSpec("f_server", (1e9, 2e9, 3e9), defaults, allocation))
+    assert [type(row.value) for row in rows] == [float] * 3
+
+
+@pytest.mark.parametrize(
     "allocation",
     [Allocation(6 * GHZ, float("nan")), Allocation(float("inf"), 1 * MBPS), Allocation(0.0, 1 * MBPS)],
 )

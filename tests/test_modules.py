@@ -38,8 +38,8 @@ def test_no_module_reaches_a_private_name_of_another():
     assert {name: lines for name, lines in reached.items() if lines} == {}
 
 
-def _validate_callers(path: Path) -> list[str]:
-    """``module.function`` of each call to a ``validate``, the function being the innermost around it."""
+def _callers(path: Path, name: str) -> list[str]:
+    """``module.function`` of each call to a ``name``, the function being the innermost around it."""
     callers = []
 
     def visit(node: ast.AST, where: str) -> None:
@@ -49,7 +49,7 @@ def _validate_callers(path: Path) -> list[str]:
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", None) == "validate" or getattr(func, "attr", None) == "validate":
+                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
                     callers.append(f"{path.stem}.{where} (line {child.lineno})")
             visit(child, where)
 
@@ -60,8 +60,24 @@ def _validate_callers(path: Path) -> list[str]:
 def test_only_the_gate_calls_validate():
     # scenario.checked is the one gate: it validates once per instance and raises ScenarioError,
     # so every entry refuses an invalid scenario with the same message
-    callers = [caller for path in _SOURCES for caller in _validate_callers(path)]
+    callers = [caller for path in _SOURCES for caller in _callers(path, "validate")]
     assert [caller.split(" ")[0] for caller in callers] == ["scenario.checked"], callers
+
+
+def test_only_scenario_from_config_builds_a_scenario():
+    # settings become a Scenario on one path: the CLI loader, the defaults, the random draws and the
+    # randomized comparison all convert through scenario.number_fields, and a copy is a replace
+    callers = [caller for path in _SOURCES for caller in _callers(path, "Scenario")]
+    assert [caller.split(" ")[0] for caller in callers] == ["scenario.scenario_from_config"], callers
+
+
+def test_no_module_but_scenario_reads_the_kb_unit():
+    # a KB setting is converted by scenario.number_fields alone; GHz and Mbps still price the purchase
+    readers = [f"{path.stem} (line {node.lineno})" for path in _SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if "BITS_PER_KB" in (getattr(node, "attr", None), getattr(node, "id", None))
+               or isinstance(node, ast.ImportFrom) and "BITS_PER_KB" in [alias.name for alias in node.names]]
+    assert {reader.split(" ")[0] for reader in readers} == {"scenario"}, readers
 
 
 def _classes() -> dict[str, type]:

@@ -22,11 +22,15 @@ from edgeprice.scenario import (
     kept,
     libm,
     load_scenario,
+    number_fields,
     parse_config,
     parse_setting,
+    scenario_from_config,
     spectral_efficiencies,
     validate,
 )
+
+from support import wide_settings
 
 
 def test_defaults_are_canonical_units():
@@ -49,6 +53,36 @@ def test_the_number_table_sets_each_float_field_of_a_scenario_from_its_own_numbe
     keys = [key for key, _ in _NUMBER_KEYS.values()]
     assert len(set(keys)) == len(keys)
     assert all(type(DEFAULT_CONFIG[key]) is float for key in keys)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+def test_number_fields_gives_the_bits_of_scenario_from_config_on_floats_and_arrays():
+    # one conversion: a setting's float, and the same settings stacked as (n,) arrays, convert alike
+    rng = np.random.default_rng(39)
+    drawn = [{**DEFAULT_CONFIG, **wide_settings(rng)} for _ in range(200)]
+    scenarios = [scenario_from_config(settings) for settings in drawn]
+    for settings, s in zip(drawn, scenarios):
+        fields = number_fields(settings)
+        assert list(fields) == list(_NUMBER_KEYS)
+        assert _bits(list(fields.values())) == _bits([getattr(s, name) for name in _NUMBER_KEYS])
+    keys = [key for key, _ in _NUMBER_KEYS.values()]
+    stacked = number_fields({key: np.array([settings[key] for settings in drawn]) for key in keys})
+    for name, column in stacked.items():
+        assert column.shape == (200,)
+        assert _bits(column) == _bits([getattr(s, name) for s in scenarios]), name
+
+
+def test_number_fields_skips_the_snr_box_and_purchase_keys():
+    number_keys = {key for key, _ in _NUMBER_KEYS.values()}
+    others = {key: 1.0 for key in (*DEFAULT_CONFIG, *ALLOCATION_KEYS) if key not in number_keys}
+    assert sorted(others) == ["b_max_mbps", "b_mbps", "b_min_mbps", "f_max_ghz", "f_min_ghz", "f_server_ghz",
+                              "snr_downlink", "snr_mode", "snr_uplink"]
+    assert number_fields(others) == {}
+    assert list(number_fields({**DEFAULT_CONFIG, **others})) == list(_NUMBER_KEYS)
+    assert number_fields({"q_kb": 2.0, "f_server_ghz": 3.0}) == {"q": 2.0 * 8192}
 
 
 def test_defaults_validate_clean():

@@ -7,9 +7,9 @@ import pytest
 from edgeprice.cli import main
 from edgeprice.offload import Allocation
 from edgeprice.optimizers import SwarmConfig
-from edgeprice.scenario import ChannelSpec, Scenario, default_scenario
+from edgeprice.scenario import _NUMBER_KEYS, ChannelSpec, Scenario, default_scenario
 from edgeprice import harness, optimizers, verification
-from edgeprice.verification import _random_draw_groups, random_scenario
+from edgeprice.verification import _RANDOM_SETTINGS, _random_draw_groups, random_scenario
 
 from support import random_allocation
 
@@ -42,6 +42,16 @@ def test_block_draw_replays_the_scalar_draws(seed):
     for _ in range(2000):
         assert random_scenario(block) == _scalar_draw_scenario(scalar)
     assert block.random() == scalar.random()  # same generator state afterwards
+
+
+def test_the_random_settings_are_the_number_keys_in_field_order_then_the_snr_figures():
+    assert list(_RANDOM_SETTINGS) == [key for key, _ in _NUMBER_KEYS.values()] + ["snr_uplink", "snr_downlink"]
+
+
+def test_a_random_scenario_has_the_default_box():
+    rng = np.random.default_rng(0)
+    boxes = {(s.f_range, s.b_range) for s in (random_scenario(rng) for _ in range(20))}
+    assert boxes == {(default_scenario().f_range, default_scenario().b_range)}
 
 
 def _unstack(s: Scenario, alloc: Allocation) -> list[tuple[Scenario, Allocation]]:
