@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,24 +256,20 @@ def _write(pieces: Iterable[str], path: str | Path) -> None:
     """The one file writer of CSV and SVG output: UTF-8, line ends as given.
 
     The path is opened as ``"wb"`` opens it (truncated, or created with mode
-    0o666 less the umask) and each str piece is encoded and written as it
-    comes, so the largest buffer is one piece's bytes. Every check of the
-    document runs before the call: a piece that raises would leave the file cut short.
+    0o666 less the umask) and each str piece is encoded and written as it comes,
+    ``svgplot.PIECE_CHARS`` characters at a time, so no buffer is document-sized. Every check
+    of the document runs before the call: a piece that raises would leave the file cut short.
     """
+    size = svgplot.PIECE_CHARS
     with open(path, "wb") as out:
         for piece in pieces:
-            out.write(piece.encode("utf-8"))
-
-
-def _sliced(text: str) -> Iterator[str]:
-    """A whole document as pieces of at most ``svgplot.PIECE_CHARS`` characters."""
-    size = svgplot.PIECE_CHARS
-    return (text[start:start + size] for start in range(0, len(text), size))
+            for start in range(0, len(piece), size):
+                out.write(piece[start:start + size].encode("utf-8"))
 
 
 def emit_csv(rows: Sequence[SweepRow], path: str | Path) -> None:
     """Sweep rows as CSV: header always present, numbers at 9 significant digits."""
-    _write(_sliced("\r\n".join(sweep_csv_lines(rows)) + "\r\n"), path)
+    _write(["\r\n".join(sweep_csv_lines(rows)) + "\r\n"], path)
 
 
 def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
@@ -283,7 +279,7 @@ def emit_comparison_csv(report: ComparisonReport, path: str | Path) -> None:
         records = zip(stats.seed_list, stats.value_list, stats.iteration_list, stats.position_list)
         lines.extend(_COMPARISON_CSV_ROW % (name, trial, seed, value, iterations, at.f_server, at.b)
                      for trial, (seed, value, iterations, at) in enumerate(records))
-    _write(_sliced("\r\n".join(lines) + "\r\n"), path)
+    _write(["\r\n".join(lines) + "\r\n"], path)
 
 
 def _check_series(series: str) -> None:
@@ -297,8 +293,8 @@ def emit_sweep_plot(rows: Sequence[SweepRow], path: str | Path, *, series: str =
     if not rows:
         raise ValueError("line plot needs at least one sweep row")
     points = [(row.value, getattr(row, series)) for row in rows]
-    _write(_sliced(svgplot.line_plot(points, x_label=rows[0].parameter, y_label=series,
-                                     title=f"{series} sweep")), path)
+    svg = svgplot.line_plot(points, x_label=rows[0].parameter, y_label=series, title=f"{series} sweep")
+    _write([svg], path)
 
 
 def emit_surface_plot(grid: SurfaceGrid, path: str | Path, *, series: str = "u_user") -> None:
@@ -315,5 +311,5 @@ def emit_positions_plot(positions: Sequence[Allocation], path: str | Path) -> No
     if not positions:
         raise ValueError("scatter plot needs at least one position")
     unique = list(dict.fromkeys((p.f_server, p.b) for p in positions))
-    _write(_sliced(svgplot.scatter_plot(unique, x_label="f_server [Hz]", y_label="b [bit/s]",
-                                        title="best positions")), path)
+    svg = svgplot.scatter_plot(unique, x_label="f_server [Hz]", y_label="b [bit/s]", title="best positions")
+    _write([svg], path)

@@ -97,6 +97,8 @@ class SwarmConfig:
             value = getattr(self, f.name)
             if isinstance(value, (bool, np.bool_)):  # a bool is an Integral, and abs(True) is 1
                 raise ValueError(f"{f.name}={value!r}: must be a number, not a bool")
+            if isinstance(value, np.generic):  # a numpy scalar is kept as its Python number
+                object.__setattr__(self, f.name, value := value.item())
             if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{f.name}={value!r}: must be an integer")
             if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:  # NaN too

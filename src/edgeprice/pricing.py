@@ -171,11 +171,10 @@ def user_utility(s: Scenario, alloc: Allocation) -> UtilitySummary:
 def user_utility_gradient(
     s: Scenario, pc: PriceCoefficients, alloc: Allocation
 ) -> tuple[float, float]:
-    """First partials of the linear-priced user utility w.r.t. (f_server, b)."""
-    _, q_w2c, q_ups = _scenario_factors(s)
-    grad_f = quotient(q_w2c, libm(pow, alloc.f_server, 2)) - pc.a
-    grad_b = quotient(q_ups, libm(pow, alloc.b, 2)) - pc.b_coef
-    return grad_f, grad_b
+    """First partials of the linear-priced user utility w.r.t. (f_server, b): the coefficients whose
+    critical point is ``alloc``, less the coefficients ``pc`` charged."""
+    slope = derive_coefficients(s, alloc.f_server, alloc.b)
+    return slope.a - pc.a, slope.b_coef - pc.b_coef
 
 
 def critical_point(s: Scenario, pc: PriceCoefficients) -> Allocation:

@@ -18,7 +18,8 @@ Each transcendental step (log2, a power, a square root) goes through
 :func:`libm`, and each division by a computed value through
 :func:`quotient`, so an array result equals the scalar calls bit for bit.
 :func:`kept` is the one memo of what a Scenario derives, the channel's
-log2(1 + snr) pair and f_local^2 among it.
+log2(1 + snr) pair and f_local^2 among it; ``_spectral_efficiency`` says
+a link's log2(1 + snr) once, for that pair and for :func:`validate`.
 """
 from __future__ import annotations
 
@@ -87,22 +88,16 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Uplink/downlink signal-to-noise figures plus their interpretation.
+    """Uplink/downlink signal-to-noise figures plus their interpretation: data only.
 
-    In "raw" mode the configured figure is used directly inside
-    log2(1 + snr); in "db-to-linear" mode it is first converted via
-    10^(figure/10), which is ``inf`` for a figure too large for a float.
+    In "raw" mode the configured figure is the snr inside log2(1 + snr); in
+    "db-to-linear" mode the snr is 10^(figure/10), which is ``inf`` for a
+    figure too large for a float. :func:`spectral_efficiencies` reads the pair.
     """
 
     snr_uplink: float
     snr_downlink: float
     snr_mode: str = "raw"
-
-    def effective_snrs(self) -> tuple[float, float]:
-        """Effective (uplink, downlink) SNR values entering the rate formulas."""
-        if self.snr_mode == "db-to-linear":
-            return libm(exp10, self.snr_uplink / 10.0), libm(exp10, self.snr_downlink / 10.0)
-        return self.snr_uplink, self.snr_downlink
 
 
 @dataclass(frozen=True)
@@ -302,10 +297,17 @@ def kept(s: Scenario, key: str, make: Callable[[Scenario], object]):
         return s.__dict__.setdefault(key, make(s))
 
 
+def _spectral_efficiency(mode: str, figure):
+    """log2(1 + snr) of one link, bit/s per Hz: snr is 10^(figure/10) in "db-to-linear" mode, the
+    figure itself otherwise. A domain error for snr <= -1, and inf only where 10^(figure/10) is."""
+    return libm(math.log2, 1.0 + (libm(exp10, figure / 10.0) if mode == "db-to-linear" else figure))
+
+
 def spectral_efficiencies(s: Scenario) -> tuple[float, float]:
-    """(uplink, downlink) log2(1 + snr) of ``s.channel``, bit/s per Hz; a domain error for snr <= -1."""
-    return kept(s, "_spectral_efficiencies",
-                lambda s: tuple(libm(math.log2, 1.0 + snr) for snr in s.channel.effective_snrs()))
+    """(uplink, downlink) :func:`_spectral_efficiency` of ``s.channel``, :func:`kept`."""
+    return kept(s, "_spectral_efficiencies", lambda s: (
+        _spectral_efficiency(s.channel.snr_mode, s.channel.snr_uplink),
+        _spectral_efficiency(s.channel.snr_mode, s.channel.snr_downlink)))
 
 
 def f_local_squared(s: Scenario) -> float:
@@ -330,7 +332,8 @@ def validate(s: Scenario) -> list[str]:
 
     Returns an empty list iff the scenario is valid. Never raises. An array
     field fails a check, in one entry, if any element fails it; a box bound
-    fails if it is one. Non-finite numbers are reported alone, before the range checks.
+    fails if it is one. Non-finite numbers are reported alone, before the range checks,
+    and each link is checked on its own: a raw figure > 0, a finite and nonzero log2(1 + snr).
     """
     report = [f"{name}={value!r}: must be finite" for name, value in scenario_numbers(s).items()
               if not _every(abs(value) < math.inf)]  # NaN compares false
@@ -352,18 +355,15 @@ def validate(s: Scenario) -> list[str]:
     if s.channel.snr_mode not in SNR_MODES:
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
-        figures = (s.channel.snr_uplink, s.channel.snr_downlink)
-        # a raw figure must be positive; a dB figure may be negative (-3 dB is an SNR of 0.50)
-        positive = [s.channel.snr_mode != "raw" or _every(x > 0) for x in figures]
-        # the log2(1 + snr) pair is a domain error for snr <= -1, and 10^(x/10) is never negative
-        efficiencies = spectral_efficiencies(s) if all(positive) else (None, None)
-        for name, value, ok, snr, eff in zip(("snr_uplink", "snr_downlink"), figures, positive,
-                                             s.channel.effective_snrs(), efficiencies):
-            if not ok:
+        for name, value in (("snr_uplink", s.channel.snr_uplink), ("snr_downlink", s.channel.snr_downlink)):
+            # log2(1 + snr) is a domain error for snr <= -1; a dB figure may be negative (-3 dB is 0.50)
+            if s.channel.snr_mode == "raw" and not _every(value > 0):
                 report.append(f"{name}={value!r}: must be strictly positive")
-            elif not _every(snr < math.inf):
+                continue
+            efficiency = _spectral_efficiency(s.channel.snr_mode, value)
+            if not _every(efficiency < math.inf):  # inf only where 10^(x/10) is
                 report.append(f"{name}={value!r} dB: 10^(x/10) is not finite")
-            elif not _every(eff != 0):  # 1 + snr rounds to 1, or 10^(x/10) underflows to 0: a zero rate
+            elif not _every(efficiency != 0):  # 1 + snr rounds to 1, or 10^(x/10) underflows to 0: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
         if np.ndim(lo) or np.ndim(hi):  # one box per scenario: a search, a sweep and a surface read one

@@ -561,7 +561,7 @@ def test_the_writer_makes_no_document_sized_buffer(tmp_path):
     path = tmp_path / "big.svg"
     tracemalloc.start()
     try:
-        harness._write(harness._sliced(text), path)
+        harness._write([text], path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -3,11 +3,12 @@ import ast
 import dataclasses
 import importlib
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 import edgeprice
-from edgeprice import optimizers
+from edgeprice import optimizers, pricing
 
 _SOURCES = sorted(Path(edgeprice.__file__).parent.glob("*.py"))
 
@@ -38,23 +39,35 @@ def test_no_module_reaches_a_private_name_of_another():
     assert {name: lines for name, lines in reached.items() if lines} == {}
 
 
-def _callers(path: Path, name: str) -> list[str]:
-    """``module.function`` of each call to a ``name``, the function being the innermost around it."""
-    callers = []
+def _sites(path: Path, found: Callable[[ast.AST], bool]) -> list[str]:
+    """``module.function (line n)`` of each node that is ``found``, the function being the innermost around it."""
+    sites = []
 
     def visit(node: ast.AST, where: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
-                    callers.append(f"{path.stem}.{where} (line {child.lineno})")
+            if found(child):
+                sites.append(f"{path.stem}.{where} (line {child.lineno})")
             visit(child, where)
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    return callers
+    return sites
+
+
+def _named(node: ast.AST, name: str) -> bool:
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def _callers(path: Path, name: str) -> list[str]:
+    """``module.function (line n)`` of each call to a ``name``."""
+    return _sites(path, lambda node: isinstance(node, ast.Call) and _named(node.func, name))
+
+
+def _readers(path: Path, name: str) -> list[str]:
+    """``module.function (line n)`` of each read of a ``name``, bare or as an attribute."""
+    return _sites(path, lambda node: isinstance(getattr(node, "ctx", None), ast.Load) and _named(node, name))
 
 
 def test_only_the_gate_calls_validate():
@@ -69,6 +82,40 @@ def test_only_scenario_from_config_builds_a_scenario():
     # randomized comparison all convert through scenario.number_fields, and a copy is a replace
     callers = [caller for path in _SOURCES for caller in _callers(path, "Scenario")]
     assert [caller.split(" ")[0] for caller in callers] == ["scenario.scenario_from_config"], callers
+
+
+def test_only_the_writer_and_the_heatmap_blocks_read_the_piece_bound():
+    # harness._write slices every piece it is given, so an emitter passes its whole document; the
+    # heatmap's blocks are sized by the same bound, so each is one write
+    readers = [reader for path in _SOURCES for reader in _readers(path, "PIECE_CHARS")]
+    assert {reader.split(" ")[0] for reader in readers} == {"harness._write", "svgplot._cell_blocks"}, readers
+
+
+def test_the_price_slope_is_derive_coefficients():
+    # the gradient at a purchase is the coefficients whose critical point it is, less those charged
+    callers = _callers(Path(pricing.__file__), "derive_coefficients")
+    assert "pricing.user_utility_gradient" in [caller.split(" ")[0] for caller in callers], callers
+
+
+def test_the_model_records_define_no_methods():
+    # ChannelSpec, Scenario and Allocation hold data only: what is derived from them is said in functions,
+    # scenario.spectral_efficiencies among them, and kept by scenario.kept
+    records = {node.name: [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+               for path in _SOURCES for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and node.name in ("ChannelSpec", "Scenario", "Allocation")}
+    assert records == {"ChannelSpec": [], "Scenario": [], "Allocation": []}
+
+
+def test_every_package_and_test_source_parses_as_python_3_10():
+    # 3.10 is the oldest Python CI runs: syntax of a later one (an except* clause, a type statement)
+    # fails here on any Python
+    failures = []
+    for path in [*_SOURCES, *sorted(Path(__file__).parent.glob("*.py"))]:
+        try:
+            ast.parse(path.read_text(encoding="utf-8"), filename=path.name, feature_version=(3, 10))
+        except SyntaxError as exc:
+            failures.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    assert failures == []
 
 
 def test_no_module_but_scenario_reads_the_kb_unit():

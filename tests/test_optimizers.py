@@ -534,6 +534,19 @@ def test_swarm_config_checks_do_not_depend_on_magnitude():
             SwarmConfig(**fields)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_numpy_scalar_setting_is_kept_as_its_python_number():
+    # a setting is kept as its Python number: no float32 cast warns or runs the stop test, and the run's
+    # record holds a bool and an int, not np.True_ and np.int64
+    cfg = SwarmConfig(p_n=np.int64(30), n_max=np.int32(50), epsilon=np.float32(1e-3), seed=np.int64(3))
+    assert [type(getattr(cfg, name)) for name in ("p_n", "n_max", "epsilon", "seed")] == [int, int, float, int]
+    s = default_scenario()
+    run = disc_pso(s, dynamic_utility_objective(s), box_maximum_utility(s), cfg)
+    expected = disc_pso(s, dynamic_utility_objective(s), box_maximum_utility(s),
+                        SwarmConfig(epsilon=float(np.float32(1e-3)), seed=3))
+    assert run == expected and repr(run) == repr(expected)
+
+
 # ---------------------------------------------------------------- pinned trajectories
 # The objectives are written here from Scenario fields, apart from
 # edgeprice.pricing, so that a change to the model code cannot move the
@@ -543,7 +556,7 @@ def test_swarm_config_checks_do_not_depend_on_magnitude():
 # per-individual loops before them.
 
 _S = default_scenario()
-_SNR_UP, _SNR_DOWN = _S.channel.effective_snrs()
+_SNR_UP, _SNR_DOWN = _S.channel.snr_uplink, _S.channel.snr_downlink  # the default channel is raw
 _Q_CHI = _S.q * (_S.w1 * _S.k * _S.c * _S.f_local**2 + _S.w2 * _S.c / _S.f_local)
 _Q_W2C = _S.q * _S.w2 * _S.c
 _Q_UPS = _S.q * (

@@ -103,7 +103,7 @@ def test_alpha_zero_is_accepted():
 
 def test_db_to_linear_effective_snr():
     s = load_scenario(overrides=parse_config("snr_mode=db-to-linear\nsnr_uplink=20\n"))
-    up, down = s.channel.effective_snrs()
+    up, down = (2.0**efficiency - 1.0 for efficiency in spectral_efficiencies(s))
     assert up == pytest.approx(100.0, rel=1e-12)
     assert down == pytest.approx(1000.0, rel=1e-12)
 
@@ -112,8 +112,8 @@ def test_snr_modes_differ_only_in_effective_values():
     raw = load_scenario(overrides=parse_config("snr_mode=raw\n"))
     db = load_scenario(overrides=parse_config("snr_mode=db-to-linear\n"))
     assert dataclasses.replace(raw, channel=db.channel) == db
-    assert raw.channel.effective_snrs() == (20.0, 30.0)
-    assert db.channel.effective_snrs() != raw.channel.effective_snrs()
+    assert spectral_efficiencies(raw) == (math.log2(21.0), math.log2(31.0))
+    assert spectral_efficiencies(db) != spectral_efficiencies(raw)
 
 
 def test_nonpositive_value_names_the_field():
@@ -292,6 +292,17 @@ def test_validation_rejects_snr_with_zero_rate(link):
     # 1 + 2^-52 is the next float after 1, so that rate is accepted; 1 + 2^-53 ties back to 1
     assert validate(default_scenario(channel=channel(2.0**-52))) == []
     assert len(validate(default_scenario(channel=channel(2.0**-53)))) == 1
+
+
+@pytest.mark.parametrize("channel, report", [
+    (ChannelSpec(-1.0, 1e-300, "raw"), ["snr_uplink=-1.0: must be strictly positive",
+                                        "snr_downlink=1e-300: log2(1 + snr) is 0, so the link carries nothing"]),
+    (ChannelSpec(1e-300, -2.0, "raw"), ["snr_uplink=1e-300: log2(1 + snr) is 0, so the link carries nothing",
+                                        "snr_downlink=-2.0: must be strictly positive"]),
+], ids=["uplink-negative", "downlink-negative"])
+def test_validate_reports_each_links_fault_in_link_order(channel, report):
+    # each link is checked on its own: one link's fault hides no fault of the other
+    assert validate(default_scenario(channel=channel)) == report
 
 
 @pytest.mark.parametrize("figure", [-3.0, -400.0, -5000.0, np.array([-3.0, -400.0, -5000.0])], ids=str)
