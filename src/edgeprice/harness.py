@@ -24,7 +24,7 @@ import numpy as np
 from .offload import Allocation
 from .pricing import dynamic_utility_objective, user_utility
 from .scenario import Scenario, checked, number_fields, scenario_numbers
-from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate
+from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate, require_integer
 from . import svgplot
 
 SWEEPABLE_PARAMETERS = ("f_server", "b", "q", "f_local")
@@ -185,6 +185,8 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     under ``np.errstate(all="ignore")``, and any inf or NaN cell raises
     ``ValueError``.
     """
+    require_integer("f_steps", f_steps)
+    require_integer("b_steps", b_steps)
     if f_steps < 2 or b_steps < 2:
         raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
     _require_one_scenario(checked(s), "surface")
@@ -221,6 +223,7 @@ def compare_optimizers(
     algorithms still seeing the same scenario and seed in a given trial.
     Either way ``s`` pins one scenario, and an array in it raises ``ValueError`` naming it.
     """
+    require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     _require_one_scenario(checked(s), "comparison")  # s itself, before randomize replaces q and f_local

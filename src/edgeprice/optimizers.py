@@ -18,14 +18,18 @@ f_server and b planes of k rows for each of T trials, and values are
 generator, in the order it would alone, so a trial's result does not
 depend on the batch it ran in. A single run makes each draw as one
 generator call with a leading trial axis of 1, a batch as one call per
-trial. A trial that meets the gap or reaches n_max is finished: its
-result is recorded and it leaves the batch. Each round is one objective
-call on the (T, k) rows of the batch, row t for trial t, so an objective
-whose scenario holds (T, 1) columns gives each trial its own workload; a
-finished trial's rows are the box corner, and their values are not read.
-When the objective fails, the
-``OptimizerError`` names the lowest-index trial among those that fail in
-the earliest failing round.
+trial, except where a round reads raw PCG64 words and decodes them as
+numpy does, bit for bit: a GA batch reads each trial's tournaments and
+uniforms as one block of words, and DE at an even p_n each trial's
+j_rand (see ``_ga_draws`` and ``_de_draws``; a canary checks them
+against numpy's own calls). A trial that meets the gap or reaches n_max
+is finished: its result is recorded and it leaves the batch. Each round
+is one objective call on the (T, k) rows of the batch, row t for trial
+t, so an objective whose scenario holds (T, 1) columns gives each trial
+its own workload; a finished trial's rows are the box corner, and their
+values are not read. When the objective fails, the ``OptimizerError``
+names the lowest-index trial among those that fail in the earliest
+failing round.
 
 A search reads one box, made once per ``Scenario`` instance and p_n:
 read-only (2, 1, p_n) planes of lo, hi, the width, the GA's mutation
@@ -83,6 +87,12 @@ class OptimizerError(RuntimeError):
         self.trial = trial
 
 
+def require_integer(name: str, value: object) -> None:
+    """``ValueError`` naming the count ``name`` unless ``value`` is an integer: a numpy one is, a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}={value!r}: must be an integer")
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     """The settings every searcher reads; each searcher's own settings are fixed."""
@@ -99,8 +109,8 @@ class SwarmConfig:
                 raise ValueError(f"{f.name}={value!r}: must be a number, not a bool")
             if isinstance(value, np.generic):  # a numpy scalar is kept as its Python number
                 object.__setattr__(self, f.name, value := value.item())
-            if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
-                raise ValueError(f"{f.name}={value!r}: must be an integer")
+            if isinstance(f.default, int):
+                require_integer(f.name, value)
             if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:  # NaN too
                 raise ValueError(f"{f.name}={value!r}: must be a finite float")
         if self.p_n < 4:
@@ -154,10 +164,12 @@ def _draws(
 
     ``kind`` is "random", "standard_normal" or "integers", the last drawing
     from [0, high). A single trial makes one call with a leading axis of 1,
-    which gives the same numbers; a batch makes one call per trial. The
+    which gives the same numbers; a batch makes one call per trial, except
+    where ``_ga_draws`` and ``_de_draws`` decode the trials' words. The
     single-trial branches also save time: without them (and ``_flat_rows``'),
     one interior-search round took 43-47 against 37-41 us for the GA and
-    40-43 against 35-37 us for DE (2 CPUs, Python 3.11, numpy 2.4).
+    40-43 against 35-37 us for DE (2 CPUs, Python 3.11, numpy 2.4), and
+    decoding a single GA trial's words read 1.04-1.08x per round.
     """
     if kind == "integers":  # the one kind without out=
         if len(rngs) == 1:
@@ -172,6 +184,80 @@ def _draws(
     for rng, block in zip(rngs, out):
         draw(rng, out=block)
     return out
+
+
+def _halves(words: np.ndarray) -> np.ndarray:
+    """The 32-bit draws numpy makes from the words, two each, the low half first.
+
+    The "<" byte order reads the low half first on a big-endian machine too.
+    """
+    return words.astype("<u8", copy=False).view("<u4")
+
+
+def _ga_draws(
+    rngs: Sequence[np.random.Generator], n: int, high: int, state: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """A GA round's draws before its noise: per trial ``integers(high, size=(2, n, 2))``, then ``random(4n)``.
+
+    Returns the (T, 2, n, 2) int64 and (T, 4n) blocks and the next state.
+    A single run makes numpy's calls and keeps its state. A batch's state
+    is ``()`` or the (T, 1) flags of the trials that make numpy's calls.
+    A trial not flagged has no 32-bit half buffered, so its round is its
+    next 6n words: numpy's Lemire draw from [0, high), high < 2**32, is
+    (x * high) >> 32 for each of the first 2n words' 4n halves x, unless
+    (x * high) mod 2**32 < 2**32 mod high, where it rejects x and reads the
+    next half. A trial whose halves hold a rejection (4.3e-7 of trial-rounds
+    at high 30) is rewound by its 6n words, its buffer still empty, and
+    redrawn by numpy; if that leaves a half buffered, it is flagged, and a
+    flagged trial makes numpy's calls for the rest of its run.
+    """
+    if len(rngs) == 1:
+        return _draws(rngs, (2, n, 2), "integers", high), _draws(rngs, (4 * n,)), state
+    (numpy_calls,) = state or (np.zeros((len(rngs), 1), bool),)
+    flagged = np.flatnonzero(numpy_calls).tolist()
+    unread = np.zeros(6 * n, np.uint64)  # a flagged trial's row: its draws are numpy's, below
+    words = np.array([unread if t in flagged else rng.bit_generator.random_raw(6 * n)
+                      for t, rng in enumerate(rngs)])
+    products = _halves(words[:, : 2 * n]).astype(np.uint64) * high
+    contest = (products >> 32).view(np.int64).reshape(-1, 2, n, 2)
+    u = np.multiply(words[:, 2 * n :] >> 11, 1.0 / 2**53)  # numpy's double of a word: its top 53 bits
+    rejected = np.flatnonzero((products.astype(np.uint32) < 2**32 % high).any(axis=1)).tolist()
+    newly = []
+    for t in sorted({*flagged, *rejected}):
+        rng = rngs[t]
+        if t not in flagged:
+            rng.bit_generator.advance(2**128 - 6 * n)  # back 6n words; advance also empties the buffer
+        contest[t] = rng.integers(high, size=(2, n, 2))
+        rng.random(out=u[t])
+        if t not in flagged and rng.bit_generator.state["has_uint32"]:
+            newly.append(t)
+    if newly:
+        numpy_calls = numpy_calls.copy()
+        numpy_calls[newly] = True
+    return contest, u, (numpy_calls,)
+
+
+def _de_draws(rngs: Sequence[np.random.Generator], p_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A DE round's draws: per trial ``random(p_n**2 + 2 p_n)``, then j_rand, ``integers(2, size=p_n)``.
+
+    At an even p_n each trial's j_rand is read from its next p_n/2 words,
+    each draw the top bit of a 32-bit half: a draw from [0, 2) never
+    rejects, and an even count of halves leaves none buffered for the next
+    round. An odd p_n leaves one buffered every other round, so it makes
+    numpy's calls. The doubles stay numpy's own fill: decoded from words
+    as well, they read 1.09x at T = 50 and 1.58x at T = 1000 (three passes
+    over a (T, p_n**2 + 2 p_n) block). A single run takes the even rule too:
+    against numpy's calls it read 0.90-0.93x per round (2 CPUs, Python
+    3.11, numpy 2.4).
+    """
+    n_doubles = p_n * p_n + 2 * p_n
+    if p_n % 2:
+        return _draws(rngs, (n_doubles,)), _draws(rngs, (p_n,), "integers", 2)
+    u, words, draw = np.empty((len(rngs), n_doubles)), [], np.random.Generator.random
+    for rng, row in zip(rngs, u):
+        draw(rng, out=row)
+        words.append(rng.bit_generator.random_raw(p_n // 2))
+    return u, _halves(np.array(words)) >> 31
 
 
 def _planes(rows: np.ndarray) -> np.ndarray:
@@ -311,7 +397,7 @@ def _search(
     """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
     ``u_max`` and the numbers of ``s`` have the shapes ``replicate`` states,
-    or ``ValueError`` names them before any draw. The
+    and ``u_max`` is finite, or ``ValueError`` names them before any draw. The
     global best of a trial is the best candidate it ever evaluated (first
     argmax, replaced only when strictly greater). All live trials have
     completed the same number of rounds; the finished ones are recorded
@@ -330,8 +416,12 @@ def _search(
     if misfits:
         raise ValueError(f"a batch reads numbers, (T, 1) scenario columns and a float or (T,) u_max "
                          f"for its T = {n} trials, but {', '.join(misfits)}")
+    u_max = np.full(n, u_max).tolist()
+    for t, value in enumerate(u_max):  # the stop test holds at once at -inf, and never at NaN or +inf
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite gap reference (inf or NaN): u_max {value!r} of trial {t}")
     rngs = list(map(np.random.default_rng, seeds))
-    trials, u_max = list(range(n)), np.full(n, u_max).tolist()
+    trials = list(range(n))
     box = _search_box(s, cfg.p_n)
     pop = box.lo + box.width * _planes(_draws(rngs, (cfg.p_n, 2)))
     # a copy: acceptance updates the values in place, and the objective's array is not the search's
@@ -435,9 +525,10 @@ def _ga() -> _Searcher:
     def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         n = cfg.p_n - 1
         # per trial: [parent, child, contestant], two tournaments of two per child;
-        # then uniforms for crossover (n), lambda (n) and mutation (n, 2); then noise
-        contest = _flat_rows(_draws(rngs, (2, n, 2), "integers", cfg.p_n), cfg.p_n)
-        u = _draws(rngs, (4 * n,))
+        # then uniforms for crossover (n), lambda (n) and mutation (n, 2); then noise.
+        # a batch decodes the first two from each trial's words; its state flags the trials that cannot
+        contest, u, state = _ga_draws(rngs, n, cfg.p_n, state)
+        contest = _flat_rows(contest, cfg.p_n)
         noise = _draws(rngs, (n, 2), "standard_normal")
         score = values.take(contest)  # both contestants of every tournament
         winners = np.where(score[..., 0] >= score[..., 1], contest[..., 0], contest[..., 1])
@@ -469,9 +560,9 @@ def _de() -> _Searcher:
 
     def propose(cfg, n_f, rngs, box, pop, values, p_gb, state):
         p_n = cfg.p_n
-        # per trial: (p_n, p_n) random keys and a (p_n, 2) crossover draw, then j_rand
-        u = _draws(rngs, (p_n * p_n + 2 * p_n,))
-        j_rand = _draws(rngs, (p_n,), "integers", 2)
+        # per trial: (p_n, p_n) random keys and a (p_n, 2) crossover draw, then j_rand;
+        # at an even p_n, j_rand is decoded from each trial's words
+        u, j_rand = _de_draws(rngs, p_n)
         u[:, : p_n * p_n : p_n + 1] = 2.0  # the diagonal of each key matrix
         r = _flat_rows(u[:, : p_n * p_n].reshape(-1, p_n, p_n).argsort(axis=2)[..., :3], p_n)
         rows = pop.reshape(2, -1)
@@ -553,6 +644,7 @@ def replicate(
     object, a ``dataclasses.replace`` copy under another name included,
     raises ``ValueError``.
     """
+    require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if algorithm not in ALGORITHMS.values():

@@ -40,7 +40,7 @@ from .pricing import (
 from .scenario import BPS_PER_MBPS as MBPS, HZ_PER_GHZ as GHZ, DEFAULT_CONFIG, ChannelSpec, Scenario
 from .scenario import default_scenario, exp10, libm, number_fields, scenario_from_config
 from .harness import SweepSpec, compare_optimizers, corner_allocation, format_number, run_sweep, surface_grid
-from .optimizers import SwarmConfig
+from .optimizers import SwarmConfig, require_integer
 
 # Reference anchors for the default configuration (raw SNR mode unless noted).
 PRICE_AT_100KB = 0.315874        # at (6 GHz, 1 Mbps)
@@ -344,6 +344,7 @@ def run_anchor_suite(*, seed: int = 0, n_trials: int = 50) -> list[AnchorCheck]:
     A bad ``seed`` or ``n_trials`` raises ``ValueError`` before any anchor runs.
     """
     cfg = SwarmConfig(seed=seed)
+    require_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     deltas = _f_server_sweep()

@@ -5,8 +5,10 @@
 and its ``_PINS`` hold full-precision values. Those rest on three
 dependencies: numpy's ``Generator`` streams (``random``,
 ``standard_normal``, ``integers``), which numpy does not promise to keep
-across releases (NEP 19); the C library's ``pow`` and ``log2`` through
-``scenario.libm``; and the ``repr`` of the result records. If one of them
+across releases (NEP 19), with the conversion of their PCG64 words to
+numbers, which the GA and DE batches decode themselves; the C library's
+``pow`` and ``log2`` through ``scenario.libm``; and the ``repr`` of the
+result records. If one of them
 moves, the digests fail together and say nothing of why; the canary of
 that dependency fails here too, by name. A canary explains a digest
 failure; it does not excuse it. This file runs first, in file order and
@@ -21,7 +23,7 @@ import pytest
 
 from edgeprice.harness import ComparisonReport
 from edgeprice.offload import Allocation
-from edgeprice.optimizers import RunResult, TrialStats
+from edgeprice.optimizers import RunResult, TrialStats, _de_draws, _ga_draws
 from edgeprice.scenario import exp10, libm
 
 #: The draw shapes of the searchers at p_n 30, per Generator method: the initial sample, one
@@ -66,6 +68,28 @@ def test_numpy_generator_streams_are_pinned(kind):
     assert hashlib.sha256(draws).hexdigest() == _STREAM_DIGESTS[kind], (
         f"numpy {np.__version__} moved the Generator.{kind} stream (or its dtype) that every seeded "
         "search draws from: the digests and _PINS of test_optimizers.py fail with it"
+    )
+
+
+@pytest.mark.parametrize("p_n", [4, 6, 30])
+def test_the_batch_decode_of_numpy_words_is_numpys_own_draws(p_n):
+    # a GA or DE batch reads a trial's round from its PCG64 words: a double is (word >> 11) * 2**-53
+    # and a draw from [0, p_n) Lemire's multiply-shift on a 32-bit half, the low half first
+    seeds = range(50)
+    ga, de, ga_alone, de_alone = ([np.random.default_rng(seed) for seed in seeds] for _ in range(4))
+    state, decoded, alone = (), [], []
+    for _ in range(3):
+        contest, u, state = _ga_draws(ga, p_n - 1, p_n, state)
+        decoded += [contest, u, *_de_draws(de, p_n), [rng.standard_normal((p_n - 1, 2)) for rng in ga]]
+        alone += [[rng.integers(p_n, size=(2, p_n - 1, 2)) for rng in ga_alone],
+                  [rng.random(4 * (p_n - 1)) for rng in ga_alone],
+                  [rng.random(p_n * p_n + 2 * p_n) for rng in de_alone],
+                  [rng.integers(2, size=p_n) for rng in de_alone],
+                  [rng.standard_normal((p_n - 1, 2)) for rng in ga_alone]]
+    assert all(np.array_equal(ours, theirs) for ours, theirs in zip(decoded, alone, strict=True)), (
+        f"numpy {np.__version__} moved the word-to-number conversion (a double from a word's top 53 bits, "
+        "a bounded integer by Lemire's multiply-shift on its 32-bit halves, low half first) that the GA "
+        "and DE batches decode: optimizers._ga_draws and _de_draws no longer give numpy's own draws"
     )
 
 

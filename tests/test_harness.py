@@ -357,6 +357,16 @@ def test_surface_rejects_single_step(defaults):
         surface_grid(defaults, 1, 10)
 
 
+@pytest.mark.parametrize("steps, message", [
+    ((2.0, 3), r"^f_steps=2\.0: must be an integer$"), ((3, True), r"^b_steps=True: must be an integer$"),
+    ((np.float64(3.0), 3), r"^f_steps=np\.float64\(3\.0\): must be an integer$"),
+])
+def test_surface_refuses_a_step_count_that_is_not_an_integer(defaults, steps, message):
+    with pytest.raises(ValueError, match=message):
+        surface_grid(defaults, *steps)
+    assert surface_grid(defaults, np.int64(2), 3).u_user.tolist() == surface_grid(defaults, 2, 3).u_user.tolist()
+
+
 # ---------------------------------------------------------------- compare
 
 def test_compare_single_trial_has_four_rows(defaults):
@@ -452,6 +462,13 @@ def test_compare_scores_each_round_in_one_call(defaults, randomize, monkeypatch)
 def test_compare_rejects_zero_trials(defaults, n_trials, randomize):
     # checked before any draw or broadcast, so the message is ours, not numpy's
     with pytest.raises(ValueError, match=r"^n_trials must be >= 1$"):
+        compare_optimizers(defaults, SwarmConfig(), n_trials, randomize=randomize)
+
+
+@pytest.mark.parametrize("randomize", [False, True])
+@pytest.mark.parametrize("n_trials", [2.0, True, "2"])
+def test_compare_refuses_a_trial_count_that_is_not_an_integer(defaults, n_trials, randomize):
+    with pytest.raises(ValueError, match=r"^n_trials=.*: must be an integer$"):
         compare_optimizers(defaults, SwarmConfig(), n_trials, randomize=randomize)
 
 

@@ -91,6 +91,17 @@ def test_only_the_writer_and_the_heatmap_blocks_read_the_piece_bound():
     assert {reader.split(" ")[0] for reader in readers} == {"harness._write", "svgplot._cell_blocks"}, readers
 
 
+def test_only_the_searchers_read_numpy_words():
+    # optimizers decodes a batch's GA and DE draws from PCG64 words as numpy converts them, rewinds a
+    # trial's generator and reads its 32-bit buffer: numpy's word layout has that one home
+    def buffer_key(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "has_uint32"
+
+    sites = [site for path in _SOURCES for site in
+             [*_readers(path, "random_raw"), *_readers(path, "advance"), *_sites(path, buffer_key)]]
+    assert {site.split(".")[0] for site in sites} == {"optimizers"}, sites
+
+
 def test_the_price_slope_is_derive_coefficients():
     # the gradient at a purchase is the coefficients whose critical point it is, less those charged
     callers = _callers(Path(pricing.__file__), "derive_coefficients")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -349,6 +350,29 @@ def test_replicate_rejects_zero_trials(setting):
     s, objective, u_max = setting
     with pytest.raises(ValueError, match="n_trials"):
         replicate(disc_pso, s, objective, u_max, SwarmConfig(), n_trials=0)
+
+
+@pytest.mark.parametrize("n_trials", [2.0, True, np.float64(2.0), "2"])
+def test_replicate_refuses_a_trial_count_that_is_not_an_integer(setting, n_trials):
+    s, objective, u_max = setting
+    with pytest.raises(ValueError, match=r"^n_trials=.*: must be an integer$"):
+        replicate(disc_pso, s, objective, u_max, SwarmConfig(), n_trials=n_trials)
+    batch = (disc_pso, s, objective, u_max, SwarmConfig(n_max=3))
+    assert replicate(*batch, np.int64(2)) == replicate(*batch, 2)
+
+
+@pytest.mark.parametrize("reference", [-math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
+def test_a_search_refuses_a_non_finite_gap_reference(setting, algorithm, reference):
+    # at -inf the stop test held at once (converged after 0 rounds); at NaN or +inf it never held
+    s, objective, u_max = setting
+    spy = CountingObjective(objective)
+    message = r"^non-finite gap reference \(inf or NaN\): u_max {} of trial {}$"
+    with pytest.raises(ValueError, match=message.format(reference, 0)):
+        algorithm(s, spy, reference, SwarmConfig(n_max=3))
+    with pytest.raises(ValueError, match=message.format(reference, 1)):
+        replicate(algorithm, s, spy, np.array([u_max, reference, reference]), SwarmConfig(n_max=3), 3)
+    assert spy.calls == 0
 
 
 def test_replicate_trials_reproducible_individually(setting):
@@ -890,6 +914,35 @@ def _block_boundary_results():
 def test_swarm_block_boundaries_are_pinned():
     text = "\n".join(map(repr, _block_boundary_results()))
     assert hashlib.sha256(text.encode()).hexdigest() == _BLOCKS_DIGEST, _CANARIES
+
+
+# ---------------------------------------------------------------- decoded batch draws
+
+def _lemire_rejects(words, bound):
+    """Whether numpy's draw from [0, bound) rejects one of the words' 32-bit halves, low half first."""
+    halves = [half for word in words for half in (word & 0xFFFFFFFF, word >> 32)]
+    return any(half * bound % 2**32 < 2**32 % bound for half in halves)
+
+
+def test_the_ga_batch_decode_replays_numpy_through_rejections_and_buffered_halves():
+    # 2**32 mod 3 * 2**30 is 2**30, so numpy rejects a quarter of all halves at this bound, and most
+    # rounds of 4 halves hold a rejection: the trial rewinds and redraws with numpy, and is flagged
+    # once a redraw leaves a half buffered, which the next round's first draw reads
+    bound, n, n_trials = 3 * 2**30, 1, 8
+    batch, alone = ([np.random.default_rng(seed) for seed in range(n_trials)] for _ in range(2))
+    state, decoded, rewound = (), 0, 0
+    for _ in range(24):
+        for rng, flagged in zip(batch, state[0][:, 0].tolist() if state else [False] * n_trials):
+            if not flagged:
+                rejects = _lemire_rejects(copy.deepcopy(rng.bit_generator).random_raw(2 * n).tolist(), bound)
+                decoded, rewound = decoded + (not rejects), rewound + rejects
+        contest, u, state = optimizers._ga_draws(batch, n, bound, state)
+        for t, rng in enumerate(alone):
+            assert contest[t].tolist() == rng.integers(bound, size=(2, n, 2)).tolist()
+            assert u[t].tolist() == rng.random(4 * n).tolist()
+        for ours, theirs in zip(batch, alone):  # the GA's noise between rounds
+            assert ours.standard_normal((n, 2)).tolist() == theirs.standard_normal((n, 2)).tolist()
+    assert decoded > 0 and rewound > 0 and state[0].any()
 
 
 # ---------------------------------------------------------------- small-population digest

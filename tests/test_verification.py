@@ -110,7 +110,10 @@ def test_relative_gap_anchor_does_not_read_the_stop_test_it_checks(monkeypatch):
     assert not gap.passed
 
 
-@pytest.mark.parametrize("kwargs, message", [({"seed": -1}, "seed=-1"), ({"n_trials": 0}, "n_trials")])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "seed=-1"), ({"n_trials": 0}, "n_trials"),
+    ({"n_trials": 2.0}, r"^n_trials=2\.0: must be an integer$"), ({"n_trials": True}, r"^n_trials=True: must be"),
+])
 def test_anchor_suite_refuses_bad_input_before_any_anchor(kwargs, message, monkeypatch):
     def fail():
         raise AssertionError("an anchor ran before the input check")
