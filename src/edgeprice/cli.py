@@ -32,18 +32,28 @@ from .harness import (
 )
 from .offload import Allocation
 from .pricing import dynamic_utility_objective
-from .scenario import ALLOCATION_KEYS, Scenario, default_purchase, load_scenario, parse_config, parse_setting
+from .scenario import (
+    ALLOCATION_KEYS, Scenario, ScenarioError, default_purchase, load_scenario, parse_config, parse_setting,
+)
 from .optimizers import OptimizerError, SwarmConfig
 
 SCENARIO_ENV_VAR = "EDGEPRICE_SCENARIO"
 
 
 def _load_context(args: argparse.Namespace) -> tuple[Scenario, dict[str, float | str]]:
-    """Scenario of one invocation, and its settings: the file's lines, then the --set pairs."""
+    """Scenario of one invocation, and its settings: the file's lines, then the --set pairs.
+
+    A --set pair overrides the file's line; a key given twice in the file or in --set is an error.
+    """
     path = args.scenario or os.environ.get(SCENARIO_ENV_VAR)
     # utf-8-sig: a byte-order mark, as some editors write, is not part of the first key
     config = parse_config(Path(path).read_text(encoding="utf-8-sig")) if path else {}
-    config.update(map(parse_setting, args.set or []))
+    pairs: dict[str, float | str] = {}
+    for key, value in map(parse_setting, args.set or []):
+        if key in pairs:
+            raise ScenarioError(f"--set: duplicate key {key!r}")
+        pairs[key] = value
+    config.update(pairs)
     return load_scenario(overrides=config), config
 
 

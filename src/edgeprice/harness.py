@@ -185,10 +185,8 @@ def surface_grid(s: Scenario, f_steps: int, b_steps: int) -> SurfaceGrid:
     under ``np.errstate(all="ignore")``, and any inf or NaN cell raises
     ``ValueError``.
     """
-    require_integer("f_steps", f_steps)
-    require_integer("b_steps", b_steps)
-    if f_steps < 2 or b_steps < 2:
-        raise ValueError(f"need at least 2 steps per axis, got ({f_steps}, {b_steps})")
+    require_integer("f_steps", f_steps, 2)
+    require_integer("b_steps", b_steps, 2)
     _require_one_scenario(checked(s), "surface")
     f_values = np.linspace(s.f_range[0], s.f_range[1], f_steps)
     b_values = np.linspace(s.b_range[0], s.b_range[1], b_steps)
@@ -223,9 +221,7 @@ def compare_optimizers(
     algorithms still seeing the same scenario and seed in a given trial.
     Either way ``s`` pins one scenario, and an array in it raises ``ValueError`` naming it.
     """
-    require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    require_integer("n_trials", n_trials, 1)
     _require_one_scenario(checked(s), "comparison")  # s itself, before randomize replaces q and f_local
     u_max = box_maximum_utility(s)
     trial_s = _draw_trial_scenarios(s, cfg.seed, n_trials) if randomize else s

@@ -21,15 +21,16 @@ generator call with a leading trial axis of 1, a batch as one call per
 trial, except where a round reads raw PCG64 words and decodes them as
 numpy does, bit for bit: a GA batch reads each trial's tournaments and
 uniforms as one block of words, and DE at an even p_n each trial's
-j_rand (see ``_ga_draws`` and ``_de_draws``; a canary checks them
-against numpy's own calls). A trial that meets the gap or reaches n_max
-is finished: its result is recorded and it leaves the batch. Each round
-is one objective call on the (T, k) rows of the batch, row t for trial
-t, so an objective whose scenario holds (T, 1) columns gives each trial
-its own workload; a finished trial's rows are the box corner, and their
-values are not read. When the objective fails, the ``OptimizerError``
-names the lowest-index trial among those that fail in the earliest
-failing round.
+j_rand. A GA trial whose words hold a draw numpy rejects makes numpy's
+calls from that round on (see ``_ga_draws`` and ``_de_draws``; a canary
+checks them against numpy's own calls). A trial that meets the gap or
+reaches n_max is finished: its result is recorded and it leaves the
+batch. Each round is one objective call on the (T, k) rows of the
+batch, row t for trial t, so an objective whose scenario holds (T, 1)
+columns gives each trial its own workload; a finished trial's rows are
+the box corner, and their values are not read. When the objective
+fails, the ``OptimizerError`` names the lowest-index trial among those
+that fail in the earliest failing round.
 
 A search reads one box, made once per ``Scenario`` instance and p_n:
 read-only (2, 1, p_n) planes of lo, hi, the width, the GA's mutation
@@ -87,10 +88,13 @@ class OptimizerError(RuntimeError):
         self.trial = trial
 
 
-def require_integer(name: str, value: object) -> None:
-    """``ValueError`` naming the count ``name`` unless ``value`` is an integer: a numpy one is, a bool is not."""
+def require_integer(name: str, value: object, least: int) -> None:
+    """``ValueError`` naming the count ``name`` unless ``value`` is an integer >= ``least``: a numpy
+    integer is one, a bool is not. Every count a caller passes goes through here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name}={value!r}: must be an integer")
+    if value < least:
+        raise ValueError(f"{name}={value!r}: must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,9 @@ class SwarmConfig:
     epsilon: float = 1e-3       # relative-gap termination threshold
     seed: int = 0
 
+    #: The least value of each count; p_n's is 4 because DE draws three other individuals.
+    _LEAST = {"p_n": 4, "n_max": 0, "seed": 0}
+
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
@@ -109,18 +116,12 @@ class SwarmConfig:
                 raise ValueError(f"{f.name}={value!r}: must be a number, not a bool")
             if isinstance(value, np.generic):  # a numpy scalar is kept as its Python number
                 object.__setattr__(self, f.name, value := value.item())
-            if isinstance(f.default, int):
-                require_integer(f.name, value)
-            if isinstance(f.default, float) and not abs(value) <= sys.float_info.max:  # NaN too
+            if f.name in self._LEAST:
+                require_integer(f.name, value, self._LEAST[f.name])
+            elif not abs(value) <= sys.float_info.max:  # NaN too
                 raise ValueError(f"{f.name}={value!r}: must be a finite float")
-        if self.p_n < 4:
-            raise ValueError(f"p_n={self.p_n!r}: must be >= 4 (DE draws three other individuals)")
-        if self.n_max < 0:
-            raise ValueError(f"n_max={self.n_max!r}: must be >= 0")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon={self.epsilon!r}: must be > 0")
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed!r}: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,10 @@ def _ga_draws(
     (x * high) >> 32 for each of the first 2n words' 4n halves x, unless
     (x * high) mod 2**32 < 2**32 mod high, where it rejects x and reads the
     next half. A trial whose halves hold a rejection (4.3e-7 of trial-rounds
-    at high 30) is rewound by its 6n words, its buffer still empty, and
-    redrawn by numpy; if that leaves a half buffered, it is flagged, and a
-    flagged trial makes numpy's calls for the rest of its run.
+    at high 30) is rewound by its 6n words, its buffer still empty, redrawn
+    by numpy and flagged: whatever numpy's buffer then holds, a flagged
+    trial makes numpy's calls for the rest of its run, so the decode has
+    one exit and a flagged trial's draws are numpy's own.
     """
     if len(rngs) == 1:
         return _draws(rngs, (2, n, 2), "integers", high), _draws(rngs, (4 * n,)), state
@@ -222,18 +224,13 @@ def _ga_draws(
     contest = (products >> 32).view(np.int64).reshape(-1, 2, n, 2)
     u = np.multiply(words[:, 2 * n :] >> 11, 1.0 / 2**53)  # numpy's double of a word: its top 53 bits
     rejected = np.flatnonzero((products.astype(np.uint32) < 2**32 % high).any(axis=1)).tolist()
-    newly = []
     for t in sorted({*flagged, *rejected}):
         rng = rngs[t]
         if t not in flagged:
             rng.bit_generator.advance(2**128 - 6 * n)  # back 6n words; advance also empties the buffer
+            numpy_calls[t] = True
         contest[t] = rng.integers(high, size=(2, n, 2))
         rng.random(out=u[t])
-        if t not in flagged and rng.bit_generator.state["has_uint32"]:
-            newly.append(t)
-    if newly:
-        numpy_calls = numpy_calls.copy()
-        numpy_calls[newly] = True
     return contest, u, (numpy_calls,)
 
 
@@ -397,7 +394,8 @@ def _search(
     """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
     ``u_max`` and the numbers of ``s`` have the shapes ``replicate`` states,
-    and ``u_max`` is finite, or ``ValueError`` names them before any draw. The
+    and ``u_max`` is finite and not a bool, or ``ValueError`` names them
+    before any draw, whatever the type of ``u_max``. The
     global best of a trial is the best candidate it ever evaluated (first
     argmax, replaced only when strictly greater). All live trials have
     completed the same number of rounds; the finished ones are recorded
@@ -411,8 +409,11 @@ def _search(
     misfits = kept(s, f"_batch_misfits{n}", lambda s: [  # one value, or a (T, 1) column per trial
         f"{name} has shape {np.shape(v)}" for name, v in scenario_numbers(s).items()
         if np.size(v) != 1 and np.shape(v) != (n, 1)])
-    if type(u_max) is np.ndarray and u_max.size != 1 and u_max.shape != (n,):  # a float needs no test
-        misfits = [*misfits, f"u_max has shape {u_max.shape}"]
+    if type(u_max) is not float:  # a float needs no test
+        if np.asarray(u_max).dtype == bool:  # a bool is a number to numpy, and True is 1.0
+            raise ValueError(f"u_max={u_max!r}: must be a number, not a bool")
+        if np.size(u_max) != 1 and np.shape(u_max) != (n,):
+            misfits = [*misfits, f"u_max has shape {np.shape(u_max)}"]
     if misfits:
         raise ValueError(f"a batch reads numbers, (T, 1) scenario columns and a float or (T,) u_max "
                          f"for its T = {n} trials, but {', '.join(misfits)}")
@@ -644,9 +645,7 @@ def replicate(
     object, a ``dataclasses.replace`` copy under another name included,
     raises ``ValueError``.
     """
-    require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    require_integer("n_trials", n_trials, 1)
     if algorithm not in ALGORITHMS.values():
         raise ValueError(f"replicate runs one of {', '.join(ALGORITHMS)}; got {algorithm!r}")
     seeds = trial_seeds(cfg.seed, n_trials)

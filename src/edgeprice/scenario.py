@@ -24,6 +24,7 @@ a link's log2(1 + snr) once, for that pair and for :func:`validate`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Mapping
@@ -327,14 +328,40 @@ def checked(s: Scenario) -> Scenario:
     return s
 
 
+def _is_real(value, arrays: bool = False) -> bool:
+    """Whether ``value`` is a real number that is not a bool, or, where ``arrays`` is set, a real array."""
+    if type(value) is _ndarray:
+        return arrays and value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _kind_faults(s: Scenario) -> list[str]:
+    """An entry for each number field or SNR figure that is not a real number or array, and each
+    box that is not a pair of real numbers: the kinds every later check of :func:`validate` reads."""
+    values = {name: getattr(s, name) for name in _NUMBER_FIELDS}
+    values.update(snr_uplink=s.channel.snr_uplink, snr_downlink=s.channel.snr_downlink)
+    faults = [f"{name}={value!r}: must be a real number (not a bool) or a real array"
+              for name, value in values.items() if not _is_real(value, arrays=True)]
+    for name, box in (("f_range", s.f_range), ("b_range", s.b_range)):
+        # one box per scenario: a search, a sweep and a surface read one
+        if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(map(_is_real, box))):
+            faults.append(f"{name}={box!r}: must be a pair of real numbers")
+    return faults
+
+
 def validate(s: Scenario) -> list[str]:
     """Check every Scenario invariant; one report entry per violation.
 
-    Returns an empty list iff the scenario is valid. Never raises. An array
-    field fails a check, in one entry, if any element fails it; a box bound
-    fails if it is one. Non-finite numbers are reported alone, before the range checks,
+    Returns an empty list iff the scenario is valid. Never raises. A value
+    of the wrong kind is reported alone, first: a number field or SNR figure
+    that is not a real number or array (a bool is neither), or a box that is
+    not a pair of real numbers. An array field fails a check, in one entry,
+    if any element fails it. Non-finite numbers are reported alone, before the range checks,
     and each link is checked on its own: a raw figure > 0, a finite and nonzero log2(1 + snr).
     """
+    report = _kind_faults(s)
+    if report:
+        return report
     report = [f"{name}={value!r}: must be finite" for name, value in scenario_numbers(s).items()
               if not _every(abs(value) < math.inf)]  # NaN compares false
     if report:
@@ -352,7 +379,7 @@ def validate(s: Scenario) -> list[str]:
         report.append(f"w2={s.w2!r}: must be strictly positive")
     elif not _every(s.w2 < 1):
         report.append(f"w2={s.w2!r}: w2 < 1 required for ES trend")
-    if s.channel.snr_mode not in SNR_MODES:
+    if not (isinstance(s.channel.snr_mode, str) and s.channel.snr_mode in SNR_MODES):
         report.append(f"snr_mode={s.channel.snr_mode!r}: expected one of {SNR_MODES}")
     else:
         for name, value in (("snr_uplink", s.channel.snr_uplink), ("snr_downlink", s.channel.snr_downlink)):
@@ -366,8 +393,6 @@ def validate(s: Scenario) -> list[str]:
             elif not _every(efficiency != 0):  # 1 + snr rounds to 1, or 10^(x/10) underflows to 0: a zero rate
                 report.append(f"{name}={value!r}: log2(1 + snr) is 0, so the link carries nothing")
     for name, (lo, hi) in (("f_range", s.f_range), ("b_range", s.b_range)):
-        if np.ndim(lo) or np.ndim(hi):  # one box per scenario: a search, a sweep and a surface read one
-            report.append(f"{name}={lo!r}..{hi!r}: bounds must be numbers, not arrays")
-        elif not 0 < lo < hi:
+        if not 0 < lo < hi:
             report.append(f"{name}={lo!r}..{hi!r}: bounds must satisfy 0 < min < max")
     return report

@@ -344,9 +344,7 @@ def run_anchor_suite(*, seed: int = 0, n_trials: int = 50) -> list[AnchorCheck]:
     A bad ``seed`` or ``n_trials`` raises ``ValueError`` before any anchor runs.
     """
     cfg = SwarmConfig(seed=seed)
-    require_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    require_integer("n_trials", n_trials, 1)
     deltas = _f_server_sweep()
     checks: list[AnchorCheck] = []
     checks.extend(_price_anchors())

@@ -479,11 +479,20 @@ def test_overflowing_scenario_prints_only_the_error_line(command, capsys):
         (["optimize", "--seed", "-1"], "seed=-1: must be >= 0"),
         (["compare", "--trials", "1", "--seed", "-5"], "seed=-5: must be >= 0"),
         (["validate", "--seed", "-1"], "seed=-1: must be >= 0"),
-        (["validate", "--trials", "0"], "n_trials must be >= 1"),
-        (["compare", "--trials", "-1"], "error: n_trials must be >= 1"),
-        (["compare", "--trials", "-1", "--randomize"], "error: n_trials must be >= 1"),
+        pytest.param(["validate", "--trials", "0"], "n_trials=0: must be >= 1", id="argv25-n_trials must be >= 1"),
+        pytest.param(["compare", "--trials", "-1"], "error: n_trials=-1: must be >= 1",
+                     id="argv26-error: n_trials must be >= 1"),
+        pytest.param(["compare", "--trials", "-1", "--randomize"], "error: n_trials=-1: must be >= 1",
+                     id="argv27-error: n_trials must be >= 1"),
         (["compare", "--trials", "2", "--randomize", "--set", "k_coeff=1e300"], "non-finite gap reference"),
         (["optimize", "--algo", "bogus"], "argument --algo: invalid choice: 'bogus'"),
+        # each count one below its least, the other counts at theirs
+        (["compare", "--trials", "0", "--p-n", "4", "--n-max", "0", "--seed", "0"], "error: n_trials=0: must be >= 1"),
+        (["compare", "--trials", "1", "--p-n", "3", "--n-max", "0", "--seed", "0"], "error: p_n=3: must be >= 4"),
+        (["compare", "--trials", "1", "--p-n", "4", "--n-max", "-1", "--seed", "0"], "error: n_max=-1: must be >= 0"),
+        (["compare", "--trials", "1", "--p-n", "4", "--n-max", "0", "--seed", "-1"], "error: seed=-1: must be >= 0"),
+        (["surface", "--steps", "1"], "error: f_steps=1: must be >= 2"),
+        (["optimize", "--set", "q_kb=100", "--set", "q_kb=200"], "error: --set: duplicate key 'q_kb'"),
     ],
 )
 def test_bad_input_is_usage_error(argv, message, tmp_path, monkeypatch, capsys):

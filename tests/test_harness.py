@@ -360,11 +360,13 @@ def test_surface_rejects_single_step(defaults):
 @pytest.mark.parametrize("steps, message", [
     ((2.0, 3), r"^f_steps=2\.0: must be an integer$"), ((3, True), r"^b_steps=True: must be an integer$"),
     ((np.float64(3.0), 3), r"^f_steps=np\.float64\(3\.0\): must be an integer$"),
+    ((1, 2), r"^f_steps=1: must be >= 2$"), ((2, 1), r"^b_steps=1: must be >= 2$"),
 ])
 def test_surface_refuses_a_step_count_that_is_not_an_integer(defaults, steps, message):
     with pytest.raises(ValueError, match=message):
         surface_grid(defaults, *steps)
     assert surface_grid(defaults, np.int64(2), 3).u_user.tolist() == surface_grid(defaults, 2, 3).u_user.tolist()
+    assert surface_grid(defaults, 3, 2).u_user.shape == (3, 2)
 
 
 # ---------------------------------------------------------------- compare
@@ -461,8 +463,9 @@ def test_compare_scores_each_round_in_one_call(defaults, randomize, monkeypatch)
 @pytest.mark.parametrize("n_trials", [0, -1])
 def test_compare_rejects_zero_trials(defaults, n_trials, randomize):
     # checked before any draw or broadcast, so the message is ours, not numpy's
-    with pytest.raises(ValueError, match=r"^n_trials must be >= 1$"):
+    with pytest.raises(ValueError, match=rf"^n_trials={n_trials}: must be >= 1$"):
         compare_optimizers(defaults, SwarmConfig(), n_trials, randomize=randomize)
+    assert compare_optimizers(defaults, SwarmConfig(n_max=0), 1, randomize=randomize).n_trials == 1
 
 
 @pytest.mark.parametrize("randomize", [False, True])

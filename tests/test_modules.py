@@ -102,6 +102,17 @@ def test_only_the_searchers_read_numpy_words():
     assert {site.split(".")[0] for site in sites} == {"optimizers"}, sites
 
 
+def test_only_require_integer_says_a_least_count():
+    # every count a caller passes (population, rounds, seed, trials, grid steps) is held to its least
+    # value by one function, in one message form
+    def says_least(node: ast.AST) -> bool:
+        return isinstance(node, ast.Raise) and any(
+            isinstance(part, ast.Constant) and "must be >=" in str(part.value) for part in ast.walk(node))
+
+    sites = [site for path in _SOURCES for site in _sites(path, says_least)]
+    assert [site.split(" ")[0] for site in sites] == ["optimizers.require_integer"], sites
+
+
 def test_the_price_slope_is_derive_coefficients():
     # the gradient at a purchase is the coefficients whose critical point it is, less those charged
     callers = _callers(Path(pricing.__file__), "derive_coefficients")

@@ -375,6 +375,17 @@ def test_a_search_refuses_a_non_finite_gap_reference(setting, algorithm, referen
     assert spy.calls == 0
 
 
+@pytest.mark.parametrize("reference", [True, np.True_, [True, False]], ids=["bool", "numpy-bool", "bool-list"])
+def test_a_search_refuses_a_bool_gap_reference(setting, reference):
+    # numpy reads True as 1.0, which the stop test met at once: converged after 0 rounds
+    s, objective, _ = setting
+    with pytest.raises(ValueError, match=r"^u_max=.*True.*: must be a number, not a bool$"):
+        if isinstance(reference, list):
+            replicate(disc_pso, s, objective, reference, SwarmConfig(n_max=3), 2)
+        else:
+            disc_pso(s, objective, reference, SwarmConfig(n_max=3))
+
+
 def test_replicate_trials_reproducible_individually(setting):
     # any recorded trial can be replayed from its recorded seed
     s, objective, u_max = setting
@@ -544,7 +555,7 @@ def test_swarm_config_rejects_bad_fields(fields):
 
 
 def test_swarm_config_accepts_edge_values():
-    assert SwarmConfig(p_n=4, n_max=0, epsilon=1e9).n_max == 0
+    assert SwarmConfig(p_n=4, n_max=0, epsilon=1e9, seed=0).n_max == 0
     assert SwarmConfig(p_n=np.int64(30), seed=np.uint32(7), epsilon=1).p_n == 30
 
 
@@ -748,8 +759,12 @@ def _zeros(alloc):
         # a single run is a batch of one, and a (1, 1) field is one value
         (None, default_scenario(q=np.array([[4e6], [4.1e6]]), mu=np.array([[0.8]])), 1.0,
          r"1 trials, but q has shape \(2, 1\)$"),
+        # a u_max of any type but float is held to the rule
+        (2, default_scenario(), [1.0] * 3, r"2 trials, but u_max has shape \(3,\)$"),
+        (2, default_scenario(), [[1.0], [1.0]], r"2 trials, but u_max has shape \(2, 1\)$"),
     ],
-    ids=["columns-for-fewer-trials", "columns-for-more-trials", "row", "u_max", "single-run"],
+    ids=["columns-for-fewer-trials", "columns-for-more-trials", "row", "u_max", "single-run", "u_max-list",
+         "u_max-nested-list"],
 )
 def test_a_batch_refuses_by_name_a_shape_other_than_numbers_or_its_columns(n_trials, s, u_max, misfit):
     # this objective scores rows of any shape, so only the search's own check can refuse the batch
@@ -762,7 +777,8 @@ def test_a_batch_refuses_by_name_a_shape_other_than_numbers_or_its_columns(n_tri
 
 
 @pytest.mark.parametrize("q", [np.array(4e6), np.float64(4e6), np.array([4e6]), np.array([[4e6]])])
-@pytest.mark.parametrize("u_max", [np.array(50.0), np.array([50.0]), np.array([[50.0]]), np.full(3, 50.0)])
+@pytest.mark.parametrize("u_max", [np.array(50.0), np.array([50.0]), np.array([[50.0]]), np.full(3, 50.0),
+                                   [50.0] * 3])
 def test_a_batch_reads_one_value_of_any_shape_as_its_number(q, u_max):
     # a 0-d, (1,) or (1, 1) value reads as the number, and a (T,) u_max as T equal ones
     cfg, one = SwarmConfig(n_max=5, seed=2), default_scenario(q=4e6)
@@ -926,8 +942,8 @@ def _lemire_rejects(words, bound):
 
 def test_the_ga_batch_decode_replays_numpy_through_rejections_and_buffered_halves():
     # 2**32 mod 3 * 2**30 is 2**30, so numpy rejects a quarter of all halves at this bound, and most
-    # rounds of 4 halves hold a rejection: the trial rewinds and redraws with numpy, and is flagged
-    # once a redraw leaves a half buffered, which the next round's first draw reads
+    # rounds of 4 halves hold a rejection: the trial rewinds, redraws with numpy and is flagged, and a
+    # flagged trial makes numpy's calls from then on, a half left buffered or not
     bound, n, n_trials = 3 * 2**30, 1, 8
     batch, alone = ([np.random.default_rng(seed) for seed in range(n_trials)] for _ in range(2))
     state, decoded, rewound = (), 0, 0
@@ -943,6 +959,31 @@ def test_the_ga_batch_decode_replays_numpy_through_rejections_and_buffered_halve
         for ours, theirs in zip(batch, alone):  # the GA's noise between rounds
             assert ours.standard_normal((n, 2)).tolist() == theirs.standard_normal((n, 2)).tolist()
     assert decoded > 0 and rewound > 0 and state[0].any()
+
+
+def test_the_ga_batch_decode_flags_a_trial_at_its_first_rejection_whatever_numpy_buffers():
+    # a redraw that rejects an even number of halves leaves none buffered, so the trial could decode
+    # again; it stays flagged, and the decode has one exit: the first round whose words hold a rejection
+    bound, n, n_trials = 3 * 2**30, 1, 8
+    batch, alone = ([np.random.default_rng(seed) for seed in range(n_trials)] for _ in range(2))
+    state, first_rejection, unbuffered = (), set(), []
+    for _ in range(12):
+        for t, rng in enumerate(batch):
+            if t not in first_rejection and _lemire_rejects(
+                    copy.deepcopy(rng.bit_generator).random_raw(2 * n).tolist(), bound):
+                first_rejection.add(t)
+                redraw = np.random.Generator(copy.deepcopy(rng.bit_generator))
+                redraw.integers(bound, size=(2, n, 2))
+                if not redraw.bit_generator.state["has_uint32"]:
+                    unbuffered.append(t)
+        contest, u, state = optimizers._ga_draws(batch, n, bound, state)
+        assert state[0][:, 0].tolist() == [t in first_rejection for t in range(n_trials)]
+        for t, rng in enumerate(alone):
+            assert contest[t].tolist() == rng.integers(bound, size=(2, n, 2)).tolist()
+            assert u[t].tolist() == rng.random(4 * n).tolist()
+        for ours, theirs in zip(batch, alone):  # the GA's noise between rounds
+            assert ours.standard_normal((n, 2)).tolist() == theirs.standard_normal((n, 2)).tolist()
+    assert unbuffered
 
 
 # ---------------------------------------------------------------- small-population digest

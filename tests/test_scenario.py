@@ -148,6 +148,16 @@ def test_validation_report_one_entry_per_violation():
         ({"b_range": (0.0, 1e6)}, "b_range=0.0..1000000.0: bounds must satisfy 0 < min < max"),
         ({"f_range": (3e9, 3e9)}, "f_range=3000000000.0..3000000000.0: bounds must satisfy 0 < min < max"),
         ({"b_range": (5e5, 5e5)}, "b_range=500000.0..500000.0: bounds must satisfy 0 < min < max"),
+        # a value of the wrong kind raised a TypeError, or passed as a number (True is 1)
+        *(({name: value}, f"{name}={value!r}: must be a real number (not a bool) or a real array")
+          for name, value in (("q", [1e5, 2e5]), ("q", "1e5"), ("q", None), ("q", 1j), ("q", True),
+                              ("mu", np.True_), ("c", np.array([True, False])), ("k", np.array([1e-27j])))),
+        ({"channel": ChannelSpec([20.0], 30.0)},
+         "snr_uplink=[20.0]: must be a real number (not a bool) or a real array"),
+        ({"channel": ChannelSpec(20.0, 30.0, np.array(["raw"]))},
+         "snr_mode=array(['raw'], dtype='<U3'): expected one of ('raw', 'db-to-linear')"),
+        *(({"f_range": box}, f"f_range={box!r}: must be a pair of real numbers")
+          for box in ((1e9, 2e9, 3e9), 5e9, None, "ab", (1e9, True), (np.array([1e9]), 2e9))),
     ],
 )
 def test_validation_message_of_each_range_check(fields, message):
