@@ -1,19 +1,17 @@
 """Parameter sweeps, surfaces, optimizer comparisons, and flat-file outputs.
 
-The harness adds no arithmetic of its own: sweeps and surfaces both read
-their price, ``u_user`` and ``u_server`` from one broadcast ``user_utility``
-call, so a surface cell equals the sweep row at the same purchase bit for
-bit, and both are reproducible bit-exactly from the scenario and
-allocation that produced them. ``pricing.server_utility`` is the
-independent closed form they are checked against.
+The harness adds no arithmetic of its own: sweeps and surfaces both read their price, ``u_user``
+and ``u_server`` from one broadcast ``user_utility`` call, so a surface cell equals the sweep row
+at the same purchase bit for bit, and both are reproducible bit-exactly from the scenario and
+allocation that produced them. ``pricing.server_utility`` is the independent closed form they are
+checked against. A sweep's purchase and grid values are held to ``scenario.number_fault``.
 
-Every model evaluation here runs on numpy operands under one rule,
-``np.errstate(all="ignore")``: an overflow, or a link rate that underflows
-to 0, gives inf or NaN silently, and ``_require_finite`` refuses it.
+Every model evaluation here runs on numpy operands under one rule, ``np.errstate(all="ignore")``:
+an overflow, or a link rate that underflows to 0, gives inf or NaN silently, and
+``_require_finite`` refuses it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -23,7 +21,7 @@ import numpy as np
 
 from .offload import Allocation
 from .pricing import dynamic_utility_objective, user_utility
-from .scenario import Scenario, checked, number_fields, scenario_numbers
+from .scenario import Scenario, checked, number_fault, number_fields, scenario_numbers
 from .optimizers import ALGORITHMS, SwarmConfig, TrialStats, replicate, require_integer
 from . import svgplot
 
@@ -111,54 +109,56 @@ def _require_one_scenario(s: Scenario, entry: str) -> None:
         raise ValueError(f"a {entry} pins one scenario, but it holds arrays in {', '.join(arrays)}")
 
 
-def _check_sweep_spec(spec: SweepSpec) -> tuple[float, ...]:
+def _check_sweep_spec(spec: SweepSpec) -> np.ndarray:
+    """The grid of a valid ``spec`` as a float array, or ``ValueError`` naming its first fault."""
     if spec.parameter not in SWEEPABLE_PARAMETERS:
-        raise ValueError(
-            f"unknown sweep parameter {spec.parameter!r}; expected one of {SWEEPABLE_PARAMETERS}"
-        )
+        raise ValueError(f"unknown sweep parameter {spec.parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
     _require_one_scenario(checked(spec.scenario), "sweep")
-    arrays = [name for name, value in vars(spec.allocation).items() if getattr(value, "ndim", 0)]
+    purchase = vars(spec.allocation)
+    arrays = [name for name, value in purchase.items() if getattr(value, "ndim", 0)]
     if arrays:  # the rule of _require_one_scenario: a 0-d array is one number
         raise ValueError(f"a sweep pins one purchase, but allocation holds arrays in {', '.join(arrays)}")
-    if not (0 < spec.allocation.f_server < np.inf and 0 < spec.allocation.b < np.inf):
-        raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
-    grid = tuple(spec.grid)
+    grid = tuple(spec.grid)  # a generator grid is read once
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    i = next((i for i, x in enumerate(grid) if not math.isfinite(x)), -1)
-    if i >= 0:  # before the order checks: NaN compares false
-        raise ValueError(f"sweep grid values must be finite, got {grid[i]!r} at index {i}")
-    i = next((i for i in range(1, len(grid)) if grid[i] <= grid[i - 1]), 0)
+    # a grid of floats, as the CLI's, takes one array test; any other grid, or a failing one, is walked
+    values = np.array(grid) if {*map(type, grid)} <= {float, np.float64} else np.array(np.nan)
+    faults = [number_fault(name, value, arrays=True, floats=True) for name, value in purchase.items()]
+    if not np.isfinite(values).all():
+        faults += [number_fault(f"grid[{i}]", value) for i, value in enumerate(grid)]
+    if any(faults):
+        raise ValueError(next(filter(None, faults)))
+    values = values if values.ndim else np.array(grid, dtype=float)
+    if not (spec.allocation.f_server > 0 and spec.allocation.b > 0):
+        raise ValueError(f"allocation must be finite and strictly positive, got {spec.allocation}")
+    i = next(iter(np.flatnonzero(values[1:] <= values[:-1]).tolist()), -1) + 1  # the first fall, or 0
     if i:
         raise ValueError(
             f"sweep grid must be strictly increasing, got {grid[i]!r} at index {i} after {grid[i - 1]!r}"
         )
     ranges = {"f_server": spec.scenario.f_range, "b": spec.scenario.b_range}
     for name, (lo, hi) in ranges.items():  # the swept coordinate is replaced by the grid
-        value = getattr(spec.allocation, name)
+        value = purchase[name]
         if name != spec.parameter and not lo <= value <= hi:
             raise ValueError(f"allocation {name}={value!r} outside the valid {name} range [{lo!r}, {hi!r}]")
     lo, hi = ranges.get(spec.parameter, (0.0, float("inf")))
     if grid[0] < lo or grid[-1] > hi or grid[0] <= 0:
-        raise ValueError(
-            f"sweep grid {grid[0]!r}..{grid[-1]!r} outside the valid {spec.parameter} "
-            f"range [{lo!r}, {hi!r}]"
-        )
-    return grid  # the tuple checked: a generator grid is read once
+        raise ValueError(f"sweep grid {grid[0]!r}..{grid[-1]!r} outside the valid {spec.parameter} "
+                         f"range [{lo!r}, {hi!r}]")
+    return values
 
 
 @np.errstate(all="ignore")
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """One row per grid value, dynamic pricing throughout.
 
-    The grid becomes one array field, of the allocation (f_server, b) or
-    of the scenario (q, f_local), and the purchase is broadcast to the
-    grid's shape, as ``surface_grid`` broadcasts its axes; each row equals
-    the scalar ``user_utility`` call at its value, bit for bit. Under the
-    module's one rule, an overflow or a zero link rate gives inf or NaN
-    silently, and any inf or NaN in a row raises ``ValueError``.
+    The grid becomes one float64 array field, of the allocation (f_server, b) or of the scenario
+    (q, f_local), and the purchase is broadcast to the grid's shape, as ``surface_grid`` broadcasts
+    its axes; each row equals the scalar ``user_utility`` call at its value, bit for bit. Under the
+    module's one rule, an overflow or a zero link rate gives inf or NaN silently, and any inf or NaN
+    in a row raises ``ValueError``.
     """
-    grid = np.array(_check_sweep_spec(spec), dtype=float)
+    grid = _check_sweep_spec(spec)
     s, alloc = spec.scenario, spec.allocation
     if spec.parameter in ("f_server", "b"):
         alloc = replace(alloc, **{spec.parameter: grid})

@@ -1,14 +1,13 @@
 """Search for near-optimal allocations over the bounded (f_server, b) box.
 
-Four maximizers share one search loop (``_search``), which seeds the
-generators, samples the initial populations, tracks the global bests and
-stops a trial once its gap u_max - best is at most epsilon*|best|, or
-after n_max update rounds. For best > 0 this is the relative gap
-(u_max - best)/best at most epsilon; unlike that ratio, it keeps its
-meaning when the utility is negative, and it holds at best == u_max even
-where epsilon*|best| underflows to 0. ``iterations_used`` counts
-completed update rounds, so a run whose initial sampling already
-satisfies the gap reports 0.
+Four maximizers share one search loop (``_search``), which seeds the generators, samples the
+initial populations, tracks the global bests and stops a trial once its gap u_max - best is at most
+epsilon*|best|, or after n_max update rounds. For best > 0 this is the relative gap
+(u_max - best)/best at most epsilon; unlike that ratio, it keeps its meaning when the utility is
+negative, and it holds at best == u_max even where epsilon*|best| underflows to 0. The gap reference
+u_max and epsilon are numbers by ``scenario.number_fault``: at -inf the stop test would hold at once,
+and never at NaN or +inf. ``iterations_used`` counts completed update rounds, so a run whose initial
+sampling already satisfies the gap reports 0.
 
 The loop runs a batch of trials in lockstep: ``replicate`` passes all
 its trials at once, and a single run is a batch of one. A batch has one
@@ -56,14 +55,13 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .offload import Allocation
-from .scenario import Scenario, checked, kept, scenario_numbers
+from .scenario import Scenario, checked, kept, number_fault, scenario_numbers
 
 #: An ``Allocation`` of equal-shape arrays in, the values of its rows out in that shape.
 Objective = Callable[[Allocation], np.ndarray]
@@ -112,14 +110,12 @@ class SwarmConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (bool, np.bool_)):  # a bool is an Integral, and abs(True) is 1
-                raise ValueError(f"{f.name}={value!r}: must be a number, not a bool")
             if isinstance(value, np.generic):  # a numpy scalar is kept as its Python number
                 object.__setattr__(self, f.name, value := value.item())
             if f.name in self._LEAST:
                 require_integer(f.name, value, self._LEAST[f.name])
-            elif not abs(value) <= sys.float_info.max:  # NaN too
-                raise ValueError(f"{f.name}={value!r}: must be a finite float")
+            elif fault := number_fault(f.name, value):
+                raise ValueError(fault)
         if not self.epsilon > 0:
             raise ValueError(f"epsilon={self.epsilon!r}: must be > 0")
 
@@ -393,34 +389,34 @@ def _search(
 ) -> list[RunResult]:
     """The loop every searcher shares: trial i runs from ``seeds[i]`` in the box of ``s``.
 
-    ``u_max`` and the numbers of ``s`` have the shapes ``replicate`` states,
-    and ``u_max`` is finite and not a bool, or ``ValueError`` names them
-    before any draw, whatever the type of ``u_max``. The
-    global best of a trial is the best candidate it ever evaluated (first
-    argmax, replaced only when strictly greater). All live trials have
-    completed the same number of rounds; the finished ones are recorded
-    and dropped from every per-trial array, whose trial axis is the second
-    to last, before the next round. Under ``np.errstate(all="ignore")`` the
-    objective gives inf or NaN silently; a non-finite value raises. A
-    scenario that fails ``validate`` raises ``ScenarioError`` before any draw.
+    ``u_max`` and the numbers of ``s`` have the shapes ``replicate`` states, and ``u_max``, or each
+    element of a list or array, is a number by ``scenario.number_fault``, or ``ValueError`` names it
+    before any draw, an element by its trial's index (``u_max[1]=-inf``). The global best
+    of a trial is the best candidate it ever evaluated (first argmax, replaced only when strictly
+    greater). All live trials have completed the same number of rounds; the finished ones are
+    recorded and dropped from every per-trial array, whose trial axis is the second to last, before
+    the next round. Under ``np.errstate(all="ignore")`` the objective gives inf or NaN silently; a
+    non-finite value raises. A scenario that fails ``validate`` raises ``ScenarioError`` before any draw.
     """
     checked(s)
     n = len(seeds)
     misfits = kept(s, f"_batch_misfits{n}", lambda s: [  # one value, or a (T, 1) column per trial
         f"{name} has shape {np.shape(v)}" for name, v in scenario_numbers(s).items()
         if np.size(v) != 1 and np.shape(v) != (n, 1)])
-    if type(u_max) is not float:  # a float needs no test
-        if np.asarray(u_max).dtype == bool:  # a bool is a number to numpy, and True is 1.0
-            raise ValueError(f"u_max={u_max!r}: must be a number, not a bool")
-        if np.size(u_max) != 1 and np.shape(u_max) != (n,):
-            misfits = [*misfits, f"u_max has shape {np.shape(u_max)}"]
+    if type(u_max) is not float and np.size(u_max) != 1 and np.shape(u_max) != (n,):
+        misfits = [*misfits, f"u_max has shape {np.shape(u_max)}"]
     if misfits:
         raise ValueError(f"a batch reads numbers, (T, 1) scenario columns and a float or (T,) u_max "
                          f"for its T = {n} trials, but {', '.join(misfits)}")
-    u_max = np.full(n, u_max).tolist()
-    for t, value in enumerate(u_max):  # the stop test holds at once at -inf, and never at NaN or +inf
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite gap reference (inf or NaN): u_max {value!r} of trial {t}")
+    # the stop test holds at once at -inf and never at NaN or +inf, and numpy reads True as 1.0
+    reference = u_max if type(u_max) is float or np.ndim(u_max) == 0 else np.asarray(u_max)  # a list too
+    fault = number_fault("u_max", reference, arrays=True)
+    if fault and np.ndim(reference):  # name the first failing element: its index is the trial's
+        faults = (number_fault(f"u_max[{t}]", value) for t, value in enumerate(reference.ravel().tolist()))
+        fault = next(filter(None, faults), fault)
+    if fault:
+        raise ValueError(fault)
+    u_max = [u_max] * n if type(u_max) is float else np.full(n, u_max).tolist()
     rngs = list(map(np.random.default_rng, seeds))
     trials = list(range(n))
     box = _search_box(s, cfg.p_n)
@@ -633,17 +629,14 @@ def replicate(
 ) -> TrialStats:
     """Run ``n_trials`` seeded trials as one lockstep batch and aggregate.
 
-    Trial i uses the i-th of ``trial_seeds(cfg.seed, n_trials)``, so
-    algorithms run on the same arguments see paired seeds, and its result
-    equals the single run replayed from that seed. ``u_max`` is one value or
-    a (T,) array, and each number of ``s`` one value or a (T, 1) column, which
-    gives each trial its own workload; any other shape, a (T,) row included,
-    raises ``ValueError`` naming it. An ``OptimizerError`` starts with
-    ``trial i:``, where i is the lowest index among the trials that fail in
-    the earliest failing round.
-    ``algorithm`` is one of the searchers in ``ALGORITHMS``; any other
-    object, a ``dataclasses.replace`` copy under another name included,
-    raises ``ValueError``.
+    Trial i uses the i-th of ``trial_seeds(cfg.seed, n_trials)``, so algorithms run on the same
+    arguments see paired seeds, and its result equals the single run replayed from that seed.
+    ``u_max`` is one number or a (T,) array of them, and each number of ``s`` one value or a (T, 1)
+    column, which gives each trial its own workload; any other shape, a (T,) row included, or a
+    value that is no number, raises ``ValueError`` naming it. An ``OptimizerError`` starts with
+    ``trial i:``, where i is the lowest index among the trials that fail in the earliest failing
+    round. ``algorithm`` is one of the searchers in ``ALGORITHMS``; any other object, a
+    ``dataclasses.replace`` copy under another name included, raises ``ValueError``.
     """
     require_integer("n_trials", n_trials, 1)
     if algorithm not in ALGORITHMS.values():

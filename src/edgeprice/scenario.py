@@ -1,30 +1,28 @@
-"""Experiment configuration: parsing, validation, unit normalization.
+"""Experiment configuration: parsing, validation, unit normalization, and the one number rule.
 
-Everything downstream works in one canonical unit system (bits, Hz, bit/s,
-seconds, Joules, Watts). Conversions happen at this boundary and nowhere
-else, which is why the config keys carry explicit unit suffixes (q_kb,
-f_local_ghz, b_min_mbps, ...). One table, ``_NUMBER_KEYS``, says which
-key, in which unit, sets each number field of a Scenario, and
-:func:`number_fields` is the one converter by it, of parsed, default and
-drawn settings alike. A key's value is a string where its default is
-one, a float otherwise. :func:`parse_setting` is the one reader of a
-``key=value`` setting, a scenario-file line or a CLI ``--set`` pair, and
-:func:`default_purchase` converts the optional purchase.
+Everything downstream works in one canonical unit system (bits, Hz, bit/s, seconds, Joules,
+Watts). Conversions happen at this boundary and nowhere else, which is why the config keys carry
+explicit unit suffixes (q_kb, f_local_ghz, b_min_mbps, ...). One table, ``_NUMBER_KEYS``, says
+which key, in which unit, sets each number field of a Scenario, and :func:`number_fields` is the
+one converter by it, of parsed, default and drawn settings alike. A key's value is a string where
+its default is one, a float otherwise. :func:`parse_setting` is the one reader of a ``key=value``
+setting, a scenario-file line or a CLI ``--set`` pair, and :func:`default_purchase` converts the
+optional purchase. :func:`number_fault` says what every number a caller passes must be, here, in
+``optimizers`` and in ``harness``.
 
-The number fields and SNR figures of a Scenario may also hold equal-shape
-numpy arrays, its box bounds numbers only: every closed form of the model
-then evaluates one scenario per element.
-Each transcendental step (log2, a power, a square root) goes through
-:func:`libm`, and each division by a computed value through
-:func:`quotient`, so an array result equals the scalar calls bit for bit.
-:func:`kept` is the one memo of what a Scenario derives, the channel's
-log2(1 + snr) pair and f_local^2 among it; ``_spectral_efficiency`` says
-a link's log2(1 + snr) once, for that pair and for :func:`validate`.
+The number fields and SNR figures of a Scenario may also hold equal-shape float64 arrays, its box
+bounds floats only: every closed form of the model then evaluates one scenario per element. Each
+transcendental step (log2, a power, a square root) goes through :func:`libm`, and each division by
+a computed value through :func:`quotient`, so an array result equals the scalar calls bit for bit.
+:func:`kept` is the one memo of what a Scenario derives, the channel's log2(1 + snr) pair and
+f_local^2 among it; ``_spectral_efficiency`` says a link's log2(1 + snr) once, for that pair and
+for :func:`validate`.
 """
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Mapping
@@ -36,6 +34,8 @@ HZ_PER_GHZ = 1e9
 BPS_PER_MBPS = 1e6
 
 SNR_MODES = ("raw", "db-to-linear")
+#: The kind fault of :func:`number_fault`; a box with an end that has it is not a pair of real numbers.
+_NOT_REAL = ": must be a real number (not a bool)"
 
 
 _ndarray = np.ndarray  # bound once: the scalar path of libm is one type test
@@ -105,16 +105,14 @@ class ChannelSpec:
 class Scenario:
     """One end-user / edge-server pair in canonical units.
 
-    Instances are immutable and safe for concurrent read-only use. The number
-    fields and SNR figures may hold arrays, one scenario per element; the box
-    bounds are numbers. Direct construction performs no checking.
-    :func:`checked` is the one gate: it runs :func:`validate` once per instance
-    and raises :class:`ScenarioError`, a ``ValueError``, naming each failing field. Every library entry that
-    takes a Scenario calls it: :func:`load_scenario`, ``run_sweep``,
-    ``surface_grid``, ``corner_allocation``, ``box_maximum_utility``,
-    ``compare_optimizers``, and the search loop behind the four searchers
-    and ``replicate``. The closed forms of ``pricing`` and ``offload`` stay
-    unchecked.
+    Instances are immutable and safe for concurrent read-only use. The number fields and SNR figures
+    are floats or float64 arrays, one scenario per element; the box bounds are floats. Direct
+    construction performs no checking. :func:`checked` is the one gate: it runs :func:`validate` once
+    per instance and raises :class:`ScenarioError`, a ``ValueError``, naming each failing field.
+    Every library entry that takes a Scenario calls it: :func:`load_scenario`, ``run_sweep``,
+    ``surface_grid``, ``corner_allocation``, ``box_maximum_utility``, ``compare_optimizers``, and
+    the search loop behind the four searchers and ``replicate``. The closed forms of ``pricing`` and
+    ``offload`` stay unchecked.
     """
 
     q: float                      # offload amount, bits
@@ -186,18 +184,22 @@ def parse_setting(text: str) -> tuple[str, float | str]:
 
 def _typed(key: str, value: object) -> float | str:
     """A known ``key``'s value as a setting holds it: a string where the key's default is one
-    (``snr_mode``), otherwise a float, as for the purchase keys, which have no default.
-
-    A value of another kind raises :class:`ScenarioError` naming the key.
+    (``snr_mode``), otherwise a float, as for the purchase keys, which have no default. A string is
+    parsed and a float kept, for :func:`validate` to check in canonical units; any other value is
+    held to :func:`number_fault`, or :class:`ScenarioError` names the key.
     """
     if isinstance(DEFAULT_CONFIG.get(key), str):
         if isinstance(value, str):
             return value
         raise ScenarioError(f"non-string value {value!r} for key {key!r}")
-    try:
-        return float(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ScenarioError(f"non-numeric value {value!r} for key {key!r}") from None
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ScenarioError(f"non-numeric value {value!r} for key {key!r}") from None
+    if not isinstance(value, float) and (fault := number_fault(key, value)):
+        raise ScenarioError(fault)
+    return float(value)  # type: ignore[arg-type]
 
 
 def parse_config(text: str) -> dict[str, float | str]:
@@ -273,11 +275,9 @@ def default_scenario(**field_overrides: object) -> Scenario:
 
 
 def scenario_numbers(s: Scenario) -> dict[str, float]:
-    """Every number of ``s`` by name: the number fields, the two SNR figures and the box bounds."""
-    numbers = {name: getattr(s, name) for name in _NUMBER_FIELDS}
-    numbers.update(snr_uplink=s.channel.snr_uplink, snr_downlink=s.channel.snr_downlink)
-    numbers.update(f_min=s.f_range[0], f_max=s.f_range[1], b_min=s.b_range[0], b_max=s.b_range[1])
-    return numbers
+    """The numbers of ``s`` that may hold arrays, by name: the number fields and the two SNR figures."""
+    return {**{name: getattr(s, name) for name in _NUMBER_FIELDS},
+            "snr_uplink": s.channel.snr_uplink, "snr_downlink": s.channel.snr_downlink}
 
 
 def _every(ok) -> bool:
@@ -328,42 +328,49 @@ def checked(s: Scenario) -> Scenario:
     return s
 
 
-def _is_real(value, arrays: bool = False) -> bool:
-    """Whether ``value`` is a real number that is not a bool, or, where ``arrays`` is set, a real array."""
+def number_fault(name: str, value: object, arrays: bool = False, floats: bool = False) -> str | None:
+    """The package's one number rule: the fault of ``value`` as the number ``name``, or None.
+
+    A number is a real number that is not a bool, of magnitude at most ``sys.float_info.max`` by
+    comparison (``float(10**400)`` raises); with ``arrays``, also a real array of finite elements.
+    With ``floats``, for a value the model multiplies, it is a float (a Python float or numpy
+    float64) or float64 array: an int multiplies exactly, past the float range, and a float32 as one.
+    """
     if type(value) is _ndarray:
-        return arrays and value.dtype.kind in "iuf"
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _kind_faults(s: Scenario) -> list[str]:
-    """An entry for each number field or SNR figure that is not a real number or array, and each
-    box that is not a pair of real numbers: the kinds every later check of :func:`validate` reads."""
-    values = {name: getattr(s, name) for name in _NUMBER_FIELDS}
-    values.update(snr_uplink=s.channel.snr_uplink, snr_downlink=s.channel.snr_downlink)
-    faults = [f"{name}={value!r}: must be a real number (not a bool) or a real array"
-              for name, value in values.items() if not _is_real(value, arrays=True)]
-    for name, box in (("f_range", s.f_range), ("b_range", s.b_range)):
-        # one box per scenario: a search, a sweep and a surface read one
-        if not (isinstance(box, (tuple, list)) and len(box) == 2 and all(map(_is_real, box))):
-            faults.append(f"{name}={box!r}: must be a pair of real numbers")
-    return faults
+        real = arrays and value.dtype.kind in "iuf"
+        finite = real and bool(np.isfinite(value).all())
+        is_float, kind = value.dtype == np.float64, f"{value.dtype} array"
+    else:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        # NaN compares false, and a numpy scalar as its Python number: a float32 casts the bound to inf
+        finite = real and abs(value.item() if isinstance(value, np.generic) else value) <= sys.float_info.max
+        is_float, kind = isinstance(value, float), type(value).__name__  # a numpy float64 is a float
+    if not real:
+        return f"{name}={value!r}{_NOT_REAL}" + (" or a real array" if arrays else "")
+    if not finite:
+        return f"{name}={value!r}: must be finite"
+    if floats and not is_float:
+        return f"{name}={value!r}: must be a float{' or a float64 array' * arrays}, not {kind}"
+    return None
 
 
 def validate(s: Scenario) -> list[str]:
     """Check every Scenario invariant; one report entry per violation.
 
-    Returns an empty list iff the scenario is valid. Never raises. A value
-    of the wrong kind is reported alone, first: a number field or SNR figure
-    that is not a real number or array (a bool is neither), or a box that is
-    not a pair of real numbers. An array field fails a check, in one entry,
-    if any element fails it. Non-finite numbers are reported alone, before the range checks,
-    and each link is checked on its own: a raw figure > 0, a finite and nonzero log2(1 + snr).
+    Returns an empty list iff the scenario is valid. Never raises. The :func:`number_fault` of each
+    number field, SNR figure (a finite float or float64 array) and box end (a finite float, ``f_min``
+    .. ``b_max``), or a box that is not a pair of real numbers, is reported first, before the range
+    checks. An array field fails a check, in one entry, if any element fails it, and each link is
+    checked on its own: a raw figure > 0, a finite and nonzero log2(1 + snr).
     """
-    report = _kind_faults(s)
-    if report:
-        return report
-    report = [f"{name}={value!r}: must be finite" for name, value in scenario_numbers(s).items()
-              if not _every(abs(value) < math.inf)]  # NaN compares false
+    report = [fault for name, value in scenario_numbers(s).items()
+              if (fault := number_fault(name, value, arrays=True, floats=True))]
+    for name, box in (("f_range", s.f_range), ("b_range", s.b_range)):  # one box: every entry reads one
+        pair = box if isinstance(box, (tuple, list)) and len(box) == 2 else (None,)  # else one end of no kind
+        faults = [number_fault(f"{name[0]}_{end}", v, floats=True) for end, v in zip(("min", "max"), pair)]
+        if any(_NOT_REAL in fault for fault in faults if fault):
+            faults = [f"{name}={box!r}: must be a pair of real numbers"]
+        report += filter(None, faults)
     if report:
         return report
     for name, value in (("q", s.q), ("c", s.c), ("f_local", s.f_local), ("k", s.k)):

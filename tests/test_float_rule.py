@@ -13,14 +13,17 @@ made once by an array call at 0.6 of each box maximum. Both calls run
 under ``np.errstate(all="ignore")``, the rule of every caller in the
 package.
 """
+import dataclasses
 import inspect
 import math
+import sys
 from functools import cache
 
 import numpy as np
 import pytest
 
 from edgeprice import offload, pricing
+from edgeprice.harness import box_maximum_utility, surface_grid
 from edgeprice.offload import Allocation
 from edgeprice.pricing import PriceCoefficients
 from edgeprice.scenario import DEFAULT_CONFIG, ChannelSpec, default_scenario, scenario_from_config, validate
@@ -143,3 +146,43 @@ def test_a_displacement_whose_square_overflows_gives_inf_as_its_array_call_does(
     want = leaves(pricing.quadratic_gap(s, pc, (1e200, 1e4)))
     assert want[0] == math.inf
     assert _bits(leaves(pricing.quadratic_gap(stack([s]), pc, (1e200, 1e4)))) == _bits(want)
+
+
+#: Magnitudes at the edge of the float range: Python floats, and ints at and past it, which
+#: ``validate`` passed while every closed form raised OverflowError on them.
+_EDGE = (sys.float_info.max, 1e308, 1e300, 1e200, 1e154, int(sys.float_info.max), 10**308, 10**309, 10**400,
+         10**200)
+
+
+def _edge_scenarios():
+    """The default scenario with one number, or q and c together, at each ``_EDGE`` magnitude, as a
+    number and, for a float, as a one-element float64 array; the box bounds as numbers only."""
+    s = default_scenario()
+    for value in _EDGE:
+        forms = (value, np.array([value])) if isinstance(value, float) else (value,)
+        for form in forms:
+            for name in ("q", "c", "f_local", "k", "p_u", "p_d", "alpha", "w1"):
+                yield dataclasses.replace(s, **{name: form})
+            yield dataclasses.replace(s, q=form, c=form)
+            for mode in ("raw", "db-to-linear"):
+                yield dataclasses.replace(s, channel=ChannelSpec(form, 30.0, mode))
+        yield dataclasses.replace(s, f_range=(1e9, value))
+        yield dataclasses.replace(s, b_range=(1e5, value))
+
+
+def test_a_valid_scenario_at_the_float_range_edge_returns_or_raises_a_named_value_error():
+    # a ValueError names the overflow ("non-finite surface cell"); an OverflowError or a TypeError escapes
+    valid = 0
+    for s in _edge_scenarios():
+        if validate(s):
+            continue
+        valid += 1
+        corner = Allocation(s.f_range[1], s.b_range[1])
+        for call in (lambda: pricing.user_utility(s, corner), lambda: box_maximum_utility(s),
+                     lambda: surface_grid(s, 3, 3)):
+            try:
+                with np.errstate(all="ignore"):
+                    call()
+            except ValueError:
+                pass
+    assert valid >= 50

@@ -146,14 +146,21 @@ def test_q_and_f_local_sweeps_vary_scenario(defaults):
         ((3e9, 2e9), "strictly increasing"),
         ((1e8, 2e9), "outside"),
         ((1e9, 9e9), "outside"),
-        ((1e9, float("nan")), "values must be finite"),  # NaN passed the order and range checks
-        ((float("nan"), 2e9), "values must be finite"),
-        ((1e9, float("inf")), "values must be finite"),
+        ((1e9, float("nan")), "grid[1]=nan: must be finite"),  # NaN passed the order and range checks
+        ((float("nan"), 2e9), "grid[0]=nan: must be finite"),
+        ((1e9, float("inf")), "grid[1]=inf: must be finite"),
+        # a bool swept as 1, and kinds that raised TypeError or OverflowError
+        ((True, 2e9), "grid[0]=True: must be a real number (not a bool)"),
+        (("1e9", 2e9), "grid[0]='1e9': must be a real number (not a bool)"),
+        ((1e9, None), "grid[1]=None: must be a real number (not a bool)"),
+        ((1e9 + 0j, 2e9), "grid[0]=(1000000000+0j): must be a real number (not a bool)"),
+        pytest.param((1e9, 10**400), f"grid[1]={10**400}: must be finite", id="grid12-10**400"),
+        (np.array([1e9, np.nan]), "grid[1]=np.float64(nan): must be finite"),
     ],
 )
 def test_sweep_grid_validation(defaults, grid, message):
     spec = SweepSpec("f_server", grid, defaults, Allocation(6 * GHZ, 1 * MBPS))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         run_sweep(spec)
 
 
@@ -231,13 +238,25 @@ def test_a_sweep_row_value_is_a_float_whatever_the_grid(defaults, make_grid):
 
 
 @pytest.mark.parametrize(
-    "allocation",
-    [Allocation(6 * GHZ, float("nan")), Allocation(float("inf"), 1 * MBPS), Allocation(0.0, 1 * MBPS)],
+    "allocation, message",
+    [
+        (Allocation(6 * GHZ, float("nan")), r"^b=nan: must be finite$"),
+        (Allocation(float("inf"), 1 * MBPS), r"^f_server=inf: must be finite$"),
+        (Allocation(0.0, 1 * MBPS), "finite and strictly positive"),
+        # kinds that raised TypeError, and a float32 that priced 2.480490312805176 against 2.480490307992552
+        (Allocation("6e9", 1 * MBPS), r"^f_server='6e9': must be a real number \(not a bool\) or a real array$"),
+        (Allocation(None, 1 * MBPS), r"^f_server=None: must be a real number \(not a bool\) or a real array$"),
+        (Allocation(6 * GHZ, np.float32(1e6)),
+         r"^b=np.float32\(1e\+06\): must be a float or a float64 array, not float32$"),
+        (Allocation(6 * GHZ, 1_000_000), r"^b=1000000: must be a float or a float64 array, not int$"),
+        (Allocation(6 * GHZ, True), r"^b=True: must be a real number \(not a bool\) or a real array$"),
+    ],
+    ids=[f"allocation{i}" for i in range(8)],
 )
-def test_sweep_rejects_non_finite_or_non_positive_allocation(defaults, allocation):
+def test_sweep_rejects_non_finite_or_non_positive_allocation(defaults, allocation, message):
     # NaN passed the old "> 0" reading of this check and gave a row of NaNs
     spec = SweepSpec("q", (819200.0,), defaults, allocation)
-    with pytest.raises(ValueError, match="finite and strictly positive"):
+    with pytest.raises(ValueError, match=message):
         run_sweep(spec)
 
 

@@ -8,7 +8,7 @@ from typing import Callable
 import pytest
 
 import edgeprice
-from edgeprice import optimizers, pricing
+from edgeprice import harness, optimizers, pricing
 
 _SOURCES = sorted(Path(edgeprice.__file__).parent.glob("*.py"))
 
@@ -111,6 +111,23 @@ def test_only_require_integer_says_a_least_count():
 
     sites = [site for path in _SOURCES for site in _sites(path, says_least)]
     assert [site.split(" ")[0] for site in sites] == ["optimizers.require_integer"], sites
+
+
+def test_only_number_fault_says_what_a_number_must_be():
+    # scenario.number_fault is the one rule of a number a caller passes, in one message form per fault;
+    # the module's own constant is its kind fault, which validate also reads to refuse a box
+    def says_rule(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and any(
+            words in str(node.value) for words in (": must be finite", ": must be a real number"))
+
+    sites = [site for path in _SOURCES for site in _sites(path, says_rule)]
+    assert {site.split(" ")[0] for site in sites} == {"scenario.number_fault", "scenario.<module>"}, sites
+    assert len([site for site in sites if "<module>" in site]) == 1, sites
+    # a bound on a float's magnitude, or a finiteness test, of an input is the rule's alone
+    for module in (optimizers, harness):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        names = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+        assert not {"sys.float_info", "math.isfinite"} & set(names), module.__name__
 
 
 def test_the_price_slope_is_derive_coefficients():

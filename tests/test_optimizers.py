@@ -361,29 +361,47 @@ def test_replicate_refuses_a_trial_count_that_is_not_an_integer(setting, n_trial
     assert replicate(*batch, np.int64(2)) == replicate(*batch, 2)
 
 
-@pytest.mark.parametrize("reference", [-math.inf, math.nan, math.inf])
+@pytest.mark.parametrize("reference", [-math.inf, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=_IDS.get)
 def test_a_search_refuses_a_non_finite_gap_reference(setting, algorithm, reference):
-    # at -inf the stop test held at once (converged after 0 rounds); at NaN or +inf it never held
+    # at -inf the stop test held at once (converged after 0 rounds); at NaN or +inf it never held;
+    # 10**400 raised OverflowError
     s, objective, u_max = setting
     spy = CountingObjective(objective)
-    message = r"^non-finite gap reference \(inf or NaN\): u_max {} of trial {}$"
-    with pytest.raises(ValueError, match=message.format(reference, 0)):
+    with pytest.raises(ValueError, match=rf"^u_max={reference}: must be finite$"):
         algorithm(s, spy, reference, SwarmConfig(n_max=3))
-    with pytest.raises(ValueError, match=message.format(reference, 1)):
-        replicate(algorithm, s, spy, np.array([u_max, reference, reference]), SwarmConfig(n_max=3), 3)
+    with pytest.raises(ValueError, match=rf"^u_max\[1\]={reference}: must be finite$"):
+        replicate(algorithm, s, spy, [u_max, reference, reference], SwarmConfig(n_max=3), 3)
+    if isinstance(reference, float):
+        with pytest.raises(ValueError, match=rf"^u_max\[1\]={reference}: must be finite$"):
+            replicate(algorithm, s, spy, np.array([u_max, reference, reference]), SwarmConfig(n_max=3), 3)
     assert spy.calls == 0
 
 
-@pytest.mark.parametrize("reference", [True, np.True_, [True, False]], ids=["bool", "numpy-bool", "bool-list"])
-def test_a_search_refuses_a_bool_gap_reference(setting, reference):
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        (True, r"^u_max=True: must be a real number \(not a bool\) or a real array$"),
+        (np.True_, r"^u_max=np.True_: must be a real number \(not a bool\) or a real array$"),
+        ([True, False], r"^u_max\[0\]=True: must be a real number \(not a bool\)$"),
+        # kinds that raised TypeError from the finiteness test
+        ("50.9", r"^u_max='50.9': must be a real number \(not a bool\) or a real array$"),
+        (None, r"^u_max=None: must be a real number \(not a bool\) or a real array$"),
+        (1j, r"^u_max=1j: must be a real number \(not a bool\) or a real array$"),
+        ([50.9, None], r"^u_max\[1\]=None: must be a real number \(not a bool\)$"),
+    ],
+    ids=["bool", "numpy-bool", "bool-list", "str", "None", "complex", "None-in-list"],
+)
+def test_a_search_refuses_a_bool_gap_reference(setting, reference, message):
     # numpy reads True as 1.0, which the stop test met at once: converged after 0 rounds
     s, objective, _ = setting
-    with pytest.raises(ValueError, match=r"^u_max=.*True.*: must be a number, not a bool$"):
+    spy = CountingObjective(objective)
+    with pytest.raises(ValueError, match=message):
         if isinstance(reference, list):
-            replicate(disc_pso, s, objective, reference, SwarmConfig(n_max=3), 2)
+            replicate(disc_pso, s, spy, reference, SwarmConfig(n_max=3), 2)
         else:
-            disc_pso(s, objective, reference, SwarmConfig(n_max=3))
+            disc_pso(s, spy, reference, SwarmConfig(n_max=3))
+    assert spy.calls == 0
 
 
 def test_replicate_trials_reproducible_individually(setting):
@@ -547,6 +565,14 @@ def test_every_search_on_wide_draws_refuses_or_returns_the_objective_in_the_box(
         {"n_max": False},
         {"epsilon": True},
         {"p_n": np.True_},
+        # kinds that raised TypeError, or ran the stop test on an array
+        {"epsilon": "1e-3"},
+        {"epsilon": None},
+        {"epsilon": 1j},
+        {"epsilon": [1e-3]},
+        {"epsilon": np.array([1e-3])},
+        {"epsilon": np.array(1e-3)},
+        {"epsilon": np.array([1e-3, 1e-3])},
     ],
 )
 def test_swarm_config_rejects_bad_fields(fields):
@@ -565,7 +591,7 @@ def test_swarm_config_checks_do_not_depend_on_magnitude():
     assert SwarmConfig(p_n=10**400, n_max=10**400, seed=10**400).n_max == 10**400
     assert SwarmConfig(epsilon=10**300).epsilon == 10**300
     for fields in ({"epsilon": 10**400}, {"epsilon": -(10**400)}):
-        with pytest.raises(ValueError, match=rf"{next(iter(fields))}=-?10+: must be a finite float"):
+        with pytest.raises(ValueError, match=rf"{next(iter(fields))}=-?10+: must be finite"):
             SwarmConfig(**fields)
 
 

@@ -158,6 +158,20 @@ def test_validation_report_one_entry_per_violation():
          "snr_mode=array(['raw'], dtype='<U3'): expected one of ('raw', 'db-to-linear')"),
         *(({"f_range": box}, f"f_range={box!r}: must be a pair of real numbers")
           for box in ((1e9, 2e9, 3e9), 5e9, None, "ab", (1e9, True), (np.array([1e9]), 2e9))),
+        # ints past the float range, which every closed form refused with OverflowError
+        pytest.param({"q": 10**400}, f"q={10**400}: must be finite", id="q=10**400"),
+        pytest.param({"c": 10**309}, f"c={10**309}: must be finite", id="c=10**309"),
+        pytest.param({"f_range": (1e9, 10**400)}, f"f_max={10**400}: must be finite", id="f_max=10**400"),
+        # values the model would multiply as given: exactly, or in float32
+        pytest.param({"q": 10**200}, f"q={10**200}: must be a float or a float64 array, not int", id="q=10**200"),
+        ({"q": 4096000}, "q=4096000: must be a float or a float64 array, not int"),
+        ({"q": np.float32(4096000.0)}, "q=np.float32(4.096e+06): must be a float or a float64 array, not float32"),
+        ({"mu": np.array([0.5, 0.6], np.float32)},
+         "mu=array([0.5, 0.6], dtype=float32): must be a float or a float64 array, not float32 array"),
+        ({"c": np.array([2640, 2640])}, "c=array([2640, 2640]): must be a float or a float64 array, not int64 array"),
+        ({"channel": ChannelSpec(20, 30.0)}, "snr_uplink=20: must be a float or a float64 array, not int"),
+        ({"b_range": (100_000, 1e6)}, "b_min=100000: must be a float, not int"),
+        ({"f_range": (1e9, np.float32(6e9))}, "f_max=np.float32(6e+09): must be a float, not float32"),
     ],
 )
 def test_validation_message_of_each_range_check(fields, message):
@@ -237,8 +251,12 @@ def test_override_unknown_key_rejected():
 
 @pytest.mark.parametrize("key, value, message", [
     ("q_kb", "abc", "non-numeric value 'abc' for key 'q_kb'"),
-    ("q_kb", None, "non-numeric value None for key 'q_kb'"),
+    ("q_kb", None, "q_kb=None: must be a real number (not a bool)"),
     ("snr_mode", 1.0, "non-string value 1.0 for key 'snr_mode'"),
+    # a bool read as 1 KB, and an int that raised OverflowError
+    ("q_kb", True, "q_kb=True: must be a real number (not a bool)"),
+    pytest.param("q_kb", 10**400, f"q_kb={10**400}: must be finite", id="q_kb-10**400"),
+    ("f_max_ghz", np.array([6.0]), "f_max_ghz=array([6.]): must be a real number (not a bool)"),
 ])
 def test_override_of_the_wrong_type_names_its_key(key, value, message):
     # a bad value used to escape as float()'s bare ValueError or TypeError
